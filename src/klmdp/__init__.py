@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .chain_solvers import (
     ChainAnalysis,
     PerronFrobeniusPair,
-    fundamental_matrix,
     invariant_pmf,
     perron_frobenius_baseline,
     poisson_solve,
@@ -27,11 +26,8 @@ from .errors import (
 )
 from .kl_calculus import (
     TiltResult,
-    conditional_expectation,
     dv_rate,
     kl_step_cost,
-    log_normalizer,
-    optimal_rule,
     tilt,
 )
 from .ode_engine import (

@@ -1,11 +1,11 @@
 """Linear-algebraic solvers for finite Markov chains.
 
-Invariant pmf, fundamental matrix, and the Poisson equation solver that the
-continuation ODE uses as its vector field, plus the Perron-Frobenius baseline
-for the unconstrained (exogenous-free) model.
+Invariant pmf and the Poisson equation solver that the continuation ODE uses
+as its vector field, plus the Perron-Frobenius baseline for the unconstrained
+(exogenous-free) model.
 
 Admissibility is unichain aperiodic: one recurrent class, possibly with
-transient states.  The fundamental-matrix machinery stays valid in that
+transient states.  The bordered Poisson system stays nonsingular in that
 generality, and every solve is certified by an explicit residual check.
 """
 
@@ -27,9 +27,8 @@ POISSON_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Invariant pmf, basepoint-normalized Poisson solution, and mean reward."""
+    """Basepoint-normalized Poisson solution and mean reward."""
 
-    pi: np.ndarray
     poisson_solution: ValueFunction
     mean_reward: float
 
@@ -85,7 +84,7 @@ def _is_aperiodic(A: np.ndarray, members: np.ndarray) -> bool:
     return abs(g) == 1
 
 
-def invariant_pmf(P: StochasticMatrix, check_structure: bool = True) -> np.ndarray:
+def invariant_pmf(P: StochasticMatrix) -> np.ndarray:
     """Unique invariant pmf of a unichain aperiodic transition matrix.
 
     Solves the balance equations directly (one equation replaced by the
@@ -93,8 +92,7 @@ def invariant_pmf(P: StochasticMatrix, check_structure: bool = True) -> np.ndarr
     """
     A = P.entries
     d = A.shape[0]
-    if check_structure:
-        recurrent_class(P)
+    recurrent_class(P)
     M = A.T - np.eye(d)
     M[-1, :] = 1.0
     b = np.zeros(d)
@@ -108,50 +106,39 @@ def invariant_pmf(P: StochasticMatrix, check_structure: bool = True) -> np.ndarr
     return pi
 
 
-def fundamental_matrix(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
-    """Inverse ``Z = [I - P + 1 (x) pi]^{-1}``; satisfies ``Z 1 = 1`` and ``pi Z = pi``."""
-    A = P.entries
-    d = A.shape[0]
-    M = np.eye(d) - A + np.outer(np.ones(d), pi)
-    try:
-        Z = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"I - P + 1(x)pi is singular: {exc}") from exc
-    if np.max(np.abs(Z.sum(axis=1) - 1.0)) > INVARIANT_TOL or np.linalg.norm(pi @ Z - pi, 1) > INVARIANT_TOL:
-        raise ConvergenceError("fundamental matrix failed its row-sum / invariance identities")
-    return Z
-
-
 def poisson_solve(
-    P: StochasticMatrix,
+    P: StochasticMatrix | np.ndarray,
     utility: np.ndarray,
     x0: int,
     check_structure: bool = True,
 ) -> ChainAnalysis:
-    """Solve Poisson's equation ``P H = H - U + pi(U) 1`` with ``H(x0) = 0``.
+    """Solve Poisson's equation ``(I - P) H + eta 1 = U`` with ``H(x0) = 0``.
 
-    Solves ``[I - P + 1 (x) pi] y = U`` and pins ``y`` at the basepoint; the
-    fundamental matrix is never formed.  ``x0`` must lie in the recurrent
+    One bordered solve: column ``x0`` of ``I - P``, which would multiply the
+    pinned ``H(x0)``, is replaced by ones, so slot ``x0`` of the solution
+    carries the mean reward ``eta = pi(U)``.  The residual check
+    ``sup |P H - H + U - eta|`` certifies ``H`` and ``eta`` together: no other
+    constant makes the equation solvable.  ``x0`` must lie in the recurrent
     class.
     """
-    A = P.entries
+    A = P.entries if isinstance(P, StochasticMatrix) else np.asarray(P)
     d = A.shape[0]
     U = np.asarray(utility, dtype=float)
     if U.size != d:
         raise ValueError(f"utility has length {U.size}, expected {d}")
     if check_structure:
-        members = recurrent_class(P)
+        members = recurrent_class(A)
         if x0 not in members:
             raise ValueError(f"basepoint {x0} is transient; it must be in the recurrent class")
-    pi = invariant_pmf(P, check_structure=False)
-    mean = float(pi @ U)
-    M = np.eye(d) - A + np.outer(np.ones(d), pi)
+    M = np.eye(d) - A
+    M[:, x0] = 1.0
     y = np.linalg.solve(M, U)
-    H = ValueFunction(y, x0)
-    residual = np.max(np.abs(A @ H.values - H.values + U - mean))
+    eta = float(y[x0])
+    y[x0] = 0.0
+    residual = np.max(np.abs(A @ y - y + U - eta))
     if residual > POISSON_TOL:
         raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
-    return ChainAnalysis(pi=pi, poisson_solution=H, mean_reward=mean)
+    return ChainAnalysis(poisson_solution=ValueFunction(y, x0), mean_reward=eta)
 
 
 def perron_frobenius_baseline(

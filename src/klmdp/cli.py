@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -211,13 +211,11 @@ def _write_manifest(out: _OutputTracker, loaded: LoadedModel, timings: dict, sna
 
 
 def cmd_solve_ar(args) -> int:
-    loaded = load_config(args.config)
-    loaded = _apply_overrides(loaded, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = _OutputTracker(out_dir)
+    out = _OutputTracker(Path(args.out))
     timings: dict[str, float] = {}
     try:
+        loaded = _apply_overrides(load_config(args.config), args)
+        out.out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         timings["solve"] = time.perf_counter() - t0
@@ -233,13 +231,11 @@ def cmd_solve_ar(args) -> int:
 
 
 def cmd_solve_fh(args) -> int:
-    loaded = load_config(args.config)
-    loaded = _apply_overrides(loaded, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = _OutputTracker(out_dir)
+    out = _OutputTracker(Path(args.out))
     timings: dict[str, float] = {}
     try:
+        loaded = _apply_overrides(load_config(args.config), args)
+        out.out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         path = solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode)
         timings["solve"] = time.perf_counter() - t0
@@ -263,13 +259,14 @@ def cmd_solve_fh(args) -> int:
 
 
 def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
-    ode = loaded.ode
-    zeta_max = args.zeta_max if getattr(args, "zeta_max", None) is not None else ode.zeta_max
-    step = args.step if getattr(args, "step", None) is not None else ode.step
-    checkpoints = ode.checkpoints
-    if getattr(args, "checkpoints", None):
-        checkpoints = tuple(float(c) for c in args.checkpoints.split(","))
-    loaded.ode = OdeConfig(zeta_max=zeta_max, step=step, checkpoints=checkpoints, residual_tol=ode.residual_tol)
+    changes = {}
+    if args.zeta_max is not None:
+        changes["zeta_max"] = args.zeta_max
+    if args.step is not None:
+        changes["step"] = args.step
+    if args.checkpoints:
+        changes["checkpoints"] = tuple(float(c) for c in args.checkpoints.split(","))
+    loaded.ode = replace(loaded.ode, **changes)
     return loaded
 
 

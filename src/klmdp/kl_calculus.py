@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityError
-from .state_space import FactoredKernel, StochasticMatrix, ValueFunction
+from .state_space import FactoredKernel, StochasticMatrix
 
 
 @dataclass(frozen=True)
@@ -27,46 +27,18 @@ class TiltResult:
     log_normalizer: np.ndarray
 
 
-def _as_values(h) -> np.ndarray:
-    return h.values if isinstance(h, ValueFunction) else np.asarray(h, dtype=float)
-
-
 def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -> np.ndarray:
-    """Array-level conditional expectation; see :func:`conditional_expectation`."""
+    """Average ``values`` over the exogenous next coordinate.
+
+    Returns the ``(d, d_u)`` matrix with entry ``(x, x_u')`` equal to
+    ``sum_{x_n'} Q0(x, x_n') values(x_u', x_n')``.
+    """
     space = kernel.space
     if values.size != space.d:
         raise ValueError(f"value vector has length {values.size}, expected {space.d}")
     # out(x, x_u') = sum_n Q0(x, n) * values[(x_u', n)]
     H = values.reshape(space.d_u, space.d_n)
     return kernel.Q0.entries @ H.T
-
-
-def conditional_expectation(h: ValueFunction | np.ndarray, kernel: FactoredKernel) -> np.ndarray:
-    """Average ``h`` over the exogenous next coordinate.
-
-    Returns the ``(d, d_u)`` matrix with entry ``(x, x_u')`` equal to
-    ``sum_{x_n'} Q0(x, x_n') h(x_u', x_n')``.
-    """
-    return conditional_expectation_values(_as_values(h), kernel)
-
-
-def log_normalizer(g_cond: np.ndarray, R0: StochasticMatrix) -> np.ndarray:
-    """Per-state log moment generating function of ``g_cond`` under ``R0``.
-
-    ``Lambda(x) = log sum_{x_u'} R0(x, x_u') exp(g_cond(x, x_u'))``, computed
-    with per-row max subtraction.  Entries where ``R0`` is zero contribute
-    nothing regardless of the value of ``g_cond`` there.
-    """
-    R = R0.entries
-    g = np.asarray(g_cond, dtype=float)
-    if g.shape != R.shape:
-        raise ValueError(f"g_cond shape {g.shape} does not match R0 shape {R.shape}")
-    if np.any(R.sum(axis=1) == 0):
-        raise ValueError("R0 has an all-zero row")
-    support = R > 0
-    m = np.max(np.where(support, g, -np.inf), axis=1)
-    t = R * np.exp(np.where(support, g - m[:, None], -np.inf))
-    return np.log(t.sum(axis=1)) + m
 
 
 def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -80,24 +52,14 @@ def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray
     return t / s[:, None], np.log(s) + m
 
 
-def tilt(h: ValueFunction | np.ndarray, kernel: FactoredKernel) -> TiltResult:
+def tilt(h: np.ndarray, kernel: FactoredKernel) -> TiltResult:
     """Exponentially tilt the nominal rule by the conditional expectation of ``h``.
 
     ``R_h(x, x_u') = R0(x, x_u') exp(h(x_u'|x) - Lambda_h(x))``.  Rows are
     exact pmfs by construction; zeros of ``R0`` are preserved.
     """
-    rule, lam = _tilt_values(_as_values(h), kernel)
+    rule, lam = _tilt_values(np.asarray(h, dtype=float), kernel)
     return TiltResult(StochasticMatrix(rule), lam)
-
-
-def optimal_rule(W: ValueFunction | np.ndarray, kernel: FactoredKernel) -> TiltResult:
-    """Unique maximizer of one-step reward plus continuation value ``W``.
-
-    The argmax over decision rules of ``w(x, R) + sum_x' P(x, x') W(x')`` is
-    the tilt of the nominal rule by ``W``; the achieved maximum at ``x`` is
-    the utility term plus ``log_normalizer``.
-    """
-    return tilt(W, kernel)
 
 
 def kl_step_cost(rule: StochasticMatrix, R0: StochasticMatrix) -> np.ndarray:

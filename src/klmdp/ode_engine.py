@@ -121,11 +121,19 @@ def _snap_checkpoints(cfg: OdeConfig, grid: np.ndarray) -> tuple[dict[int, float
     return by_node, snapped
 
 
-def ar_vector_field(h: ValueFunction, model: FactoredKernel, utility: np.ndarray) -> ValueFunction:
-    """Poisson solution for the chain tilted by ``h``, pinned at the basepoint of ``h``."""
-    rule, _ = _tilt_values(h.values, model)
-    P_h = StochasticMatrix(induced_transition_values(rule, model.Q0.entries))
-    return poisson_solve(P_h, utility, h.basepoint).poisson_solution
+def ar_vector_field(
+    h: np.ndarray, model: FactoredKernel, utility: np.ndarray, basepoint: int
+) -> tuple[np.ndarray, float]:
+    """Average-reward vector field ``(dh/dzeta, deta/dzeta)`` at ``h``.
+
+    These are the Poisson solution of the chain tilted by ``h``, pinned at the
+    basepoint, and that chain's mean utility.  Works on raw arrays and skips
+    the structure check, which the caller makes once on the nominal chain.
+    """
+    rule, _ = _tilt_values(h, model)
+    P_h = induced_transition_values(rule, model.Q0.entries)
+    analysis = poisson_solve(P_h, utility, basepoint, check_structure=False)
+    return analysis.poisson_solution.values, analysis.mean_reward
 
 
 def solve_average_reward(
@@ -136,11 +144,10 @@ def solve_average_reward(
 ) -> ZetaSolutionPath:
     """Integrate the average-reward continuation ODE from the nominal solution.
 
-    Classical RK4 on the joint state ``(h, eta)`` with ``dh/dzeta`` the
-    Poisson solution of the tilted chain and ``deta/dzeta`` the invariant mean
-    of the utility.  The optimality-equation residual
-    ``sup_x |zeta U + Lambda_h - h - eta|`` is recorded at every grid node and
-    enforced at checkpoints.
+    Classical RK4 on the joint state ``(h, eta)`` with the derivatives from
+    :func:`ar_vector_field`, one bordered solve per evaluation.  The
+    optimality-equation residual ``sup_x |zeta U + Lambda_h - h - eta|`` is
+    recorded at every grid node and enforced at checkpoints.
     """
     U = np.asarray(utility, dtype=float)
     d = model.space.d
@@ -155,12 +162,6 @@ def solve_average_reward(
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
-
-    def rhs(h_arr: np.ndarray) -> tuple[np.ndarray, float]:
-        rule, _ = _tilt_values(h_arr, model)
-        P_h = StochasticMatrix(induced_transition_values(rule, model.Q0.entries))
-        analysis = poisson_solve(P_h, U, basepoint, check_structure=False)
-        return analysis.poisson_solution.values, analysis.mean_reward
 
     def residual(zeta: float, h_arr: np.ndarray, eta: float) -> float:
         _, lam = _tilt_values(h_arr, model)
@@ -198,12 +199,12 @@ def solve_average_reward(
     for i in range(grid.size - 1):
         z, z_end = float(grid[i]), float(grid[i + 1])
         while z < z_end - 1e-15:
-            k1, e1 = rhs(h)
+            k1, e1 = ar_vector_field(h, model, U, basepoint)
             speed = float(np.max(np.abs(k1)))
             dz = min(z_end - z, cfg.step, cfg.max_move / max(speed, 1e-30))
-            k2, e2 = rhs(h + 0.5 * dz * k1)
-            k3, e3 = rhs(h + 0.5 * dz * k2)
-            k4, e4 = rhs(h + dz * k3)
+            k2, e2 = ar_vector_field(h + 0.5 * dz * k1, model, U, basepoint)
+            k3, e3 = ar_vector_field(h + 0.5 * dz * k2, model, U, basepoint)
+            k4, e4 = ar_vector_field(h + dz * k3, model, U, basepoint)
             h = h + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             h -= h[basepoint]
             eta += (dz / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)

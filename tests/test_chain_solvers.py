@@ -5,7 +5,6 @@ from klmdp import (
     NotAperiodicError,
     NotUnichainError,
     StochasticMatrix,
-    fundamental_matrix,
     induced_transition,
     invariant_pmf,
     perron_frobenius_baseline,
@@ -79,45 +78,6 @@ class TestRecurrentClass:
         np.testing.assert_array_equal(recurrent_class(P), [0, 1, 2])
 
 
-class TestFundamentalMatrix:
-    def test_iid_chain_identity(self):
-        pi = np.array([0.3, 0.7])
-        P = StochasticMatrix(np.outer(np.ones(2), pi))
-        np.testing.assert_allclose(fundamental_matrix(P, pi), np.eye(2), atol=1e-12)
-
-    def test_single_state(self):
-        P = StochasticMatrix(np.ones((1, 1)))
-        np.testing.assert_allclose(fundamental_matrix(P, np.ones(1)), [[1.0]])
-
-    def test_uniform_two_state(self):
-        P = StochasticMatrix(np.full((2, 2), 0.5))
-        np.testing.assert_allclose(fundamental_matrix(P, np.full(2, 0.5)), np.eye(2), atol=1e-12)
-
-    def test_matches_power_series(self, rng):
-        # truncated series sum_{n} (P - 1 (x) pi)^n on random 10-state chains
-        for _ in range(3):
-            P = StochasticMatrix(rng.dirichlet(np.ones(10), size=10))
-            pi = invariant_pmf(P)
-            Z = fundamental_matrix(P, pi)
-            D = P.entries - np.outer(np.ones(10), pi)
-            term = np.eye(10)
-            series = np.eye(10)
-            for _ in range(1, 200):
-                term = term @ D
-                series += term
-                if np.max(np.abs(term)) < 1e-8:
-                    break
-            assert np.max(np.abs(term)) < 1e-8
-            np.testing.assert_allclose(Z, series, atol=1e-6)
-
-    def test_identities(self, rng):
-        P = StochasticMatrix(rng.dirichlet(np.ones(6), size=6))
-        pi = invariant_pmf(P)
-        Z = fundamental_matrix(P, pi)
-        np.testing.assert_allclose(Z.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(pi @ Z, pi, atol=1e-9)
-
-
 class TestPoissonSolve:
     def test_constant_utility(self, rng):
         P = StochasticMatrix(rng.dirichlet(np.ones(5), size=5))
@@ -138,7 +98,7 @@ class TestPoissonSolve:
         assert out.mean_reward == pytest.approx(0.25)
         # brute-force series sum_n (P^n - 1 (x) pi) U
         A = P.entries
-        pi = out.pi
+        pi = invariant_pmf(P)
         acc = np.zeros(2)
         Pn = np.eye(2)
         for _ in range(5000):
@@ -148,13 +108,16 @@ class TestPoissonSolve:
         np.testing.assert_allclose(out.poisson_solution.values, acc, atol=1e-8)
 
     def test_residual_identity(self, rng):
-        P = StochasticMatrix(rng.dirichlet(np.ones(8), size=8))
-        U = random_utility(rng, 8)
-        out = poisson_solve(P, U, x0=3)
-        H = out.poisson_solution.values
-        residual = P.entries @ H - H + U - out.mean_reward
-        assert np.max(np.abs(residual)) <= 1e-8
-        assert H[3] == 0.0
+        for _ in range(3):
+            P = StochasticMatrix(rng.dirichlet(np.ones(8), size=8))
+            U = random_utility(rng, 8)
+            for chain in (P, P.entries):  # a raw array is accepted too
+                out = poisson_solve(chain, U, x0=3)
+                H = out.poisson_solution.values
+                residual = P.entries @ H - H + U - out.mean_reward
+                assert np.max(np.abs(residual)) <= 1e-8
+                assert H[3] == 0.0
+                assert abs(out.mean_reward - invariant_pmf(P) @ U) <= 1e-12
 
     def test_transient_basepoint_rejected(self):
         P = StochasticMatrix(np.array([
@@ -162,9 +125,13 @@ class TestPoissonSolve:
             [0.0, 0.5, 0.5],
             [0.0, 0.4, 0.6],
         ]))
+        U = np.arange(3.0)
         with pytest.raises(ValueError, match="transient"):
-            poisson_solve(P, np.arange(3.0), x0=0)
-        poisson_solve(P, np.arange(3.0), x0=1)
+            poisson_solve(P, U, x0=0)
+        out = poisson_solve(P, U, x0=1)
+        H = out.poisson_solution.values
+        assert np.max(np.abs(P.entries @ H - H + U - out.mean_reward)) <= 1e-8
+        assert abs(out.mean_reward - invariant_pmf(P) @ U) <= 1e-12
 
 
 class TestPerronFrobeniusBaseline:

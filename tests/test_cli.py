@@ -1,9 +1,11 @@
+import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from klmdp.cli import default_uav_config, load_config, main
+from klmdp.cli import _apply_overrides, default_uav_config, load_config, main
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -75,6 +77,26 @@ class TestLoadConfig:
         cfg["model"]["R0"] = [[0.5, 0.5]] * 3
         with pytest.raises(ValueError, match="rows"):
             load_config(write_config(tmp_path, cfg))
+
+
+class TestOverrides:
+    def test_unset_fields_survive(self, tmp_path):
+        loaded = load_config(write_config(tmp_path, explicit_config()))
+        loaded.ode = replace(loaded.ode, max_move=0.01, residual_tol=1e-7)
+        args = argparse.Namespace(zeta_max=0.5, step=0.02, checkpoints="0.5")
+        ode = _apply_overrides(loaded, args).ode
+        assert (ode.zeta_max, ode.step, ode.checkpoints) == (0.5, 0.02, (0.5,))
+        assert (ode.max_move, ode.residual_tol) == (0.01, 1e-7)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]])
+    def test_missing_config_is_a_clean_error(self, tmp_path, capsys, verb):
+        out = tmp_path / "run"
+        argv = verb + ["--config", str(tmp_path / "missing.json"), "--out", str(out)]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenScenario:

@@ -7,15 +7,13 @@ from klmdp import (
     ProductStateSpace,
     StochasticMatrix,
     ValueFunction,
-    conditional_expectation,
     dv_rate,
     induced_transition,
     invariant_pmf,
     kl_step_cost,
-    log_normalizer,
-    optimal_rule,
     tilt,
 )
+from klmdp.kl_calculus import conditional_expectation_values
 
 from conftest import random_factored_model, random_utility
 
@@ -30,46 +28,56 @@ def simple_kernel():
 class TestConditionalExpectation:
     def test_zero(self):
         kernel = simple_kernel()
-        out = conditional_expectation(np.zeros(4), kernel)
+        out = conditional_expectation_values(np.zeros(4), kernel)
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
     def test_constant(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        out = conditional_expectation(np.full(6, 2.5), kernel)
+        out = conditional_expectation_values(np.full(6, 2.5), kernel)
         np.testing.assert_allclose(out, 2.5, atol=1e-14)
 
     def test_hand_value(self):
         kernel = simple_kernel()
-        out = conditional_expectation(np.array([1.0, 2.0, 3.0, 4.0]), kernel)
+        out = conditional_expectation_values(np.array([1.0, 2.0, 3.0, 4.0]), kernel)
         np.testing.assert_allclose(out[0], [0.3 * 1 + 0.7 * 2, 0.3 * 3 + 0.7 * 4])
 
 
+def unconstrained_kernel(R0):
+    """``d_n = 1`` kernel: the tilt's conditional expectation is ``h`` itself."""
+    R0 = np.asarray(R0, dtype=float)
+    sp = ProductStateSpace(R0.shape[1], 1)
+    rows = np.resize(R0, (sp.d, sp.d_u))
+    return FactoredKernel(sp, StochasticMatrix(rows), StochasticMatrix(np.ones((sp.d, 1))))
+
+
 class TestLogNormalizer:
+    """``tilt(h, kernel).log_normalizer``, the per-state log moment generating
+    function of ``h`` under ``R0``, read on ``d_n = 1`` kernels."""
+
     def test_zero(self):
-        kernel = simple_kernel()
-        lam = log_normalizer(np.zeros((4, 2)), kernel.R)
+        kernel = unconstrained_kernel([[0.5, 0.5]])
+        lam = tilt(np.zeros(2), kernel).log_normalizer
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_rows(self, rng):
         kernel = random_factored_model(rng, 4, 1)
-        g = np.full((4, 4), -3.7)
-        lam = log_normalizer(g, kernel.R)
+        lam = tilt(np.full(4, -3.7), kernel).log_normalizer
         np.testing.assert_allclose(lam, -3.7, atol=1e-13)
 
     def test_hand_value(self):
-        R0 = StochasticMatrix(np.array([[0.5, 0.5]]))
-        lam = log_normalizer(np.array([[0.0, np.log(3.0)]]), R0)
-        np.testing.assert_allclose(lam, [np.log(2.0)])
+        kernel = unconstrained_kernel([[0.5, 0.5]])
+        lam = tilt(np.array([0.0, np.log(3.0)]), kernel).log_normalizer
+        np.testing.assert_allclose(lam, np.log(2.0))
 
     def test_overflow_safe(self):
-        R0 = StochasticMatrix(np.array([[0.5, 0.5]]))
-        lam = log_normalizer(np.array([[1000.0, 2000.0]]), R0)
-        np.testing.assert_allclose(lam, [2000.0 + np.log(0.5)])
+        kernel = unconstrained_kernel([[0.5, 0.5]])
+        lam = tilt(np.array([1000.0, 2000.0]), kernel).log_normalizer
+        np.testing.assert_allclose(lam, 2000.0 + np.log(0.5))
 
     def test_zero_support_ignored(self):
-        R0 = StochasticMatrix(np.array([[1.0, 0.0]]))
-        lam = log_normalizer(np.array([[2.0, 1e9]]), R0)
-        np.testing.assert_allclose(lam, [2.0])
+        kernel = unconstrained_kernel([[1.0, 0.0]])
+        lam = tilt(np.array([2.0, 1e9]), kernel).log_normalizer
+        np.testing.assert_allclose(lam, 2.0)
 
 
 class TestTilt:
@@ -115,7 +123,7 @@ class TestTilt:
             kernel = random_factored_model(rng, 4, 3)
             h = 3.0 * random_utility(rng, 12)
             out = tilt(h, kernel)
-            g = conditional_expectation(h, kernel)
+            g = conditional_expectation_values(h, kernel)
             kl = kl_step_cost(out.tilted_rule, kernel.R)
             expected = (out.tilted_rule.entries * g).sum(axis=1) - out.log_normalizer
             np.testing.assert_allclose(kl, expected, atol=1e-10)
@@ -124,7 +132,7 @@ class TestTilt:
 class TestOptimalRule:
     def test_flat_continuation(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        out = optimal_rule(np.zeros(6), kernel)
+        out = tilt(np.zeros(6), kernel)
         np.testing.assert_allclose(out.tilted_rule.entries, kernel.R.entries, atol=1e-14)
 
     def test_two_state_gibbs(self):
@@ -132,7 +140,7 @@ class TestOptimalRule:
         R0 = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        out = optimal_rule(np.array([0.0, 1.0]), kernel)
+        out = tilt(np.array([0.0, 1.0]), kernel)
         e = np.e
         np.testing.assert_allclose(out.tilted_rule.entries[0], [1 / (1 + e), e / (1 + e)])
 
@@ -140,8 +148,8 @@ class TestOptimalRule:
         # no feasible rule beats the tilted one on reward plus continuation
         kernel = random_factored_model(rng, 3, 2)
         W = 2.0 * random_utility(rng, 6)
-        g = conditional_expectation(W, kernel)
-        best = optimal_rule(W, kernel)
+        g = conditional_expectation_values(W, kernel)
+        best = tilt(W, kernel)
         best_value = (best.tilted_rule.entries * g).sum(axis=1) - kl_step_cost(best.tilted_rule, kernel.R)
         np.testing.assert_allclose(best_value, best.log_normalizer, atol=1e-12)
         for _ in range(100):

@@ -7,7 +7,6 @@ from klmdp import (
     ProductStateSpace,
     ResidualToleranceError,
     StochasticMatrix,
-    ValueFunction,
     ar_vector_field,
     aroe_fixed_point_oracle,
     fh_backward_oracle,
@@ -32,22 +31,25 @@ def unconstrained_two_state():
 class TestArVectorField:
     def test_constant_utility(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        out = ar_vector_field(ValueFunction(np.zeros(6), 0), kernel, np.full(6, 2.0))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-10)
+        H, eta = ar_vector_field(np.zeros(6), kernel, np.full(6, 2.0), 0)
+        np.testing.assert_allclose(H, 0.0, atol=1e-10)
+        assert eta == pytest.approx(2.0, abs=1e-12)
 
     def test_nominal_poisson_at_zero(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
-        out = ar_vector_field(ValueFunction(np.zeros(6), 1), kernel, U)
-        expected = poisson_solve(induced_transition(kernel), U, 1).poisson_solution
-        np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
+        H, eta = ar_vector_field(np.zeros(6), kernel, U, 1)
+        expected = poisson_solve(induced_transition(kernel), U, 1)
+        np.testing.assert_allclose(H, expected.poisson_solution.values, atol=1e-12)
+        assert eta == pytest.approx(expected.mean_reward, abs=1e-12)
 
     def test_two_state_hand_solve(self):
         kernel = unconstrained_two_state()
         U = np.array([1.0, 0.0])
-        out = ar_vector_field(ValueFunction(np.zeros(2), 1), kernel, U)
+        H, eta = ar_vector_field(np.zeros(2), kernel, U, 1)
         # P0 = 1 (x) pi here, so the Poisson solution is U - pi(U), pinned
-        np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(H, [1.0, 0.0], atol=1e-12)
+        assert eta == pytest.approx(0.5, abs=1e-12)
 
 
 class TestSolveAverageReward:
@@ -104,8 +106,8 @@ class TestSolveAverageReward:
         cfg = OdeConfig(zeta_max=0.6, step=step, checkpoints=zetas)
         cps = solve_average_reward(kernel, U, cfg).checkpoints
         fd = (cps[2].h.values - cps[0].h.values) / (2 * step)
-        vf = ar_vector_field(cps[1].h, kernel, U)
-        assert np.max(np.abs(fd - vf.values)) <= 50 * step**2
+        vf, _ = ar_vector_field(cps[1].h.values, kernel, U, 0)
+        assert np.max(np.abs(fd - vf)) <= 50 * step**2
 
     def test_eta_convex_and_monotone_for_nonpositive_utility(self, rng):
         kernel = random_factored_model(rng, 3, 2)
@@ -121,17 +123,16 @@ class TestSolveAverageReward:
         cfg = OdeConfig(zeta_max=0.8, step=0.02, checkpoints=(0.2, 0.8))
         for cp in solve_average_reward(kernel, U, cfg, basepoint=4).checkpoints:
             assert cp.h.values[4] == 0.0
-            H = ar_vector_field(cp.h, kernel, U)
-            assert H.values[4] == 0.0
+            H, _ = ar_vector_field(cp.h.values, kernel, U, 4)
+            assert H[4] == 0.0
 
     def test_poisson_residual_at_checkpoints(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
         cfg = OdeConfig(zeta_max=1.0, step=0.02, checkpoints=(0.5, 1.0))
         for cp in solve_average_reward(kernel, U, cfg).checkpoints:
-            H = ar_vector_field(cp.h, kernel, U).values
-            analysis = poisson_solve(cp.controlled_P, U, 0)
-            residual = cp.controlled_P.entries @ H - H + U - analysis.mean_reward
+            H, eta = ar_vector_field(cp.h.values, kernel, U, 0)
+            residual = cp.controlled_P.entries @ H - H + U - eta
             assert np.max(np.abs(residual)) <= 1e-6
 
 
