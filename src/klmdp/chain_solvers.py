@@ -101,7 +101,7 @@ def invariant_pmf(P: StochasticMatrix) -> np.ndarray:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = np.linalg.norm(pi @ A - pi, 1)
-    if residual > INVARIANT_TOL:
+    if not residual <= INVARIANT_TOL:
         raise ConvergenceError(f"invariant pmf residual {residual:.3e} exceeds {INVARIANT_TOL}")
     return pi
 
@@ -136,7 +136,7 @@ def poisson_solve(
     eta = float(y[x0])
     y[x0] = 0.0
     residual = np.max(np.abs(A @ y - y + U - eta))
-    if residual > POISSON_TOL:
+    if not residual <= POISSON_TOL:
         raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
     return ChainAnalysis(poisson_solution=ValueFunction(y, x0), mean_reward=eta)
 

@@ -53,6 +53,9 @@ def _ztag(z: float) -> str:
     return format(float(z), "g")
 
 
+SOLVER_KEYS = frozenset({"zeta_max", "step", "checkpoints", "residual_tol"})
+
+
 @dataclass
 class LoadedModel:
     kernel: FactoredKernel
@@ -68,6 +71,9 @@ def load_config(path: str | Path) -> LoadedModel:
         config = json.load(f)
     model_cfg = config["model"]
     solver = config.get("solver", {})
+    unknown = sorted(set(solver) - SOLVER_KEYS)
+    if unknown:
+        raise ValueError(f"unknown solver key(s) {', '.join(map(repr, unknown))} in {path}")
     ode = OdeConfig(
         zeta_max=float(solver.get("zeta_max", 1.0)),
         step=float(solver.get("step", 0.01)),

@@ -14,7 +14,7 @@ class AbsoluteContinuityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget or hit a non-finite value."""
 
 
 class ResidualToleranceError(RuntimeError):

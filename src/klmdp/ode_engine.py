@@ -1,12 +1,14 @@
 """Continuation in the utility weight: the whole family of optimal solutions
-is traced by integrating an ODE in the scalar weight ``zeta``.
+is traced along the scalar weight ``zeta``.
 
 Average reward: the relative value function solves ``dh/dzeta = V(h)``, where
 ``V(h)`` is the basepoint-normalized Poisson solution for the chain obtained
-by tilting the nominal rule with ``h``.  The optimal average reward ``eta``
-rides along with derivative ``pi(U)``.  Finite horizon: the stacked value
-functions solve a block ODE whose right-hand side is a truncated
-fundamental-matrix sum, evaluated with matrix-vector products only.
+by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
+``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
+optimality equation, so each grid node is reached by a tangent predictor and
+a Newton (policy-iteration) corrector.  Finite horizon: the stacked value
+functions solve a block ODE, integrated by RK4, whose right-hand side is a
+truncated fundamental-matrix sum evaluated with matrix-vector products only.
 
 Both routes ship with classical fixed-point oracles (relative value
 iteration, backward dynamic programming) so every result is independently
@@ -30,30 +32,32 @@ from .state_space import (
     induced_transition_values,
 )
 
+# Newton stops once the optimality-equation residual, the right-hand side of the
+# next correction, is at rounding level relative to ``1 + |h| + |zeta U|``; the
+# cap bounds the work where it cannot get there, and the node check then fails.
+NEWTON_TOL = 1e-14
+NEWTON_MAX_ITER = 30
+
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Integration grid and post-hoc verification tolerance.
+    """Weight grid and verification tolerance.
 
-    ``max_move`` caps the sup-norm change of the value vector per internal
-    integrator substep.  Grid intervals where the vector field is large (the
-    family has a steep start when the nominal chain mixes slowly) are
-    subdivided accordingly; the reporting grid itself stays fixed-step.
+    ``step`` spaces the grid nodes at which the family is solved and reported;
+    ``residual_tol`` bounds the optimality-equation residual (average reward)
+    or the recursion residual (finite horizon) of every reported solution.
     """
 
     zeta_max: float
     step: float = 0.01
     checkpoints: tuple[float, ...] | None = None
     residual_tol: float = 1e-6
-    max_move: float = 0.05
 
     def __post_init__(self):
         if self.zeta_max < 0:
             raise ValueError("zeta_max must be >= 0")
         if self.step <= 0:
             raise ValueError("step must be > 0")
-        if self.max_move <= 0:
-            raise ValueError("max_move must be > 0")
         if self.checkpoints is not None:
             cps = tuple(sorted(float(c) for c in self.checkpoints))
             for c in cps:
@@ -76,7 +80,7 @@ class PathCheckpoint:
 
 @dataclass(frozen=True)
 class ZetaSolutionPath:
-    """Checkpoints plus the average-reward trace over the full integration grid."""
+    """Checkpoints plus the average-reward trace over the full weight grid."""
 
     checkpoints: list[PathCheckpoint]
     grid: np.ndarray
@@ -142,17 +146,21 @@ def solve_average_reward(
     cfg: OdeConfig,
     basepoint: int = 0,
 ) -> ZetaSolutionPath:
-    """Integrate the average-reward continuation ODE from the nominal solution.
+    """Trace the average-reward family from the nominal solution at ``zeta = 0``.
 
-    Classical RK4 on the joint state ``(h, eta)`` with the derivatives from
-    :func:`ar_vector_field`, one bordered solve per evaluation.  The
-    optimality-equation residual ``sup_x |zeta U + Lambda_h - h - eta|`` is
-    recorded at every grid node and enforced at checkpoints.
+    Predictor-corrector continuation on ``(h, eta)``: at each grid node an
+    Euler step along the previous node's :func:`ar_vector_field` tangent, then
+    full Newton on ``zeta U + Lambda_h - h - eta = 0``, each step one
+    :func:`ar_vector_field` call with that defect as the utility (a policy
+    iteration step).  The residual ``sup_x |zeta U + Lambda_h - h - eta|`` is
+    recorded and enforced at every grid node.
     """
     U = np.asarray(utility, dtype=float)
     d = model.space.d
     if U.size != d:
         raise ValueError(f"utility has length {U.size}, expected {d}")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("utility has non-finite entries")
 
     # The tilt never changes the support pattern, so structure is checked once.
     P0 = induced_transition(model)
@@ -163,56 +171,47 @@ def solve_average_reward(
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
 
-    def residual(zeta: float, h_arr: np.ndarray, eta: float) -> float:
-        _, lam = _tilt_values(h_arr, model)
-        return float(np.max(np.abs(zeta * U + lam - h_arr - eta)))
-
     h = np.zeros(d)
     eta = 0.0
     eta_trace = np.zeros(grid.size)
     residual_trace = np.zeros(grid.size)
     checkpoints: list[PathCheckpoint] = []
+    u_max = float(np.max(np.abs(U)))
 
-    def emit(i: int) -> None:
-        zeta = float(grid[i])
-        res = residual_trace[i]
-        if res > cfg.residual_tol:
+    for i, zeta in enumerate(grid.tolist()):
+        if i > 0:
+            tangent, slope = ar_vector_field(h, model, U, basepoint)
+            dz = zeta - float(grid[i - 1])
+            h, eta = h + dz * tangent, eta + dz * slope
+        # Newton on the optimality equation; the start h = 0, eta = 0 is exact.
+        for it in range(NEWTON_MAX_ITER + 1):
+            defect = zeta * U + _tilt_values(h, model)[1] - h - eta
+            res = float(np.max(np.abs(defect)))
+            if not np.isfinite(res):
+                raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
+            if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
+                break
+            dh, deta = ar_vector_field(h, model, defect, basepoint)
+            h, eta = h + dh, eta + deta
+        if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
                 f"{cfg.residual_tol:g}; reduce the integration step"
             )
-        rule, _ = _tilt_values(h, model)
-        checkpoints.append(
-            PathCheckpoint(
-                zeta=zeta,
-                h=ValueFunction(h.copy(), basepoint),
-                eta=eta,
-                tilted_rule=StochasticMatrix(rule),
-                controlled_P=StochasticMatrix(induced_transition_values(rule, model.Q0.entries)),
-                aroe_residual_sup=res,
+        eta_trace[i] = eta
+        residual_trace[i] = res
+        if i in cp_nodes:
+            rule, _ = _tilt_values(h, model)
+            checkpoints.append(
+                PathCheckpoint(
+                    zeta=zeta,
+                    h=ValueFunction(h.copy(), basepoint),
+                    eta=eta,
+                    tilted_rule=StochasticMatrix(rule),
+                    controlled_P=StochasticMatrix(induced_transition_values(rule, model.Q0.entries)),
+                    aroe_residual_sup=res,
+                )
             )
-        )
-
-    residual_trace[0] = residual(0.0, h, eta)
-    if 0 in cp_nodes:
-        emit(0)
-    for i in range(grid.size - 1):
-        z, z_end = float(grid[i]), float(grid[i + 1])
-        while z < z_end - 1e-15:
-            k1, e1 = ar_vector_field(h, model, U, basepoint)
-            speed = float(np.max(np.abs(k1)))
-            dz = min(z_end - z, cfg.step, cfg.max_move / max(speed, 1e-30))
-            k2, e2 = ar_vector_field(h + 0.5 * dz * k1, model, U, basepoint)
-            k3, e3 = ar_vector_field(h + 0.5 * dz * k2, model, U, basepoint)
-            k4, e4 = ar_vector_field(h + dz * k3, model, U, basepoint)
-            h = h + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            h -= h[basepoint]
-            eta += (dz / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-            z += dz
-        eta_trace[i + 1] = eta
-        residual_trace[i + 1] = residual(float(grid[i + 1]), h, eta)
-        if i + 1 in cp_nodes:
-            emit(i + 1)
 
     return ZetaSolutionPath(
         checkpoints=checkpoints,
@@ -292,11 +291,16 @@ def solve_finite_horizon(
     The block-``k`` derivative is the truncated fundamental-matrix sum applied
     to the utility, computed by the recursion ``V_0 = U``,
     ``V_k = U + P_{k-1} V_{k-1}`` with the stage-``i`` controlled matrix
-    refreshed from block ``i`` at every integrator stage.
+    refreshed from block ``i`` at every integrator stage.  Each emitted
+    checkpoint is certified against the recursion it integrates:
+    ``sup |W[k] - zeta U - Lambda(W[k-1])|`` (no ``Lambda`` term for ``k = 0``)
+    must not exceed ``cfg.residual_tol``.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
     U = np.asarray(utility, dtype=float)
+    if not np.all(np.isfinite(U)):
+        raise ValueError("utility has non-finite entries")
     d = model.space.d
 
     def rhs(W: np.ndarray) -> np.ndarray:
@@ -313,8 +317,19 @@ def solve_finite_horizon(
     checkpoints: list[FhCheckpoint] = []
 
     def emit(i: int) -> None:
-        policies = [StochasticMatrix(_tilt_values(W[k], model)[0]) for k in range(T)]
-        checkpoints.append(FhCheckpoint(zeta=float(grid[i]), W=W.copy(), policies=policies))
+        zeta = float(grid[i])
+        policies, lams = [], [np.zeros(d)]
+        for k in range(T):
+            rule, lam = _tilt_values(W[k], model)
+            policies.append(StochasticMatrix(rule))
+            lams.append(lam)
+        res = float(np.max(np.abs(W - zeta * U - np.vstack(lams))))
+        if not res <= cfg.residual_tol:
+            raise ResidualToleranceError(
+                f"finite-horizon recursion residual {res:.3e} at zeta={zeta:g} exceeds "
+                f"{cfg.residual_tol:g}; reduce the integration step"
+            )
+        checkpoints.append(FhCheckpoint(zeta=zeta, W=W.copy(), policies=policies))
 
     if 0 in cp_nodes:
         emit(0)

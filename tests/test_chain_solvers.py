@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from klmdp import (
+    ConvergenceError,
     NotAperiodicError,
     NotUnichainError,
     StochasticMatrix,
@@ -90,6 +91,11 @@ class TestPoissonSolve:
         out = poisson_solve(P, np.zeros(4), x0=0)
         np.testing.assert_allclose(out.poisson_solution.values, 0.0, atol=1e-12)
         assert out.mean_reward == 0.0
+
+    def test_non_finite_utility_fails_residual_check(self, rng):
+        P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
+        with pytest.raises(ConvergenceError, match="Poisson residual nan"):
+            poisson_solve(P, np.array([np.nan, 0.0, 0.0, 0.0]), x0=0)
 
     def test_two_state_hand_check(self):
         P = two_state()

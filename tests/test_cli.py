@@ -82,11 +82,11 @@ class TestLoadConfig:
 class TestOverrides:
     def test_unset_fields_survive(self, tmp_path):
         loaded = load_config(write_config(tmp_path, explicit_config()))
-        loaded.ode = replace(loaded.ode, max_move=0.01, residual_tol=1e-7)
+        loaded.ode = replace(loaded.ode, residual_tol=1e-7)
         args = argparse.Namespace(zeta_max=0.5, step=0.02, checkpoints="0.5")
         ode = _apply_overrides(loaded, args).ode
         assert (ode.zeta_max, ode.step, ode.checkpoints) == (0.5, 0.02, (0.5,))
-        assert (ode.max_move, ode.residual_tol) == (0.01, 1e-7)
+        assert ode.residual_tol == 1e-7
 
 
 class TestConfigErrors:
@@ -96,6 +96,15 @@ class TestConfigErrors:
         argv = verb + ["--config", str(tmp_path / "missing.json"), "--out", str(out)]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]])
+    def test_unknown_solver_key_is_a_clean_error(self, tmp_path, capsys, verb):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, explicit_config(max_move=0.05))
+        assert main(verb + ["--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'max_move'" in err
         assert not out.exists()
 
 

@@ -91,11 +91,33 @@ class TestSolveAverageReward:
         assert path.checkpoints[0].zeta == pytest.approx(0.03)
 
     def test_residual_failure_advises_smaller_step(self):
+        # every grid node is certified, not only the checkpoints: the first
+        # node past the exact start fails a tolerance below rounding level
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
         kernel, U = build_scenario_model(scenario)
-        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,), max_move=1e9)
-        with pytest.raises(ResidualToleranceError, match="step"):
+        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,), residual_tol=1e-20)
+        with pytest.raises(ResidualToleranceError, match=r"zeta=0\.01 .*step"):
             solve_average_reward(kernel, U, cfg, scenario.basepoint)
+
+    def test_single_step_matches_fixed_point_oracle(self):
+        rng = np.random.default_rng(2024)
+        kernel = random_factored_model(rng, 4, 3)
+        U = random_utility(rng, 12)
+        cfg = OdeConfig(zeta_max=2.0, step=2.0)
+        cp = solve_average_reward(kernel, U, cfg).checkpoints[-1]
+        h, eta = aroe_fixed_point_oracle(kernel, U, 2.0)
+        assert cp.zeta == 2.0
+        assert np.max(np.abs(h.values - cp.h.values)) <= 1e-6
+        assert abs(eta - cp.eta) <= 1e-6
+
+    @pytest.mark.parametrize("solve", [
+        lambda kernel, U: solve_average_reward(kernel, U, OdeConfig(zeta_max=0.1)),
+        lambda kernel, U: solve_finite_horizon(kernel, U, 2, OdeConfig(zeta_max=0.1)),
+    ], ids=["average-reward", "finite-horizon"])
+    def test_non_finite_utility_rejected(self, rng, solve):
+        kernel = random_factored_model(rng, 2, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(kernel, np.array([np.nan, 0.0]))
 
     def test_derivative_consistency(self, rng):
         # central difference of the path matches the vector field to O(step^2)
@@ -203,6 +225,13 @@ class TestFiniteHorizon:
         cp = solve_finite_horizon(kernel, U, 4, cfg).checkpoints[-1]
         oracle = fh_backward_oracle(kernel, U, 0.5, 4)
         assert np.max(np.abs(cp.W - oracle)) <= 1e-6
+
+    def test_recursion_residual_certified_at_checkpoints(self, rng):
+        kernel = random_factored_model(rng, 3, 2)
+        U = random_utility(rng, 6)
+        cfg = OdeConfig(zeta_max=0.5, step=0.05, checkpoints=(0.5,), residual_tol=1e-20)
+        with pytest.raises(ResidualToleranceError, match=r"zeta=0\.5 .*step"):
+            solve_finite_horizon(kernel, U, 3, cfg)
 
     def test_values_convex_and_monotone_in_weight(self, rng):
         kernel = random_factored_model(rng, 2, 2)
