@@ -37,7 +37,7 @@ from .ode_engine import (
     ZetaSolutionPath,
     ar_vector_field,
     aroe_fixed_point_oracle,
-    fh_backward_oracle,
+    fh_block_ode_oracle,
     solve_average_reward,
     solve_finite_horizon,
 )

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
-from .state_space import StochasticMatrix, ValueFunction
+from .state_space import StochasticMatrix
 
 INVARIANT_TOL = 1e-9
 POISSON_TOL = 1e-8
@@ -27,9 +27,9 @@ POISSON_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Basepoint-normalized Poisson solution and mean reward."""
+    """Basepoint-normalized Poisson solution (read-only, zero at the basepoint) and mean reward."""
 
-    poisson_solution: ValueFunction
+    poisson_solution: np.ndarray
     mean_reward: float
 
 
@@ -138,7 +138,8 @@ def poisson_solve(
     residual = np.max(np.abs(A @ y - y + U - eta))
     if not residual <= POISSON_TOL:
         raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
-    return ChainAnalysis(poisson_solution=ValueFunction(y, x0), mean_reward=eta)
+    y.setflags(write=False)
+    return ChainAnalysis(poisson_solution=y, mean_reward=eta)
 
 
 def perron_frobenius_baseline(

@@ -6,13 +6,13 @@ Average reward: the relative value function solves ``dh/dzeta = V(h)``, where
 by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
 ``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
 optimality equation, so each grid node is reached by a tangent predictor and
-a Newton (policy-iteration) corrector.  Finite horizon: the stacked value
-functions solve a block ODE, integrated by RK4, whose right-hand side is a
-truncated fundamental-matrix sum evaluated with matrix-vector products only.
+a Newton (policy-iteration) corrector.  Finite horizon: each member of the
+family is explicit, so each checkpoint is computed exactly by the backward
+recursion.
 
-Both routes ship with classical fixed-point oracles (relative value
-iteration, backward dynamic programming) so every result is independently
-checkable.
+Each route ships with an independent oracle, so every result is checkable:
+relative value iteration for average reward, and for finite horizon the block
+ODE in ``zeta`` that the stacked value functions solve, integrated by RK4.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ NEWTON_MAX_ITER = 30
 class OdeConfig:
     """Weight grid and verification tolerance.
 
-    ``step`` spaces the grid nodes at which the family is solved and reported;
-    ``residual_tol`` bounds the optimality-equation residual (average reward)
-    or the recursion residual (finite horizon) of every reported solution.
+    ``step`` spaces the grid nodes at which the average-reward family is
+    solved and reported; for finite horizon it only sets the grid to which
+    checkpoints snap.  ``residual_tol`` bounds the optimality-equation
+    residual of every average-reward node and is not used by finite horizon.
     """
 
     zeta_max: float
@@ -137,7 +138,7 @@ def ar_vector_field(
     rule, _ = _tilt_values(h, model)
     P_h = induced_transition_values(rule, model.Q0.entries)
     analysis = poisson_solve(P_h, utility, basepoint, check_structure=False)
-    return analysis.poisson_solution.values, analysis.mean_reward
+    return analysis.poisson_solution, analysis.mean_reward
 
 
 def solve_average_reward(
@@ -251,33 +252,43 @@ def aroe_fixed_point_oracle(
     raise ConvergenceError(f"relative value iteration did not converge in {max_iter} sweeps")
 
 
-def fh_backward_oracle(
+def fh_block_ode_oracle(
     model: FactoredKernel,
     utility: np.ndarray,
-    zeta: float,
     T: int,
+    zeta: float,
+    step: float,
 ) -> np.ndarray:
-    """Exact backward dynamic programming at a fixed weight.
+    """Finite-horizon values at ``zeta`` from the block ODE, integrated by RK4.
 
-    Returns the ``(T+1, d)`` array with row 0 the one-step value ``zeta U``
-    and row ``tau`` equal to ``zeta U + Lambda`` of the previous row.
+    The stacked values ``W`` solve ``dW/dzeta = V(W)`` from ``W = 0``, where
+    ``V_0 = U`` and ``V_k = U + P_{k-1} V_{k-1}`` with ``P_{k-1}`` the chain
+    controlled by the tilt of ``W[k-1]``: the derivative of the recursion,
+    evaluated with matrix-vector products only.  Independent of the backward
+    recursion that :func:`solve_finite_horizon` runs; returns ``(T+1, d)``.
     """
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
     U = np.asarray(utility, dtype=float)
-    W = np.zeros((T + 1, model.space.d))
-    W[0] = zeta * U
-    for tau in range(1, T + 1):
-        _, lam = _tilt_values(W[tau - 1], model)
-        W[tau] = zeta * U + lam
-    return W
-
-
-def _controlled_matvec(rule: np.ndarray, model: FactoredKernel, v: np.ndarray) -> np.ndarray:
-    # (P v)(x) = sum_{x_u'} R(x, x_u') * sum_{x_n'} Q0(x, x_n') v(x_u', x_n')
     space = model.space
-    cond = model.Q0.entries @ v.reshape(space.d_u, space.d_n).T
-    return (rule * cond).sum(axis=1)
+
+    def rhs(W: np.ndarray) -> np.ndarray:
+        V = np.zeros_like(W)
+        V[0] = U
+        for k in range(1, T + 1):
+            rule, _ = _tilt_values(W[k - 1], model)
+            # (P v)(x) = sum_{x_u'} R(x, x_u') sum_{x_n'} Q0(x, x_n') v(x_u', x_n')
+            cond = model.Q0.entries @ V[k - 1].reshape(space.d_u, space.d_n).T
+            V[k] = U + (rule * cond).sum(axis=1)
+        return V
+
+    grid = _zeta_grid(OdeConfig(zeta_max=zeta, step=step))
+    W = np.zeros((T + 1, space.d))
+    for dz in np.diff(grid).tolist():
+        k1 = rhs(W)
+        k2 = rhs(W + 0.5 * dz * k1)
+        k3 = rhs(W + 0.5 * dz * k2)
+        k4 = rhs(W + dz * k3)
+        W = W + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return W
 
 
 def solve_finite_horizon(
@@ -286,61 +297,36 @@ def solve_finite_horizon(
     T: int,
     cfg: OdeConfig,
 ) -> FiniteHorizonPath:
-    """Integrate the finite-horizon block ODE over the weight grid.
+    """Solve the finite-horizon family at each checkpoint by backward recursion.
 
-    The block-``k`` derivative is the truncated fundamental-matrix sum applied
-    to the utility, computed by the recursion ``V_0 = U``,
-    ``V_k = U + P_{k-1} V_{k-1}`` with the stage-``i`` controlled matrix
-    refreshed from block ``i`` at every integrator stage.  Each emitted
-    checkpoint is certified against the recursion it integrates:
-    ``sup |W[k] - zeta U - Lambda(W[k-1])|`` (no ``Lambda`` term for ``k = 0``)
-    must not exceed ``cfg.residual_tol``.
+    Checkpoints snap to the weight grid; at each, ``W[0] = zeta U`` and
+    ``W[k] = zeta U + Lambda(W[k-1])``.  One tilt of ``W[k]`` gives both the
+    stage-``k`` policy and ``W[k+1]``, so a checkpoint costs ``T`` tilts
+    whatever the grid.  The values are the recursion itself, so recomputing
+    its residual would only read rounding error; instead a non-finite
+    ``W[k]`` raises :class:`ConvergenceError` at the stage where it appears.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
     U = np.asarray(utility, dtype=float)
     if not np.all(np.isfinite(U)):
         raise ValueError("utility has non-finite entries")
-    d = model.space.d
-
-    def rhs(W: np.ndarray) -> np.ndarray:
-        V = np.zeros_like(W)
-        V[0] = U
-        for k in range(1, T + 1):
-            rule, _ = _tilt_values(W[k - 1], model)
-            V[k] = U + _controlled_matvec(rule, model, V[k - 1])
-        return V
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
-    W = np.zeros((T + 1, d))
     checkpoints: list[FhCheckpoint] = []
-
-    def emit(i: int) -> None:
-        zeta = float(grid[i])
-        policies, lams = [], [np.zeros(d)]
-        for k in range(T):
-            rule, lam = _tilt_values(W[k], model)
-            policies.append(StochasticMatrix(rule))
-            lams.append(lam)
-        res = float(np.max(np.abs(W - zeta * U - np.vstack(lams))))
-        if not res <= cfg.residual_tol:
-            raise ResidualToleranceError(
-                f"finite-horizon recursion residual {res:.3e} at zeta={zeta:g} exceeds "
-                f"{cfg.residual_tol:g}; reduce the integration step"
-            )
-        checkpoints.append(FhCheckpoint(zeta=zeta, W=W.copy(), policies=policies))
-
-    if 0 in cp_nodes:
-        emit(0)
-    for i in range(grid.size - 1):
-        dz = float(grid[i + 1] - grid[i])
-        k1 = rhs(W)
-        k2 = rhs(W + 0.5 * dz * k1)
-        k3 = rhs(W + 0.5 * dz * k2)
-        k4 = rhs(W + dz * k3)
-        W = W + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if i + 1 in cp_nodes:
-            emit(i + 1)
+    for zeta in sorted(cp_nodes.values()):
+        W = np.zeros((T + 1, model.space.d))
+        W[0] = zeta * U
+        policies = []
+        for k in range(T + 1):
+            if not np.all(np.isfinite(W[k])):
+                raise ConvergenceError(f"non-finite finite-horizon value W[{k}] at zeta={zeta:g}")
+            if k < T:
+                rule, lam = _tilt_values(W[k], model)
+                policies.append(StochasticMatrix(rule))
+                if zeta > 0:  # at zeta = 0, W = 0 exactly; lam is log of R0's row sums
+                    W[k + 1] = zeta * U + lam
+        checkpoints.append(FhCheckpoint(zeta=zeta, W=W, policies=policies))
 
     return FiniteHorizonPath(horizon=T, checkpoints=checkpoints, snapped=snapped)

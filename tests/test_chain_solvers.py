@@ -83,13 +83,13 @@ class TestPoissonSolve:
     def test_constant_utility(self, rng):
         P = StochasticMatrix(rng.dirichlet(np.ones(5), size=5))
         out = poisson_solve(P, np.full(5, 3.0), x0=2)
-        np.testing.assert_allclose(out.poisson_solution.values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(out.poisson_solution, 0.0, atol=1e-10)
         assert out.mean_reward == pytest.approx(3.0)
 
     def test_zero_utility(self, rng):
         P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
         out = poisson_solve(P, np.zeros(4), x0=0)
-        np.testing.assert_allclose(out.poisson_solution.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.poisson_solution, 0.0, atol=1e-12)
         assert out.mean_reward == 0.0
 
     def test_non_finite_utility_fails_residual_check(self, rng):
@@ -111,7 +111,7 @@ class TestPoissonSolve:
             acc += Pn @ U - pi @ U
             Pn = Pn @ A
         acc -= acc[1]
-        np.testing.assert_allclose(out.poisson_solution.values, acc, atol=1e-8)
+        np.testing.assert_allclose(out.poisson_solution, acc, atol=1e-8)
 
     def test_residual_identity(self, rng):
         for _ in range(3):
@@ -119,7 +119,7 @@ class TestPoissonSolve:
             U = random_utility(rng, 8)
             for chain in (P, P.entries):  # a raw array is accepted too
                 out = poisson_solve(chain, U, x0=3)
-                H = out.poisson_solution.values
+                H = out.poisson_solution
                 residual = P.entries @ H - H + U - out.mean_reward
                 assert np.max(np.abs(residual)) <= 1e-8
                 assert H[3] == 0.0
@@ -135,7 +135,7 @@ class TestPoissonSolve:
         with pytest.raises(ValueError, match="transient"):
             poisson_solve(P, U, x0=0)
         out = poisson_solve(P, U, x0=1)
-        H = out.poisson_solution.values
+        H = out.poisson_solution
         assert np.max(np.abs(P.entries @ H - H + U - out.mean_reward)) <= 1e-8
         assert abs(out.mean_reward - invariant_pmf(P) @ U) <= 1e-12
 

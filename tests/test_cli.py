@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from klmdp.cli import _apply_overrides, default_uav_config, load_config, main
+from klmdp.cli import (
+    _OutputTracker,
+    _apply_overrides,
+    _write_policy_csv,
+    default_uav_config,
+    load_config,
+    main,
+)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -191,6 +198,29 @@ class TestSolveAr:
         assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 1
         assert list(out.iterdir()) == []
         assert "error:" in capsys.readouterr().err
+
+
+class TestPolicyCsv:
+    def test_bytes_match_per_entry_formatting(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rule = rng.dirichlet(np.ones(5), size=4)
+        rule[0, 1] = 0.0  # exact zero
+        rule[1, 2] = 1e-13  # dropped: below 1e-12
+        rule[2] = [0.0, 0.0, 1.0, 0.0, 0.0]
+        rule /= rule.sum(axis=1, keepdims=True)
+        _write_policy_csv(_OutputTracker(tmp_path), "policy.csv", rule)
+
+        # the earlier writer: one formatted entry per loop turn
+        trimmed = np.where(rule >= 1e-12, rule, 0.0)
+        trimmed = trimmed / trimmed.sum(axis=1, keepdims=True)
+        lines = ["state_index,next_u_index,probability"]
+        for x, u in zip(*np.nonzero(trimmed)):
+            lines.append(f"{x},{u},{format(float(trimmed[x, u]), '.17g')}")
+        expected = "\n".join(lines) + "\n"
+
+        assert (tmp_path / "policy.csv").read_bytes() == expected.encode()
+        assert len(lines) == 1 + 20 - 2 - 4
+        assert any(float(format(p, ".16g")) != p for p in trimmed[trimmed > 0])  # 17 digits needed
 
 
 class TestSolveFh:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from klmdp import (
+    ConvergenceError,
     FactoredKernel,
     OdeConfig,
     ProductStateSpace,
@@ -9,7 +13,7 @@ from klmdp import (
     StochasticMatrix,
     ar_vector_field,
     aroe_fixed_point_oracle,
-    fh_backward_oracle,
+    fh_block_ode_oracle,
     generate_wind_field,
     induced_transition,
     poisson_solve,
@@ -40,7 +44,7 @@ class TestArVectorField:
         U = random_utility(rng, 6)
         H, eta = ar_vector_field(np.zeros(6), kernel, U, 1)
         expected = poisson_solve(induced_transition(kernel), U, 1)
-        np.testing.assert_allclose(H, expected.poisson_solution.values, atol=1e-12)
+        np.testing.assert_allclose(H, expected.poisson_solution, atol=1e-12)
         assert eta == pytest.approx(expected.mean_reward, abs=1e-12)
 
     def test_two_state_hand_solve(self):
@@ -182,15 +186,18 @@ class TestAroeFixedPointOracle:
 
 
 class TestFiniteHorizon:
-    def test_backward_oracle_boundaries(self, rng):
+    def test_backward_recursion_boundaries(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
-        np.testing.assert_allclose(fh_backward_oracle(kernel, U, 0.9, 0)[0], 0.9 * U)
-        np.testing.assert_allclose(fh_backward_oracle(kernel, U, 0.0, 3), 0.0, atol=1e-14)
+        cp = solve_finite_horizon(kernel, U, 0, OdeConfig(zeta_max=0.9, step=0.9)).checkpoints[-1]
+        np.testing.assert_allclose(cp.W[0], 0.9 * U)
+        cp = solve_finite_horizon(kernel, U, 3, OdeConfig(zeta_max=0.0)).checkpoints[-1]
+        np.testing.assert_allclose(cp.W, 0.0, atol=1e-14)
 
-    def test_backward_oracle_hand_value(self):
+    def test_backward_recursion_hand_value(self):
         kernel = unconstrained_two_state()
-        W = fh_backward_oracle(kernel, np.array([0.0, 1.0]), 1.0, 1)
+        cfg = OdeConfig(zeta_max=1.0, step=1.0)
+        W = solve_finite_horizon(kernel, np.array([0.0, 1.0]), 1, cfg).checkpoints[-1].W
         c = np.log((1 + np.e) / 2)
         np.testing.assert_allclose(W[1], [c, 1 + c], atol=1e-14)
 
@@ -218,20 +225,31 @@ class TestFiniteHorizon:
         cp = solve_finite_horizon(kernel, U, 2, cfg).checkpoints[-1]
         np.testing.assert_allclose(cp.W[0], 0.8 * U, atol=1e-12)
 
-    def test_matches_backward_oracle(self, rng):
+    def test_matches_block_ode_oracle(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
         cfg = OdeConfig(zeta_max=0.5, step=0.005, checkpoints=(0.5,))
         cp = solve_finite_horizon(kernel, U, 4, cfg).checkpoints[-1]
-        oracle = fh_backward_oracle(kernel, U, 0.5, 4)
+        oracle = fh_block_ode_oracle(kernel, U, 4, 0.5, 0.005)
         assert np.max(np.abs(cp.W - oracle)) <= 1e-6
 
-    def test_recursion_residual_certified_at_checkpoints(self, rng):
+    def test_non_finite_value_fails_at_its_stage(self, rng):
+        kernel = random_factored_model(rng, 3, 2)
+        U = np.full(6, 1e308)  # finite, but 2 U overflows
+        cfg = OdeConfig(zeta_max=2.0, step=0.5, checkpoints=(1.0, 2.0))
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match=r"W\[0\] at zeta=2$"):
+            solve_finite_horizon(kernel, U, 0, cfg)
+        # at zeta = 1, U itself is finite and the first tilt overflows
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match=r"W\[1\] at zeta=1$"):
+            solve_finite_horizon(kernel, U, 2, cfg)
+
+    def test_values_do_not_depend_on_the_grid_step(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
-        cfg = OdeConfig(zeta_max=0.5, step=0.05, checkpoints=(0.5,), residual_tol=1e-20)
-        with pytest.raises(ResidualToleranceError, match=r"zeta=0\.5 .*step"):
-            solve_finite_horizon(kernel, U, 3, cfg)
+        cfgs = [OdeConfig(zeta_max=1.0, step=step, checkpoints=(1.0,)) for step in (0.01, 0.5)]
+        cps = [solve_finite_horizon(kernel, U, 4, cfg).checkpoints[-1] for cfg in cfgs]
+        assert cps[0].zeta == cps[1].zeta == 1.0
+        np.testing.assert_array_equal(cps[0].W, cps[1].W)
 
     def test_values_convex_and_monotone_in_weight(self, rng):
         kernel = random_factored_model(rng, 2, 2)
@@ -242,3 +260,31 @@ class TestFiniteHorizon:
         stacked = np.stack([cp.W for cp in cps])  # (n_zeta, T+1, d)
         assert np.all(np.diff(stacked, axis=0) <= 1e-10)
         assert np.all(np.diff(stacked, 2, axis=0) >= -1e-8)
+
+
+@st.composite
+def fh_cases(draw):
+    """Random factored model whose ``R0`` may have zeros, with utility, horizon and weight."""
+    d_u, d_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d = d_u * d_n
+    unit = st.floats(0.05, 1.0)
+    support = draw(arrays(bool, (d, d_u)))
+    support[np.arange(d), draw(arrays(np.int64, d, elements=st.integers(0, d_u - 1)))] = True
+    R0 = draw(arrays(float, (d, d_u), elements=unit)) * support
+    Q0 = draw(arrays(float, (d, d_n), elements=unit))
+    kernel = FactoredKernel(
+        ProductStateSpace(d_u, d_n),
+        StochasticMatrix(R0 / R0.sum(axis=1, keepdims=True)),
+        StochasticMatrix(Q0 / Q0.sum(axis=1, keepdims=True)),
+    )
+    U = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    return kernel, U, draw(st.integers(0, 4)), draw(st.integers(0, 100)) / 20
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(fh_cases())
+def test_finite_horizon_matches_block_ode_on_random_models(case):
+    kernel, U, T, zeta = case
+    cp = solve_finite_horizon(kernel, U, T, OdeConfig(zeta_max=zeta, step=1.0)).checkpoints[-1]
+    oracle = fh_block_ode_oracle(kernel, U, T, cp.zeta, 0.02)
+    assert np.max(np.abs(cp.W - oracle)) <= 1e-6
