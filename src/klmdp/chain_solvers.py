@@ -27,10 +27,14 @@ POISSON_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Basepoint-normalized Poisson solution (read-only, zero at the basepoint) and mean reward."""
+    """Basepoint-normalized Poisson solution (read-only, zero at the basepoint) and mean reward.
+
+    For a ``(d, k)`` utility both carry one entry per column: ``(d, k)``
+    solutions and ``k`` means.
+    """
 
     poisson_solution: np.ndarray
-    mean_reward: float
+    mean_reward: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,20 +124,26 @@ def poisson_solve(
     ``sup |P H - H + U - eta|`` certifies ``H`` and ``eta`` together: no other
     constant makes the equation solvable.  ``x0`` must lie in the recurrent
     class.
+
+    A ``(d, k)`` utility is ``k`` right-hand sides of the one factorization;
+    the residual check covers every column.
     """
     A = P.entries if isinstance(P, StochasticMatrix) else np.asarray(P)
     d = A.shape[0]
     U = np.asarray(utility, dtype=float)
-    if U.size != d:
-        raise ValueError(f"utility has length {U.size}, expected {d}")
+    if U.ndim not in (1, 2) or U.shape[0] != d:
+        raise ValueError(f"utility has shape {U.shape}, expected ({d},) or ({d}, k)")
     if check_structure:
         members = recurrent_class(A)
         if x0 not in members:
             raise ValueError(f"basepoint {x0} is transient; it must be in the recurrent class")
     M = np.eye(d) - A
     M[:, x0] = 1.0
-    y = np.linalg.solve(M, U)
-    eta = float(y[x0])
+    try:
+        y = np.linalg.solve(M, U)
+    except np.linalg.LinAlgError as exc:  # not unichain with x0 recurrent, e.g. after an underflowed tilt
+        raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
+    eta = float(y[x0]) if U.ndim == 1 else y[x0].copy()
     y[x0] = 0.0
     residual = np.max(np.abs(A @ y - y + U - eta))
     if not residual <= POISSON_TOL:

@@ -6,9 +6,11 @@ Average reward: the relative value function solves ``dh/dzeta = V(h)``, where
 by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
 ``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
 optimality equation, so each grid node is reached by a tangent predictor and
-a Newton (policy-iteration) corrector.  Finite horizon: each member of the
-family is explicit, so each checkpoint is computed exactly by the backward
-recursion.
+a Newton (policy-iteration) corrector, and one factorization serves both:
+each Newton step solves for its correction and for ``V`` at the same iterate,
+and that ``V`` is the tangent for the next node.  Finite horizon: each member
+of the family is explicit, so each checkpoint is computed exactly by the
+backward recursion.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -87,6 +89,8 @@ class ZetaSolutionPath:
     grid: np.ndarray
     eta_trace: np.ndarray
     residual_trace: np.ndarray
+    newton_steps: np.ndarray  # Newton corrections per grid node
+    factorizations: int  # bordered matrices factored over the whole path
     snapped: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -141,6 +145,43 @@ def ar_vector_field(
     return analysis.poisson_solution, analysis.mean_reward
 
 
+def _linearize_aroe(
+    h: np.ndarray,
+    eta: float,
+    zeta: float,
+    model: FactoredKernel,
+    utility: np.ndarray,
+    basepoint: int,
+    newton_tol: float | None,
+) -> tuple[float, tuple[np.ndarray, float] | None, tuple[np.ndarray, float] | None]:
+    """One tilt of ``h``: the optimality-equation residual and the linearization there.
+
+    The defect ``F = zeta U + Lambda_h - h - eta`` and the rule ``R_h`` come
+    from the same tilt.  Unless ``sup |F| <= newton_tol``, one bordered solve
+    of ``[I - P_h | 1]`` with the two right-hand sides ``[F, U]`` gives the
+    Newton (policy-iteration) correction ``(dh, deta)`` and the tangent
+    ``(dh/dzeta, deta/dzeta)`` at ``h``; ``newton_tol=None`` solves for the
+    tangent alone.  Returns ``(sup |F|, correction, tangent)``, with ``None``
+    for what was not solved.  ``R_h`` and ``P_h`` do not outlive the call.
+    """
+    rule, lam = _tilt_values(h, model)
+    defect = zeta * utility + lam - h - eta
+    res = float(np.max(np.abs(defect)))
+    if not np.isfinite(res):
+        raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
+    if newton_tol is not None and res <= newton_tol:
+        return res, None, None
+    rhs = utility[:, None] if newton_tol is None else np.column_stack([defect, utility])
+    P_h = induced_transition_values(rule, model.Q0.entries)
+    try:
+        analysis = poisson_solve(P_h, rhs, basepoint, check_structure=False)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
+    H, means = analysis.poisson_solution, analysis.mean_reward
+    tangent = (H[:, -1], float(means[-1]))  # U is the last column
+    return res, (None if newton_tol is None else (H[:, 0], float(means[0]))), tangent
+
+
 def solve_average_reward(
     model: FactoredKernel,
     utility: np.ndarray,
@@ -150,11 +191,16 @@ def solve_average_reward(
     """Trace the average-reward family from the nominal solution at ``zeta = 0``.
 
     Predictor-corrector continuation on ``(h, eta)``: at each grid node an
-    Euler step along the previous node's :func:`ar_vector_field` tangent, then
-    full Newton on ``zeta U + Lambda_h - h - eta = 0``, each step one
-    :func:`ar_vector_field` call with that defect as the utility (a policy
-    iteration step).  The residual ``sup_x |zeta U + Lambda_h - h - eta|`` is
-    recorded and enforced at every grid node.
+    Euler step along the tangent, then full Newton on
+    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration).  Each Newton
+    iterate is tilted once, and each step factors the bordered matrix
+    ``[I - P_h | 1]`` once, for two right-hand sides: the defect, giving the
+    correction, and ``U``, giving :func:`ar_vector_field` at that iterate.
+    The last of these tangents is the next node's predictor, so only
+    ``zeta = 0``, where no Newton step runs, is linearized for its tangent
+    alone: a path costs one factorization more than its Newton steps.  The
+    residual ``sup_x |zeta U + Lambda_h - h - eta|`` is recorded and enforced
+    at every grid node.
     """
     U = np.asarray(utility, dtype=float)
     d = model.space.d
@@ -163,9 +209,9 @@ def solve_average_reward(
     if not np.all(np.isfinite(U)):
         raise ValueError("utility has non-finite entries")
 
-    # The tilt never changes the support pattern, so structure is checked once.
-    P0 = induced_transition(model)
-    members = recurrent_class(P0)
+    # The tilt never changes the support pattern, so structure is checked once;
+    # the nominal d x d chain is not kept past the check.
+    members = recurrent_class(induced_transition(model))
     if basepoint not in members:
         raise ValueError(f"basepoint {basepoint} is transient; it must be in the recurrent class")
 
@@ -176,24 +222,33 @@ def solve_average_reward(
     eta = 0.0
     eta_trace = np.zeros(grid.size)
     residual_trace = np.zeros(grid.size)
+    newton_steps = np.zeros(grid.size, dtype=int)
+    factorizations = 0
     checkpoints: list[PathCheckpoint] = []
     u_max = float(np.max(np.abs(U)))
 
     for i, zeta in enumerate(grid.tolist()):
         if i > 0:
-            tangent, slope = ar_vector_field(h, model, U, basepoint)
             dz = zeta - float(grid[i - 1])
-            h, eta = h + dz * tangent, eta + dz * slope
-        # Newton on the optimality equation; the start h = 0, eta = 0 is exact.
+            h, eta = h + dz * tangent[0], eta + dz * tangent[1]
+        # Newton on the optimality equation; the start h = 0, eta = 0 is exact,
+        # so there only the tangent is solved for, and the last iterate allowed
+        # is only measured.
         for it in range(NEWTON_MAX_ITER + 1):
-            defect = zeta * U + _tilt_values(h, model)[1] - h - eta
-            res = float(np.max(np.abs(defect)))
-            if not np.isfinite(res):
-                raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
-            if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
+            if i == 0:
+                newton_tol = None
+            elif it == NEWTON_MAX_ITER:
+                newton_tol = np.inf
+            else:
+                newton_tol = NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max)
+            res, correction, new_tangent = _linearize_aroe(h, eta, zeta, model, U, basepoint, newton_tol)
+            if new_tangent is not None:
+                tangent = new_tangent
+                factorizations += 1
+            if correction is None:
                 break
-            dh, deta = ar_vector_field(h, model, defect, basepoint)
-            h, eta = h + dh, eta + deta
+            h, eta = h + correction[0], eta + correction[1]
+            newton_steps[i] += 1
         if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
@@ -219,6 +274,8 @@ def solve_average_reward(
         grid=grid,
         eta_trace=eta_trace,
         residual_trace=residual_trace,
+        newton_steps=newton_steps,
+        factorizations=factorizations,
         snapped=snapped,
     )
 

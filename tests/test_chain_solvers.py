@@ -97,6 +97,34 @@ class TestPoissonSolve:
         with pytest.raises(ConvergenceError, match="Poisson residual nan"):
             poisson_solve(P, np.array([np.nan, 0.0, 0.0, 0.0]), x0=0)
 
+    def test_multiple_right_hand_sides_match_single_solves(self, rng):
+        P = StochasticMatrix(rng.dirichlet(np.ones(6), size=6))
+        U = rng.uniform(-1.0, 1.0, size=(6, 2))
+        out = poisson_solve(P, U, x0=2)
+        assert out.poisson_solution.shape == (6, 2) and out.mean_reward.shape == (2,)
+        for k in range(2):
+            single = poisson_solve(P, U[:, k], x0=2)
+            assert np.max(np.abs(out.poisson_solution[:, k] - single.poisson_solution)) <= 1e-13
+            assert abs(out.mean_reward[k] - single.mean_reward) <= 1e-13
+
+    def test_non_finite_column_fails_residual_check(self, rng):
+        P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
+        U = np.zeros((4, 2))
+        U[1, 1] = np.nan
+        with pytest.raises(ConvergenceError, match="Poisson residual nan"):
+            poisson_solve(P, U, x0=0)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (3, 2), (5, 2), (4, 2, 1)])
+    def test_wrong_utility_shape_rejected(self, rng, shape):
+        P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
+        with pytest.raises(ValueError, match="utility has shape"):
+            poisson_solve(P, np.zeros(shape), x0=0)
+
+    def test_singular_bordered_matrix_is_a_convergence_error(self):
+        # two closed classes, with the structure check skipped as the integrator does
+        with pytest.raises(ConvergenceError, match="singular"):
+            poisson_solve(np.eye(2), np.array([1.0, 0.0]), x0=0, check_structure=False)
+
     def test_two_state_hand_check(self):
         P = two_state()
         U = np.array([1.0, 0.0])

@@ -144,6 +144,17 @@ class TestSolveAr:
                 continue  # carries wall-clock timings
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_manifest_carries_newton_trace(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_uav_config())
+        out = tmp_path / "run"
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
+        trace = json.loads((out / "manifest.json").read_text())["trace"]
+        assert trace["newton_steps_total"] >= 50  # 50 nodes past zeta = 0, each corrected
+        assert trace["factorizations"] == 1 + trace["newton_steps_total"]
+        for csv_path in out.glob("*.csv"):  # the CSVs stay byte-reproducible
+            header = csv_path.read_text().splitlines()[0]
+            assert "newton" not in header and "factorization" not in header
+
     def test_policy_rows_renormalized(self, tmp_path):
         cfg_path = write_config(tmp_path, small_uav_config())
         out = tmp_path / "run"

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -122,6 +124,19 @@ class TestSolveAverageReward:
         kernel = random_factored_model(rng, 2, 1)
         with pytest.raises(ValueError, match="non-finite"):
             solve(kernel, np.array([np.nan, 0.0]))
+
+    def test_one_factorization_per_newton_step_and_one_at_the_start(self, rng, monkeypatch):
+        # each Newton step also solves for the next node's tangent; only zeta = 0,
+        # where no Newton step runs, is factored for its tangent alone
+        kernel = random_factored_model(rng, 3, 2)
+        U = random_utility(rng, 6)
+        solve, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+        path = solve_average_reward(kernel, U, OdeConfig(zeta_max=1.0, step=0.1))
+        assert path.newton_steps.shape == path.grid.shape
+        assert path.newton_steps.dtype.kind == "i" and path.newton_steps[0] == 0
+        assert path.newton_steps.sum() >= path.grid.size - 1
+        assert len(calls) == path.factorizations == 1 + path.newton_steps.sum()
 
     def test_derivative_consistency(self, rng):
         # central difference of the path matches the vector field to O(step^2)
@@ -288,3 +303,59 @@ def test_finite_horizon_matches_block_ode_on_random_models(case):
     cp = solve_finite_horizon(kernel, U, T, OdeConfig(zeta_max=zeta, step=1.0)).checkpoints[-1]
     oracle = fh_block_ode_oracle(kernel, U, T, cp.zeta, 0.02)
     assert np.max(np.abs(cp.W - oracle)) <= 1e-6
+
+
+@st.composite
+def ar_cases(draw):
+    """Random factored model whose ``R0`` may have zeros and transient states, with utility and weight."""
+    d_u, d_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    d = d_u * d_n
+    unit = st.floats(0.05, 1.0)
+    support = draw(arrays(bool, (d, d_u)))
+    support[:, draw(arrays(bool, d_u))] = False  # no state moves there: those states are transient
+    support[:, 0] = True  # every state reaches x_u = 0, whose states hold a self-loop: unichain, aperiodic
+    R0 = draw(arrays(float, (d, d_u), elements=unit)) * support
+    Q0 = draw(arrays(float, (d, d_n), elements=unit))
+    kernel = FactoredKernel(
+        ProductStateSpace(d_u, d_n),
+        StochasticMatrix(R0 / R0.sum(axis=1, keepdims=True)),
+        StochasticMatrix(Q0 / Q0.sum(axis=1, keepdims=True)),
+    )
+    U = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    return kernel, U, draw(st.integers(0, 80)) / 4
+
+
+# States 1 and 2 are transient, and past zeta = log 3 staying near state 1 earns
+# more than the recurrent pair {0, 3}: the optimal average reward then depends
+# on the start, and the optimality equation has no solution.
+_TRANSIENT_WINS = (
+    FactoredKernel(
+        ProductStateSpace(4, 1),
+        StochasticMatrix(np.array([[0.5, 0, 0, 0.5], [0.25] * 4, [0.25] * 4, [0.5, 0, 0, 0.5]])),
+        StochasticMatrix(np.ones((4, 1))),
+    ),
+    np.array([0.0, 1.0, 0.0, 0.0]),
+    1.25,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ar_cases())
+@example(_TRANSIENT_WINS)
+def test_average_reward_matches_relative_value_iteration_on_random_models(case):
+    kernel, U, zeta = case
+    # damped: on a nearly periodic tilted chain (3 states, zeta = 10) undamped
+    # sweeps did not settle to 1e-13 in 1e6 sweeps
+    rvi = dict(tol=1e-13, damping=0.5)
+    try:
+        cp = solve_average_reward(kernel, U, OdeConfig(zeta_max=zeta, step=0.5)).checkpoints[-1]
+    except (ConvergenceError, ResidualToleranceError) as exc:
+        # a failure is only allowed where the optimality equation has no
+        # solution, and then relative value iteration cannot converge either
+        failed_at = float(re.search(r"at zeta=([^ ;]+)", str(exc)).group(1))
+        with pytest.raises(ConvergenceError):
+            aroe_fixed_point_oracle(kernel, U, failed_at, max_iter=20_000, **rvi)
+        return
+    h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, **rvi)
+    assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+    assert abs(eta - cp.eta) <= 1e-10
