@@ -1,20 +1,23 @@
 """Linear-algebraic solvers for finite Markov chains.
 
-Invariant pmf and the Poisson equation solver that the continuation ODE uses
-as its vector field, plus the Perron-Frobenius baseline for the unconstrained
-(exogenous-free) model.
+Invariant pmf, the factored bordered Poisson system that the continuation
+keeps across Newton steps, and the Poisson equation solver built on it, plus
+the Perron-Frobenius baseline for the unconstrained (exogenous-free) model.
 
 Admissibility is unichain aperiodic: one recurrent class, possibly with
 transient states.  The bordered Poisson system stays nonsingular in that
-generality, and every solve is certified by an explicit residual check.
+generality, and the first solve on every factorization is certified by an
+explicit residual check.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -110,6 +113,45 @@ def invariant_pmf(P: StochasticMatrix) -> np.ndarray:
     return pi
 
 
+class BorderedLU:
+    """LU factorization of the bordered Poisson matrix ``[I - P | 1]`` of one chain.
+
+    Column ``x0`` of ``I - P``, which would multiply the pinned ``H(x0) = 0``,
+    is replaced by ones, so slot ``x0`` of a solution carries the mean
+    ``eta``.  ``matvec(y)``, the product ``P y``, certifies the first solve:
+    its Poisson residual ``sup |P H - H + rhs - eta|`` must be within
+    ``POISSON_TOL``, which also settles that the factorization is sound.
+    Later solves reuse the factors unchecked; ``P`` itself is not kept.
+    """
+
+    def __init__(self, P: np.ndarray, x0: int, matvec):
+        d = P.shape[0]
+        M = np.negative(P, order="F")  # Fortran order: LAPACK factors it in place
+        M.flat[:: d + 1] += 1.0
+        M[:, x0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                self._lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+            except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
+                # not unichain with x0 recurrent, e.g. after an underflowed tilt
+                raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
+        self._x0 = x0
+        self._matvec = matvec
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``; per column for ``(d, k)``."""
+        y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
+        eta = float(y[self._x0]) if y.ndim == 1 else y[self._x0].copy()
+        y[self._x0] = 0.0
+        if self._matvec is not None:
+            residual = np.max(np.abs(self._matvec(y) - y + rhs - eta))
+            if not residual <= POISSON_TOL:
+                raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
+            self._matvec = None
+        return y, eta
+
+
 def poisson_solve(
     P: StochasticMatrix | np.ndarray,
     utility: np.ndarray,
@@ -118,12 +160,9 @@ def poisson_solve(
 ) -> ChainAnalysis:
     """Solve Poisson's equation ``(I - P) H + eta 1 = U`` with ``H(x0) = 0``.
 
-    One bordered solve: column ``x0`` of ``I - P``, which would multiply the
-    pinned ``H(x0)``, is replaced by ones, so slot ``x0`` of the solution
-    carries the mean reward ``eta = pi(U)``.  The residual check
-    ``sup |P H - H + U - eta|`` certifies ``H`` and ``eta`` together: no other
-    constant makes the equation solvable.  ``x0`` must lie in the recurrent
-    class.
+    One certified solve on a :class:`BorderedLU`, so ``eta = pi(U)``.  The
+    residual check certifies ``H`` and ``eta`` together: no other constant
+    makes the equation solvable.  ``x0`` must lie in the recurrent class.
 
     A ``(d, k)`` utility is ``k`` right-hand sides of the one factorization;
     the residual check covers every column.
@@ -137,17 +176,7 @@ def poisson_solve(
         members = recurrent_class(A)
         if x0 not in members:
             raise ValueError(f"basepoint {x0} is transient; it must be in the recurrent class")
-    M = np.eye(d) - A
-    M[:, x0] = 1.0
-    try:
-        y = np.linalg.solve(M, U)
-    except np.linalg.LinAlgError as exc:  # not unichain with x0 recurrent, e.g. after an underflowed tilt
-        raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
-    eta = float(y[x0]) if U.ndim == 1 else y[x0].copy()
-    y[x0] = 0.0
-    residual = np.max(np.abs(A @ y - y + U - eta))
-    if not residual <= POISSON_TOL:
-        raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
+    y, eta = BorderedLU(A, x0, A.__matmul__).solve(U)
     y.setflags(write=False)
     return ChainAnalysis(poisson_solution=y, mean_reward=eta)
 

@@ -236,7 +236,12 @@ def cmd_solve_ar(args) -> int:
         t0 = time.perf_counter()
         warnings = _write_ar_outputs(out, loaded, path)
         timings["write"] = time.perf_counter() - t0
-        trace = {"newton_steps_total": int(path.newton_steps.sum()), "factorizations": path.factorizations}
+        trace = {
+            "newton_steps_total": int(path.newton_steps.sum()),
+            "factorizations": int(path.factorizations.sum()),
+            # one entry per grid node, in the order of eta.csv's rows
+            "per_node": {"newton_steps": path.newton_steps.tolist(), "factorizations": path.factorizations.tolist()},
+        }
         _write_manifest(out, loaded, timings, path.snapped, warnings, trace)
     except Exception as exc:
         out.cleanup()

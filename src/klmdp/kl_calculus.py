@@ -44,12 +44,16 @@ def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -
 def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
     """Tilted rule entries and log-normalizer, on raw arrays (hot path)."""
     g = conditional_expectation_values(values, kernel)
-    R0 = kernel.R.entries
-    support = R0 > 0
-    m = np.max(np.where(support, g, -np.inf), axis=1)
-    t = R0 * np.exp(np.where(support, g - m[:, None], -np.inf))
-    s = t.sum(axis=1)
-    return t / s[:, None], np.log(s) + m
+    support = kernel.support
+    m = np.max(g, axis=1, where=support, initial=-np.inf)
+    g -= m[:, None]
+    np.exp(g, out=g, where=support)
+    g *= kernel.R.entries
+    # off the support g * 0 may be -0.0; the rule there is +0.0
+    np.copyto(g, 0.0, where=~support)
+    s = g.sum(axis=1)
+    g /= s[:, None]
+    return g, np.log(s) + m
 
 
 def tilt(h: np.ndarray, kernel: FactoredKernel) -> TiltResult:

@@ -5,12 +5,13 @@ Average reward: the relative value function solves ``dh/dzeta = V(h)``, where
 ``V(h)`` is the basepoint-normalized Poisson solution for the chain obtained
 by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
 ``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
-optimality equation, so each grid node is reached by a tangent predictor and
-a Newton (policy-iteration) corrector, and one factorization serves both:
-each Newton step solves for its correction and for ``V`` at the same iterate,
-and that ``V`` is the tangent for the next node.  Finite horizon: each member
-of the family is explicit, so each checkpoint is computed exactly by the
-backward recursion.
+optimality equation, and it moves little along the path, so one LU of it is
+kept across Newton steps and grid nodes: each node is predicted by
+extrapolating the last converged nodes and corrected by chord steps on the
+kept LU, refactored only where the residual stops contracting (Shamanskii).
+Only ``zeta = 0`` is solved for its tangent ``V``.  Finite horizon: each
+member of the family is explicit, so each checkpoint is computed exactly by
+the backward recursion.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -20,12 +21,13 @@ ODE in ``zeta`` that the stacked value functions solve, integrated by RK4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .chain_solvers import poisson_solve, recurrent_class
+from .chain_solvers import BorderedLU, poisson_solve, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
-from .kl_calculus import _tilt_values
+from .kl_calculus import _tilt_values, conditional_expectation_values
 from .state_space import (
     FactoredKernel,
     StochasticMatrix,
@@ -39,6 +41,9 @@ from .state_space import (
 # cap bounds the work where it cannot get there, and the node check then fails.
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 30
+# A chord step on the kept LU must cut the residual by this factor; where it
+# does not, the bordered matrix is refactored at the current iterate.
+CHORD_RHO = 0.25
 
 
 @dataclass(frozen=True)
@@ -71,14 +76,22 @@ class OdeConfig:
 
 @dataclass(frozen=True)
 class PathCheckpoint:
-    """Full solution snapshot at one value of the weight."""
+    """Full solution snapshot at one value of the weight.
+
+    The dense controlled chain is built from ``tilted_rule`` and ``Q0`` each
+    time :attr:`controlled_P` is read, not stored.
+    """
 
     zeta: float
     h: ValueFunction
     eta: float
     tilted_rule: StochasticMatrix
-    controlled_P: StochasticMatrix
+    Q0: StochasticMatrix
     aroe_residual_sup: float
+
+    @property
+    def controlled_P(self) -> StochasticMatrix:
+        return StochasticMatrix(induced_transition_values(self.tilted_rule.entries, self.Q0.entries))
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,8 @@ class ZetaSolutionPath:
     grid: np.ndarray
     eta_trace: np.ndarray
     residual_trace: np.ndarray
-    newton_steps: np.ndarray  # Newton corrections per grid node
-    factorizations: int  # bordered matrices factored over the whole path
+    newton_steps: np.ndarray  # corrections solved per grid node
+    factorizations: np.ndarray  # bordered matrices factored per grid node
     snapped: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -145,41 +158,12 @@ def ar_vector_field(
     return analysis.poisson_solution, analysis.mean_reward
 
 
-def _linearize_aroe(
-    h: np.ndarray,
-    eta: float,
-    zeta: float,
-    model: FactoredKernel,
-    utility: np.ndarray,
-    basepoint: int,
-    newton_tol: float | None,
-) -> tuple[float, tuple[np.ndarray, float] | None, tuple[np.ndarray, float] | None]:
-    """One tilt of ``h``: the optimality-equation residual and the linearization there.
-
-    The defect ``F = zeta U + Lambda_h - h - eta`` and the rule ``R_h`` come
-    from the same tilt.  Unless ``sup |F| <= newton_tol``, one bordered solve
-    of ``[I - P_h | 1]`` with the two right-hand sides ``[F, U]`` gives the
-    Newton (policy-iteration) correction ``(dh, deta)`` and the tangent
-    ``(dh/dzeta, deta/dzeta)`` at ``h``; ``newton_tol=None`` solves for the
-    tangent alone.  Returns ``(sup |F|, correction, tangent)``, with ``None``
-    for what was not solved.  ``R_h`` and ``P_h`` do not outlive the call.
-    """
-    rule, lam = _tilt_values(h, model)
-    defect = zeta * utility + lam - h - eta
-    res = float(np.max(np.abs(defect)))
-    if not np.isfinite(res):
-        raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
-    if newton_tol is not None and res <= newton_tol:
-        return res, None, None
-    rhs = utility[:, None] if newton_tol is None else np.column_stack([defect, utility])
-    P_h = induced_transition_values(rule, model.Q0.entries)
-    try:
-        analysis = poisson_solve(P_h, rhs, basepoint, check_structure=False)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
-    H, means = analysis.poisson_solution, analysis.mean_reward
-    tangent = (H[:, -1], float(means[-1]))  # U is the last column
-    return res, (None if newton_tol is None else (H[:, 0], float(means[0]))), tangent
+def _lagrange_weights(nodes: list[float], z: float) -> list[float]:
+    """Weights of the values at ``nodes`` in their interpolating polynomial at ``z``."""
+    return [
+        prod((z - zk) / (zj - zk) for k, zk in enumerate(nodes) if k != j)
+        for j, zj in enumerate(nodes)
+    ]
 
 
 def solve_average_reward(
@@ -190,17 +174,20 @@ def solve_average_reward(
 ) -> ZetaSolutionPath:
     """Trace the average-reward family from the nominal solution at ``zeta = 0``.
 
-    Predictor-corrector continuation on ``(h, eta)``: at each grid node an
-    Euler step along the tangent, then full Newton on
-    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration).  Each Newton
-    iterate is tilted once, and each step factors the bordered matrix
-    ``[I - P_h | 1]`` once, for two right-hand sides: the defect, giving the
-    correction, and ``U``, giving :func:`ar_vector_field` at that iterate.
-    The last of these tangents is the next node's predictor, so only
-    ``zeta = 0``, where no Newton step runs, is linearized for its tangent
-    alone: a path costs one factorization more than its Newton steps.  The
-    residual ``sup_x |zeta U + Lambda_h - h - eta|`` is recorded and enforced
-    at every grid node.
+    Predictor-corrector continuation on ``(h, eta)``.  The predictor
+    extrapolates the last three converged nodes by their interpolating
+    polynomial; the first node past ``zeta = 0`` takes an Euler step along the
+    tangent, which is solved for there alone.  The corrector is Newton on
+    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with the bordered
+    matrix ``[I - P_h | 1]`` kept as one :class:`BorderedLU` across steps and
+    nodes (chord method).  Each iterate is tilted once, for its defect and
+    ``R_h``.  Where a correction does not cut the residual by ``CHORD_RHO``,
+    the matrix is refactored at the current iterate, so that step is a full
+    Newton step (Shamanskii); where a chord step does not lower the residual
+    at all, it is undone and the full Newton step is taken from where it
+    started.  A stale LU changes only the iteration path: the residual
+    ``sup_x |zeta U + Lambda_h - h - eta|`` comes from the exact tilt, and is
+    recorded and enforced at every grid node.
     """
     U = np.asarray(utility, dtype=float)
     d = model.space.d
@@ -218,37 +205,68 @@ def solve_average_reward(
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
 
+    def factor(rule: np.ndarray, zeta: float) -> BorderedLU:
+        # the first solve is certified with P_h y from the factors of P_h
+        def matvec(y):
+            return (rule * conditional_expectation_values(y, model)).sum(axis=1)
+
+        try:
+            return BorderedLU(induced_transition_values(rule, model.Q0.entries), basepoint, matvec)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
+
+    def solve(lu: BorderedLU, rhs: np.ndarray, zeta: float) -> tuple[np.ndarray, float]:
+        try:
+            return lu.solve(rhs)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
+
     h = np.zeros(d)
     eta = 0.0
     eta_trace = np.zeros(grid.size)
     residual_trace = np.zeros(grid.size)
     newton_steps = np.zeros(grid.size, dtype=int)
-    factorizations = 0
+    factorizations = np.zeros(grid.size, dtype=int)
     checkpoints: list[PathCheckpoint] = []
     u_max = float(np.max(np.abs(U)))
+    converged: list[tuple[float, np.ndarray, float]] = []  # the last nodes' (zeta, h, eta)
+    lu = None
 
     for i, zeta in enumerate(grid.tolist()):
-        if i > 0:
-            dz = zeta - float(grid[i - 1])
-            h, eta = h + dz * tangent[0], eta + dz * tangent[1]
-        # Newton on the optimality equation; the start h = 0, eta = 0 is exact,
-        # so there only the tangent is solved for, and the last iterate allowed
-        # is only measured.
+        if i == 1:
+            h, eta = h + zeta * tangent[0], eta + zeta * tangent[1]
+        elif i > 1:
+            w = _lagrange_weights([z for z, _, _ in converged], zeta)
+            h = sum(wj * hj for wj, (_, hj, _) in zip(w, converged))
+            eta = sum(wj * ej for wj, (_, _, ej) in zip(w, converged))
+        # The start h = 0, eta = 0 is exact, so there no correction runs, and
+        # the last iterate allowed is only measured.  ``start`` is the iterate
+        # the latest correction started from, with its residual and whether
+        # the LU was factored there.
+        start, start_res, start_factored = None, np.inf, True
         for it in range(NEWTON_MAX_ITER + 1):
-            if i == 0:
-                newton_tol = None
-            elif it == NEWTON_MAX_ITER:
-                newton_tol = np.inf
-            else:
-                newton_tol = NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max)
-            res, correction, new_tangent = _linearize_aroe(h, eta, zeta, model, U, basepoint, newton_tol)
-            if new_tangent is not None:
-                tangent = new_tangent
-                factorizations += 1
-            if correction is None:
+            rule, lam = _tilt_values(h, model)
+            defect = zeta * U + lam - h - eta
+            res = float(np.max(np.abs(defect)))
+            if not np.isfinite(res):
+                raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
+            if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
                 break
-            h, eta = h + correction[0], eta + correction[1]
+            refactor = res > CHORD_RHO * start_res
+            if refactor and res >= start_res and not start_factored:
+                (h, eta, rule, defect), res = start, start_res  # undo a chord step that did not help
+            if refactor:
+                lu = None  # at most one factorization alive
+                lu = factor(rule, zeta)
+                factorizations[i] += 1
+            dh, deta = solve(lu, defect, zeta)
+            start, start_res, start_factored = (h, eta, rule, defect), res, refactor
+            h, eta = h + dh, eta + deta
             newton_steps[i] += 1
+        if i == 0:
+            lu = factor(rule, zeta)
+            factorizations[i] += 1
+            tangent = solve(lu, U, zeta)
         if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
@@ -256,15 +274,15 @@ def solve_average_reward(
             )
         eta_trace[i] = eta
         residual_trace[i] = res
+        converged = [*converged[-2:], (zeta, h, eta)]
         if i in cp_nodes:
-            rule, _ = _tilt_values(h, model)
             checkpoints.append(
                 PathCheckpoint(
                     zeta=zeta,
-                    h=ValueFunction(h.copy(), basepoint),
+                    h=ValueFunction(h, basepoint),
                     eta=eta,
                     tilted_rule=StochasticMatrix(rule),
-                    controlled_P=StochasticMatrix(induced_transition_values(rule, model.Q0.entries)),
+                    Q0=model.Q0,
                     aroe_residual_sup=res,
                 )
             )

@@ -11,7 +11,7 @@ coordinate is the fast axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,12 +80,14 @@ class FactoredKernel:
     """Decision rule and exogenous kernel generating a product transition matrix.
 
     ``R`` has shape ``(d, d_u)`` and ``Q0`` shape ``(d, d_n)``; both are
-    row-indexed by the full flat state.
+    row-indexed by the full flat state.  ``support`` is the read-only mask
+    ``R > 0``, computed once: the tilt reweights only those entries.
     """
 
     space: ProductStateSpace
     R: StochasticMatrix
     Q0: StochasticMatrix
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.space.d
@@ -93,6 +95,9 @@ class FactoredKernel:
             raise ValueError(f"R has shape {self.R.entries.shape}, expected ({d}, {self.space.d_u})")
         if self.Q0.rows != d or self.Q0.cols != self.space.d_n:
             raise ValueError(f"Q0 has shape {self.Q0.entries.shape}, expected ({d}, {self.space.d_n})")
+        support = self.R.entries > 0
+        support.setflags(write=False)
+        object.__setattr__(self, "support", support)
 
 
 @dataclass(frozen=True)

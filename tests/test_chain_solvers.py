@@ -13,6 +13,8 @@ from klmdp import (
     recurrent_class,
 )
 
+from klmdp.chain_solvers import BorderedLU
+
 from conftest import random_factored_model, random_utility
 
 
@@ -124,6 +126,23 @@ class TestPoissonSolve:
         # two closed classes, with the structure check skipped as the integrator does
         with pytest.raises(ConvergenceError, match="singular"):
             poisson_solve(np.eye(2), np.array([1.0, 0.0]), x0=0, check_structure=False)
+
+    def test_kept_factorization_serves_later_right_hand_sides(self, rng):
+        P = StochasticMatrix(rng.dirichlet(np.ones(6), size=6)).entries
+        lu = BorderedLU(P, 2, P.__matmul__)
+        lu.solve(np.zeros(6))  # the first solve is certified
+        for _ in range(3):
+            U = random_utility(rng, 6)
+            H, eta = lu.solve(U)
+            expected = poisson_solve(P, U, x0=2)
+            assert np.max(np.abs(H - expected.poisson_solution)) <= 1e-13
+            assert abs(eta - expected.mean_reward) <= 1e-13
+
+    def test_first_solve_on_a_factorization_is_certified(self, rng):
+        P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4)).entries
+        wrong = rng.dirichlet(np.ones(4), size=4)  # certify against another chain
+        with pytest.raises(ConvergenceError, match="Poisson residual"):
+            BorderedLU(P, 0, wrong.__matmul__).solve(random_utility(rng, 4))
 
     def test_two_state_hand_check(self):
         P = two_state()

@@ -150,7 +150,11 @@ class TestSolveAr:
         assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
         trace = json.loads((out / "manifest.json").read_text())["trace"]
         assert trace["newton_steps_total"] >= 50  # 50 nodes past zeta = 0, each corrected
-        assert trace["factorizations"] == 1 + trace["newton_steps_total"]
+        assert trace["factorizations"] < trace["newton_steps_total"]  # the LU is kept
+        per_node = trace["per_node"]
+        assert len(per_node["newton_steps"]) == len(per_node["factorizations"]) == 51
+        assert sum(per_node["newton_steps"]) == trace["newton_steps_total"]
+        assert sum(per_node["factorizations"]) == trace["factorizations"]
         for csv_path in out.glob("*.csv"):  # the CSVs stay byte-reproducible
             header = csv_path.read_text().splitlines()[0]
             assert "newton" not in header and "factorization" not in header

@@ -13,7 +13,8 @@ from klmdp import (
     kl_step_cost,
     tilt,
 )
-from klmdp.kl_calculus import conditional_expectation_values
+from klmdp.kl_calculus import _tilt_values, conditional_expectation_values
+from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import random_factored_model, random_utility
 
@@ -127,6 +128,50 @@ class TestTilt:
             kl = kl_step_cost(out.tilted_rule, kernel.R)
             expected = (out.tilted_rule.entries * g).sum(axis=1) - out.log_normalizer
             np.testing.assert_allclose(kl, expected, atol=1e-10)
+
+
+def reference_tilt(values, kernel):
+    """The tilt with masked copies and one exp over the whole array: the reference."""
+    g = conditional_expectation_values(values, kernel)
+    R0 = kernel.R.entries
+    support = R0 > 0
+    m = np.max(np.where(support, g, -np.inf), axis=1)
+    t = R0 * np.exp(np.where(support, g - m[:, None], -np.inf))
+    s = t.sum(axis=1)
+    return t / s[:, None], np.log(s) + m
+
+
+class TestTiltInPlace:
+    """The production tilt works in place on the support mask cached on the kernel."""
+
+    def check(self, values, kernel):
+        rule, lam = _tilt_values(values, kernel)
+        ref_rule, ref_lam = reference_tilt(values, kernel)
+        np.testing.assert_array_equal(rule, ref_rule)
+        np.testing.assert_array_equal(lam, ref_lam)
+        assert not np.any(np.signbit(rule))  # +0.0 off the support, never -0.0
+
+    def test_random_models_with_zeros(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            d_u, d_n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            d = d_u * d_n
+            R0 = rng.uniform(0.05, 1.0, size=(d, d_u)) * (rng.random((d, d_u)) < 0.6)
+            R0[np.arange(d), rng.integers(0, d_u, size=d)] = rng.uniform(0.05, 1.0, size=d)
+            Q0 = rng.dirichlet(np.ones(d_n), size=d)
+            kernel = FactoredKernel(
+                ProductStateSpace(d_u, d_n),
+                StochasticMatrix(R0 / R0.sum(axis=1, keepdims=True)),
+                StochasticMatrix(Q0),
+            )
+            self.check(rng.choice([1.0, 30.0, 300.0]) * rng.standard_normal(d), kernel)
+
+    def test_uav_model(self):
+        scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        assert not np.all(kernel.support)  # the absorbing target row
+        for scale in (0.0, 1.0, 40.0):
+            self.check(scale * U + np.linspace(-1.0, 1.0, kernel.space.d), kernel)
 
 
 class TestOptimalRule:

@@ -1,7 +1,9 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -66,6 +68,8 @@ class TestSolveAverageReward:
         cp = path.checkpoints[0]
         assert cp.zeta == 0.0 and cp.eta == 0.0
         np.testing.assert_array_equal(cp.h.values, 0.0)
+        # built from the rule on demand, not stored
+        assert "controlled_P" not in {f.name for f in dataclasses.fields(cp)}
         np.testing.assert_allclose(
             cp.controlled_P.entries, induced_transition(kernel).entries, atol=1e-15
         )
@@ -125,18 +129,45 @@ class TestSolveAverageReward:
         with pytest.raises(ValueError, match="non-finite"):
             solve(kernel, np.array([np.nan, 0.0]))
 
-    def test_one_factorization_per_newton_step_and_one_at_the_start(self, rng, monkeypatch):
-        # each Newton step also solves for the next node's tangent; only zeta = 0,
-        # where no Newton step runs, is factored for its tangent alone
-        kernel = random_factored_model(rng, 3, 2)
-        U = random_utility(rng, 6)
-        solve, calls = np.linalg.solve, []
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
-        path = solve_average_reward(kernel, U, OdeConfig(zeta_max=1.0, step=0.1))
-        assert path.newton_steps.shape == path.grid.shape
-        assert path.newton_steps.dtype.kind == "i" and path.newton_steps[0] == 0
+    def test_trace_counts_every_factorization_and_solve(self, monkeypatch):
+        # the LU is kept across Newton steps and nodes: each correction is one
+        # triangular solve, zeta = 0 adds one for its tangent, and refactoring
+        # is rare
+        scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        calls = {"lu_factor": 0, "lu_solve": 0}
+
+        def counting(name):
+            original = getattr(scipy.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scipy.linalg, name, counting(name))
+        monkeypatch.setattr(np.linalg, "solve", None)  # every solve goes through the kept LU
+        path = solve_average_reward(kernel, U, OdeConfig(zeta_max=0.5, step=0.01), scenario.basepoint)
+        for counts in (path.newton_steps, path.factorizations):
+            assert counts.shape == path.grid.shape and counts.dtype.kind == "i"
+        assert path.newton_steps[0] == 0 and path.factorizations[0] == 1
         assert path.newton_steps.sum() >= path.grid.size - 1
-        assert len(calls) == path.factorizations == 1 + path.newton_steps.sum()
+        assert calls["lu_factor"] == path.factorizations.sum()
+        assert calls["lu_solve"] == path.newton_steps.sum() + 1
+        assert path.factorizations.sum() < path.newton_steps.sum()
+
+    def test_chord_safeguard_matches_fixed_point_oracle(self):
+        # chord steps on the LU of zeta = 0 diverge at zeta = 0.01 here unless a
+        # step that does not lower the residual is undone for a full Newton step
+        scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=0.05, step=0.01, checkpoints=(0.01, 0.02, 0.03, 0.04, 0.05))
+        for cp in solve_average_reward(kernel, U, cfg, scenario.basepoint).checkpoints:
+            h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, scenario.basepoint, tol=1e-13)
+            assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+            assert abs(eta - cp.eta) <= 1e-10
 
     def test_derivative_consistency(self, rng):
         # central difference of the path matches the vector field to O(step^2)
