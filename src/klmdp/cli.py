@@ -172,8 +172,7 @@ def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
     out.write_text(name, "".join(parts))
 
 
-def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> list[str]:
-    warnings: list[str] = []
+def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> None:
     space = loaded.kernel.space
     for cp in path.checkpoints:
         tag = _ztag(cp.zeta)
@@ -206,18 +205,17 @@ def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSoluti
     for z, eta, res in zip(path.grid, path.eta_trace, path.residual_trace):
         lines.append(f"{_fmt(z)},{_fmt(eta)},{_fmt(res)}")
     out.write_text("eta.csv", "\n".join(lines) + "\n")
-    return warnings
 
 
 def _write_manifest(
-    out: _OutputTracker, loaded: LoadedModel, timings: dict, snaps, warnings, trace: dict | None = None
+    out: _OutputTracker, loaded: LoadedModel, timings: dict, snaps, trace: dict | None = None
 ) -> None:
     manifest = {
         "config": loaded.config,
         "version": __version__,
         "timings_seconds": timings,
         "checkpoint_snaps": [{"requested": a, "snapped": b} for a, b in snaps],
-        "warnings": warnings,
+        "warnings": [f"checkpoint zeta={a:g} is not a grid node; reported at zeta={b:g}" for a, b in snaps],
     }
     if trace is not None:
         manifest["trace"] = trace
@@ -234,15 +232,20 @@ def cmd_solve_ar(args) -> int:
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warnings = _write_ar_outputs(out, loaded, path)
+        _write_ar_outputs(out, loaded, path)
         timings["write"] = time.perf_counter() - t0
         trace = {
             "newton_steps_total": int(path.newton_steps.sum()),
             "factorizations": int(path.factorizations.sum()),
             # one entry per grid node, in the order of eta.csv's rows
-            "per_node": {"newton_steps": path.newton_steps.tolist(), "factorizations": path.factorizations.tolist()},
+            "per_node": {
+                "newton_steps": path.newton_steps.tolist(),
+                "factorizations": path.factorizations.tolist(),
+                "predictor_residual": path.predictor_residual.tolist(),
+                "predictor_nodes": path.predictor_nodes.tolist(),
+            },
         }
-        _write_manifest(out, loaded, timings, path.snapped, warnings, trace)
+        _write_manifest(out, loaded, timings, path.snapped, trace)
     except Exception as exc:
         out.cleanup()
         print(f"error: {exc}", file=sys.stderr)
@@ -270,7 +273,7 @@ def cmd_solve_fh(args) -> int:
             for k, rule in enumerate(cp.policies):
                 _write_policy_csv(out, f"fh_policy_zeta_{tag}_k_{k}.csv", rule.entries)
         timings["write"] = time.perf_counter() - t0
-        _write_manifest(out, loaded, timings, path.snapped, [])
+        _write_manifest(out, loaded, timings, path.snapped)
     except Exception as exc:
         out.cleanup()
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
 ``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
 optimality equation, and it moves little along the path, so one LU of it is
 kept across Newton steps and grid nodes: each node is predicted by
-extrapolating the last converged nodes and corrected by chord steps on the
-kept LU, refactored only where the residual stops contracting (Shamanskii).
-Only ``zeta = 0`` is solved for its tangent ``V``.  Finite horizon: each
-member of the family is explicit, so each checkpoint is computed exactly by
-the backward recursion.
+polynomial extrapolation through as many of the last converged nodes as
+predicted the previous node best, and corrected by Anderson-accelerated
+chord steps on the kept LU, refactored only where the residual stops
+contracting (Shamanskii).  Only ``zeta = 0`` is solved for its tangent
+``V``.  Finite horizon: each member of the family is explicit, so each
+checkpoint is computed exactly by the backward recursion.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -21,7 +22,6 @@ ODE in ``zeta`` that the stacked value functions solve, integrated by RK4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -44,6 +44,10 @@ NEWTON_MAX_ITER = 30
 # A chord step on the kept LU must cut the residual by this factor; where it
 # does not, the bordered matrix is refactored at the current iterate.
 CHORD_RHO = 0.25
+# The predictor extrapolates through at most this many converged nodes, and
+# the corrector mixes each chord step with at most this many earlier ones.
+PREDICTOR_MAX_NODES = 8
+ANDERSON_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,8 @@ class ZetaSolutionPath:
     residual_trace: np.ndarray
     newton_steps: np.ndarray  # corrections solved per grid node
     factorizations: np.ndarray  # bordered matrices factored per grid node
+    predictor_residual: np.ndarray  # residual of the predicted iterate, before any correction
+    predictor_nodes: np.ndarray  # converged nodes the prediction used (1: Euler on the tangent)
     snapped: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -158,12 +164,69 @@ def ar_vector_field(
     return analysis.poisson_solution, analysis.mean_reward
 
 
-def _lagrange_weights(nodes: list[float], z: float) -> list[float]:
-    """Weights of the values at ``nodes`` in their interpolating polynomial at ``z``."""
-    return [
-        prod((z - zk) / (zj - zk) for k, zk in enumerate(nodes) if k != j)
-        for j, zj in enumerate(nodes)
-    ]
+def _extrapolation_weights(nodes: np.ndarray, z: float) -> np.ndarray:
+    """Lagrange weights at ``z`` of the trailing nodes, one row per order.
+
+    Row ``n - 1`` holds the weights of the values at the last ``n`` of
+    ``nodes`` in their interpolating polynomial at ``z``, and zeros for the
+    earlier nodes.  Extending a window by one node multiplies each weight by
+    one factor, so all rows come from one cumulative product.
+    """
+    t = nodes[::-1]  # newest first: the windows are the leading nodes
+    gaps = t[:, None] - t[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    factors = (z - t)[None, :] / gaps
+    np.fill_diagonal(factors, 1.0)
+    return np.triu(np.cumprod(factors, axis=1)).T[:, ::-1]
+
+
+def _extrapolate(zetas: np.ndarray, X: np.ndarray, z: float) -> tuple[np.ndarray, int]:
+    """Predict the row of ``X`` at ``z`` from its rows at ``zetas``; returns it and the order.
+
+    ``X`` holds converged ``(h, eta)`` rows in the order of ``zetas``.  The
+    order, the number of trailing rows extrapolated, is the ``n`` in
+    ``2 ... len - 1`` whose extrapolation from the rows before the last best
+    predicted the last, by sup-error in ``h``; with two rows it is 2.  All
+    candidate orders are evaluated in one product.
+    """
+    n = zetas.size
+    if n > 2:
+        candidates = _extrapolation_weights(zetas[:-1], zetas[-1])[1:]  # orders 2 ... len - 1
+        errors = np.max(np.abs(candidates @ X[:-1, :-1] - X[-1, :-1]), axis=1)
+        n = int(np.argmin(errors)) + 2
+    return _extrapolation_weights(zetas, z)[n - 1] @ X, n
+
+
+def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Next iterate of the fixed-point map ``x -> x + f(x)``, Anderson-mixed.
+
+    ``history`` holds the last ``(x, f)`` pairs of the map and is updated in
+    place.  The step ``x + f`` is corrected by the combination of the last
+    ``ANDERSON_DEPTH`` differences of the iterates and of the corrections
+    that best cancels ``f`` in least squares (Walker & Ni, 2011).  The
+    least-squares problem is solved by modified Gram-Schmidt, newest
+    difference first, with the differences of ``x + f`` carried through the
+    same operations; a difference within rounding of the span of the newer
+    ones is skipped.  This needs only vector products: a LAPACK least-squares
+    driver would add about 1 MB to peak memory on its first call (numpy's
+    bundled OpenBLAS).
+    """
+    history.append((x, f))
+    del history[: -ANDERSON_DEPTH - 1]
+    deltas = np.diff(np.array(history[::-1]), axis=0)  # newest first; (pairs - 1, 2, len(x))
+    F, G = deltas[:, 1], deltas.sum(axis=1)  # differences of f and of x + f
+    floor = (np.finfo(float).eps * f.size) ** 2 * np.einsum("ij,ij->i", F, F)
+    step, r = x + f, f
+    for j in range(len(F)):
+        nn = F[j] @ F[j]
+        if nn <= floor[j]:
+            continue
+        c = (F[j] @ r) / nn
+        step, r = step - c * G[j], r - c * F[j]
+        s = (F[j + 1 :] @ F[j]) / nn
+        F[j + 1 :] -= s[:, None] * F[j]
+        G[j + 1 :] -= s[:, None] * G[j]
+    return step
 
 
 def solve_average_reward(
@@ -174,14 +237,19 @@ def solve_average_reward(
 ) -> ZetaSolutionPath:
     """Trace the average-reward family from the nominal solution at ``zeta = 0``.
 
-    Predictor-corrector continuation on ``(h, eta)``.  The predictor
-    extrapolates the last three converged nodes by their interpolating
-    polynomial; the first node past ``zeta = 0`` takes an Euler step along the
-    tangent, which is solved for there alone.  The corrector is Newton on
-    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with the bordered
-    matrix ``[I - P_h | 1]`` kept as one :class:`BorderedLU` across steps and
-    nodes (chord method).  Each iterate is tilted once, for its defect and
-    ``R_h``.  Where a correction does not cut the residual by ``CHORD_RHO``,
+    Predictor-corrector continuation on ``x = (h, eta)``.  The predictor
+    extrapolates through up to ``PREDICTOR_MAX_NODES`` of the last converged
+    nodes, as many as best predicted the node converged last (see
+    :func:`_extrapolate`); the first node past ``zeta = 0`` takes an Euler
+    step along the tangent, which is solved for there alone.  The corrector
+    is Newton on ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with
+    the bordered matrix ``[I - P_h | 1]`` kept as one :class:`BorderedLU`
+    across steps and nodes (chord method).  The chord correction is the
+    residual of a fixed-point map, and its steps are Anderson-mixed with up
+    to ``ANDERSON_DEPTH`` earlier ones on the same LU; the mixing history is
+    cleared at each node, refactorization and undo.  Each iterate is tilted
+    once, for its defect and ``R_h``, and each correction is one triangular
+    solve.  Where a correction does not cut the residual by ``CHORD_RHO``,
     the matrix is refactored at the current iterate, so that step is a full
     Newton step (Shamanskii); where a chord step does not lower the residual
     at all, it is undone and the full Newton step is taken from where it
@@ -215,53 +283,60 @@ def solve_average_reward(
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
 
-    def solve(lu: BorderedLU, rhs: np.ndarray, zeta: float) -> tuple[np.ndarray, float]:
+    def solve(lu: BorderedLU, rhs: np.ndarray, zeta: float) -> np.ndarray:
         try:
-            return lu.solve(rhs)
+            H, eta = lu.solve(rhs)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
+        return np.append(H, eta)
 
-    h = np.zeros(d)
-    eta = 0.0
+    x = np.zeros(d + 1)  # the iterate (h, eta)
     eta_trace = np.zeros(grid.size)
     residual_trace = np.zeros(grid.size)
     newton_steps = np.zeros(grid.size, dtype=int)
     factorizations = np.zeros(grid.size, dtype=int)
+    predictor_residual = np.zeros(grid.size)
+    predictor_nodes = np.zeros(grid.size, dtype=int)
     checkpoints: list[PathCheckpoint] = []
     u_max = float(np.max(np.abs(U)))
-    converged: list[tuple[float, np.ndarray, float]] = []  # the last nodes' (zeta, h, eta)
+    # the last nodes' (zeta, x): one more than the predictor uses, to score its top order
+    converged: list[tuple[float, np.ndarray]] = []
     lu = None
 
     for i, zeta in enumerate(grid.tolist()):
         if i == 1:
-            h, eta = h + zeta * tangent[0], eta + zeta * tangent[1]
+            x, predictor_nodes[i] = x + zeta * tangent, 1
         elif i > 1:
-            w = _lagrange_weights([z for z, _, _ in converged], zeta)
-            h = sum(wj * hj for wj, (_, hj, _) in zip(w, converged))
-            eta = sum(wj * ej for wj, (_, _, ej) in zip(w, converged))
+            x, predictor_nodes[i] = _extrapolate(
+                np.array([z for z, _ in converged]), np.array([xj for _, xj in converged]), zeta
+            )
         # The start h = 0, eta = 0 is exact, so there no correction runs, and
         # the last iterate allowed is only measured.  ``start`` is the iterate
         # the latest correction started from, with its residual and whether
         # the LU was factored there.
         start, start_res, start_factored = None, np.inf, True
+        mixing: list[tuple[np.ndarray, np.ndarray]] = []
         for it in range(NEWTON_MAX_ITER + 1):
+            h, eta = x[:d], float(x[d])
             rule, lam = _tilt_values(h, model)
             defect = zeta * U + lam - h - eta
             res = float(np.max(np.abs(defect)))
             if not np.isfinite(res):
                 raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
+            if it == 0:
+                predictor_residual[i] = res
             if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
                 break
             refactor = res > CHORD_RHO * start_res
             if refactor and res >= start_res and not start_factored:
-                (h, eta, rule, defect), res = start, start_res  # undo a chord step that did not help
+                (x, rule, defect), res = start, start_res  # undo a chord step that did not help
             if refactor:
                 lu = None  # at most one factorization alive
                 lu = factor(rule, zeta)
                 factorizations[i] += 1
-            dh, deta = solve(lu, defect, zeta)
-            start, start_res, start_factored = (h, eta, rule, defect), res, refactor
-            h, eta = h + dh, eta + deta
+                mixing.clear()
+            start, start_res, start_factored = (x, rule, defect), res, refactor
+            x = _anderson_step(mixing, x, solve(lu, defect, zeta))
             newton_steps[i] += 1
         if i == 0:
             lu = factor(rule, zeta)
@@ -270,11 +345,11 @@ def solve_average_reward(
         if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
-                f"{cfg.residual_tol:g}; reduce the integration step"
+                f"{cfg.residual_tol:g}; reduce --step: a closer node gives the predictor a closer start"
             )
         eta_trace[i] = eta
         residual_trace[i] = res
-        converged = [*converged[-2:], (zeta, h, eta)]
+        converged = [*converged[-PREDICTOR_MAX_NODES:], (zeta, x)]
         if i in cp_nodes:
             checkpoints.append(
                 PathCheckpoint(
@@ -294,6 +369,8 @@ def solve_average_reward(
         residual_trace=residual_trace,
         newton_steps=newton_steps,
         factorizations=factorizations,
+        predictor_residual=predictor_residual,
+        predictor_nodes=predictor_nodes,
         snapped=snapped,
     )
 

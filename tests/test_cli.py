@@ -13,6 +13,7 @@ from klmdp.cli import (
     load_config,
     main,
 )
+from klmdp.ode_engine import PREDICTOR_MAX_NODES
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -152,12 +153,39 @@ class TestSolveAr:
         assert trace["newton_steps_total"] >= 50  # 50 nodes past zeta = 0, each corrected
         assert trace["factorizations"] < trace["newton_steps_total"]  # the LU is kept
         per_node = trace["per_node"]
-        assert len(per_node["newton_steps"]) == len(per_node["factorizations"]) == 51
+        assert set(per_node) == {"newton_steps", "factorizations", "predictor_residual", "predictor_nodes"}
+        assert all(len(counts) == 51 for counts in per_node.values())
         assert sum(per_node["newton_steps"]) == trace["newton_steps_total"]
         assert sum(per_node["factorizations"]) == trace["factorizations"]
+        # the exact start, one Euler step on the tangent, then extrapolation
+        # through 2 ... PREDICTOR_MAX_NODES converged nodes
+        nodes = per_node["predictor_nodes"]
+        assert nodes[:3] == [0, 1, 2] and all(2 <= n <= PREDICTOR_MAX_NODES for n in nodes[2:])
+        assert max(nodes) > 2
+        residuals = per_node["predictor_residual"]
+        assert all(np.isfinite(residuals)) and residuals[0] <= 1e-15
+        _, rows = read_csv(out / "eta.csv")
+        final = [float(r[2]) for r in rows]
+        # each node's corrections start from the predicted iterate
+        assert all(p >= r for p, r, steps in zip(residuals, final, per_node["newton_steps"]) if steps)
         for csv_path in out.glob("*.csv"):  # the CSVs stay byte-reproducible
             header = csv_path.read_text().splitlines()[0]
-            assert "newton" not in header and "factorization" not in header
+            assert "newton" not in header and "factorization" not in header and "predictor" not in header
+
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
+    def test_manifest_warns_of_each_snapped_checkpoint(self, tmp_path, verb):
+        cfg_path = write_config(tmp_path, small_uav_config(zeta_max=0.1, checkpoints=(0.0, 0.034, 0.1)))
+        out = tmp_path / "run"
+        assert main(verb + ["--config", cfg_path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checkpoint_snaps"] == [{"requested": 0.034, "snapped": 0.03}]
+        assert manifest["warnings"] == ["checkpoint zeta=0.034 is not a grid node; reported at zeta=0.03"]
+
+    def test_manifest_has_no_warnings_without_events(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_uav_config(zeta_max=0.1, checkpoints=(0.0, 0.1)))
+        out = tmp_path / "run"
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
     def test_policy_rows_renormalized(self, tmp_path):
         cfg_path = write_config(tmp_path, small_uav_config())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -23,6 +24,13 @@ from klmdp import (
     poisson_solve,
     solve_average_reward,
     solve_finite_horizon,
+)
+from klmdp.ode_engine import (
+    ANDERSON_DEPTH,
+    PREDICTOR_MAX_NODES,
+    _anderson_step,
+    _extrapolate,
+    _extrapolation_weights,
 )
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
@@ -169,6 +177,22 @@ class TestSolveAverageReward:
             assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
             assert abs(eta - cp.eta) <= 1e-10
 
+    def test_step_counts_on_the_full_uav8_sweep(self):
+        # the order-selected predictor starts each node close, and Anderson
+        # mixing speeds the chord steps on the kept LU: 1,597 Newton steps
+        # and 22 factorizations with a 3-node predictor and plain chord steps
+        scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=2.0, step=0.01, checkpoints=(0.0, 1.0, 2.0))
+        path = solve_average_reward(kernel, U, cfg, scenario.basepoint)
+        assert path.newton_steps.sum() <= 900
+        assert path.factorizations.sum() <= 22
+        assert path.predictor_nodes.max() > 2
+        for cp in path.checkpoints:
+            h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, scenario.basepoint, tol=1e-13)
+            assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+            assert abs(eta - cp.eta) <= 1e-10
+
     def test_derivative_consistency(self, rng):
         # central difference of the path matches the vector field to O(step^2)
         kernel = random_factored_model(rng, 3, 2)
@@ -206,6 +230,68 @@ class TestSolveAverageReward:
             H, eta = ar_vector_field(cp.h.values, kernel, U, 0)
             residual = cp.controlled_P.entries @ H - H + U - eta
             assert np.max(np.abs(residual)) <= 1e-6
+
+
+def reference_lagrange_weights(nodes, z):
+    """Lagrange weights of ``nodes`` at ``z``, one product per node."""
+    return [
+        math.prod((z - zk) / (zj - zk) for k, zk in enumerate(nodes) if k != j)
+        for j, zj in enumerate(nodes)
+    ]
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("n", range(1, PREDICTOR_MAX_NODES + 1))
+    def test_reproduces_polynomials_of_degree_below_the_node_count(self, n):
+        rng = np.random.default_rng(n)
+        nodes = np.sort(rng.uniform(0.0, 2.0, size=PREDICTOR_MAX_NODES))
+        z = nodes[-1] + 0.013
+        coefficients = rng.uniform(-1.0, 1.0, size=(n, 3))  # three polynomials of degree n - 1
+        values = np.polynomial.polynomial.polyval(nodes, coefficients).T
+        weights = _extrapolation_weights(nodes, z)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(weights[n - 1, : PREDICTOR_MAX_NODES - n] == 0.0)  # only the last n nodes
+        expected = np.polynomial.polynomial.polyval(z, coefficients)
+        np.testing.assert_allclose(weights[n - 1] @ values, expected, rtol=0, atol=1e-12)
+        reference = reference_lagrange_weights(nodes[-n:].tolist(), z)
+        np.testing.assert_allclose(weights[n - 1, -n:], reference, rtol=1e-13, atol=0)
+
+    def test_order_selection_is_low_on_a_stiff_start_and_high_on_a_polynomial(self):
+        zetas = 0.02 * np.arange(PREDICTOR_MAX_NODES + 1)
+        stiff = np.exp(-50.0 * zetas)
+        smooth = np.polynomial.polynomial.polyval(zetas, [0.3, -1.0, 0.5, 2.0, -0.7, 0.2])
+        orders = {}
+        for name, h in (("stiff", stiff), ("smooth", smooth)):
+            X = np.column_stack([h, -h, np.zeros_like(h), zetas])  # three h entries, then eta
+            predicted, orders[name] = _extrapolate(zetas, X, zetas[-1] + 0.02)
+            assert predicted.shape == (4,)
+        assert orders["stiff"] < orders["smooth"]
+        assert orders["smooth"] >= 6  # exact from 6 nodes on
+        assert 2 <= orders["stiff"] and orders["smooth"] <= PREDICTOR_MAX_NODES
+
+
+class TestAndersonStep:
+    def test_solves_an_affine_problem_of_its_depth_like_gmres(self):
+        # for an affine map, Anderson mixing over the full history matches
+        # GMRES, which solves a problem of dimension n in n steps
+        n = ANDERSON_DEPTH
+        rng = np.random.default_rng(3)
+        A = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(n, n))
+        b = rng.uniform(-1.0, 1.0, size=n)
+        history, x, plain = [], np.zeros(n), np.zeros(n)
+        for _ in range(n + 1):
+            x = _anderson_step(history, x, b - A @ x)
+            plain = plain + (b - A @ plain)
+        np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12)
+        assert np.max(np.abs(A @ plain - b)) > 1e-3
+        x = _anderson_step(history, x, b - A @ x)
+        assert len(history) == ANDERSON_DEPTH + 1  # the last ANDERSON_DEPTH differences
+        np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12)
+
+    def test_skips_differences_without_new_directions(self):
+        x, f = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+        history = [(x, f), (x, f)]  # every difference is zero
+        np.testing.assert_array_equal(_anderson_step(history, x, f), x + f)
 
 
 class TestAroeFixedPointOracle:
