@@ -35,7 +35,6 @@ from .ode_engine import (
     OdeConfig,
     PathCheckpoint,
     ZetaSolutionPath,
-    ar_vector_field,
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     solve_average_reward,

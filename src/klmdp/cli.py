@@ -7,13 +7,16 @@ Verbs:
   validate      cross-oracle validation suite with a pass/fail table
 
 Configs are JSON; all numeric CSV output carries full double precision so
-identical configs reproduce byte-identical files.
+identical configs reproduce byte-identical files under the same numpy, scipy
+and BLAS thread setting, which each manifest records.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain_solvers import perron_frobenius_baseline, recurrent_class
@@ -52,6 +56,9 @@ def _fmt(x: float) -> str:
 def _ztag(z: float) -> str:
     return format(float(z), "g")
 
+
+# BLAS rounds differently with more threads, so CSV bytes repeat only at one setting
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 SOLVER_KEYS = frozenset({"zeta_max", "step", "checkpoints", "residual_tol"})
 
@@ -213,6 +220,12 @@ def _write_manifest(
     manifest = {
         "config": loaded.config,
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            **{name: os.environ.get(name) for name in THREAD_VARIABLES},  # None where unset
+        },
         "timings_seconds": timings,
         "checkpoint_snaps": [{"requested": a, "snapped": b} for a, b in snaps],
         "warnings": [f"checkpoint zeta={a:g} is not a grid node; reported at zeta={b:g}" for a, b in snaps],

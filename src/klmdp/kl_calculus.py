@@ -7,6 +7,12 @@ The central object is the tilt of a nominal rule ``R0`` by a value vector
 log-normalizer.  That tilted rule is exactly the maximizer of the one-step
 reward plus continuation value (Gibbs form), and the log-normalizer is the
 achieved maximum up to the utility term.
+
+The exogenous coordinate is not controlled, so a state enters the
+conditional expectation only through its ``Q0`` row: it is formed once per
+row class of the kernel (see :class:`FactoredKernel`), as are the shift and
+the exponential, and gathered to the states for the weighting by ``R0``.
+Callers that need only the log-normalizer skip the rule's normalization.
 """
 
 from __future__ import annotations
@@ -27,33 +33,61 @@ class TiltResult:
     log_normalizer: np.ndarray
 
 
-def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -> np.ndarray:
+def conditional_expectation_values(
+    values: np.ndarray, kernel: FactoredKernel, by_class: bool = False
+) -> np.ndarray:
     """Average ``values`` over the exogenous next coordinate.
 
     Returns the ``(d, d_u)`` matrix with entry ``(x, x_u')`` equal to
-    ``sum_{x_n'} Q0(x, x_n') values(x_u', x_n')``.
+    ``sum_{x_n'} Q0(x, x_n') values(x_u', x_n')``, or with ``by_class`` its
+    ``(K, d_u)`` rows of the ``K`` row classes.  Each class row is computed
+    once and gathered to its states, so states of one class get equal rows;
+    BLAS would not promise that of one product over all ``d`` rows, whose
+    edge tiles round differently.
     """
     space = kernel.space
     if values.size != space.d:
         raise ValueError(f"value vector has length {values.size}, expected {space.d}")
-    # out(x, x_u') = sum_n Q0(x, n) * values[(x_u', n)]
+    # out(c, x_u') = sum_n Q0(c, n) * values[(x_u', n)]
     H = values.reshape(space.d_u, space.d_n)
-    return kernel.Q0.entries @ H.T
+    g = kernel.class_Q0 @ H.T
+    return g if by_class else g[kernel.row_class]
 
 
-def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted rule entries and log-normalizer, on raw arrays (hot path)."""
-    g = conditional_expectation_values(values, kernel)
-    support = kernel.support
+def _tilt_values(
+    values: np.ndarray, kernel: FactoredKernel, normalize: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted rule entries and log-normalizer, on raw arrays (hot path).
+
+    The conditional expectation, its maximum over the support and the
+    exponential are formed on the row classes, which share one support, and
+    gathered to the states; the weighting by ``R0`` and the row sums are per
+    state.  Without ``normalize`` the first array holds the unnormalized
+    weights ``R0 exp(g - max g)``, and :func:`_normalize_rule` turns them
+    into the rule where it is needed.
+    """
+    g = conditional_expectation_values(values, kernel, by_class=True)
+    support = kernel.class_support
     m = np.max(g, axis=1, where=support, initial=-np.inf)
     g -= m[:, None]
-    np.exp(g, out=g, where=support)
-    g *= kernel.R.entries
-    # off the support g * 0 may be -0.0; the rule there is +0.0
-    np.copyto(g, 0.0, where=~support)
-    s = g.sum(axis=1)
-    g /= s[:, None]
-    return g, np.log(s) + m
+    # off the support the weight is +0.0: R0 is +0.0 there, and so is this
+    e = np.exp(g, out=np.zeros_like(g), where=support)
+    t = e[kernel.row_class]
+    t *= kernel.R.entries
+    s = t.sum(axis=1)
+    lam = np.log(s) + m[kernel.row_class]
+    if normalize:
+        t /= s[:, None]
+    return t, lam
+
+
+def _normalize_rule(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The decision rule of unnormalized tilt weights: each row over its sum.
+
+    Written to ``out`` if given (``weights`` itself normalizes in place).
+    Bit-identical to the rule :func:`_tilt_values` normalizes itself.
+    """
+    return np.divide(weights, weights.sum(axis=1)[:, None], out=out)
 
 
 def tilt(h: np.ndarray, kernel: FactoredKernel) -> TiltResult:

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_solvers import BorderedLU, poisson_solve, recurrent_class
+from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
-from .kl_calculus import _tilt_values, conditional_expectation_values
+from .kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
 from .state_space import (
     FactoredKernel,
     StochasticMatrix,
@@ -149,21 +149,6 @@ def _snap_checkpoints(cfg: OdeConfig, grid: np.ndarray) -> tuple[dict[int, float
     return by_node, snapped
 
 
-def ar_vector_field(
-    h: np.ndarray, model: FactoredKernel, utility: np.ndarray, basepoint: int
-) -> tuple[np.ndarray, float]:
-    """Average-reward vector field ``(dh/dzeta, deta/dzeta)`` at ``h``.
-
-    These are the Poisson solution of the chain tilted by ``h``, pinned at the
-    basepoint, and that chain's mean utility.  Works on raw arrays and skips
-    the structure check, which the caller makes once on the nominal chain.
-    """
-    rule, _ = _tilt_values(h, model)
-    P_h = induced_transition_values(rule, model.Q0.entries)
-    analysis = poisson_solve(P_h, utility, basepoint, check_structure=False)
-    return analysis.poisson_solution, analysis.mean_reward
-
-
 def _extrapolation_weights(nodes: np.ndarray, z: float) -> np.ndarray:
     """Lagrange weights at ``z`` of the trailing nodes, one row per order.
 
@@ -248,8 +233,11 @@ def solve_average_reward(
     residual of a fixed-point map, and its steps are Anderson-mixed with up
     to ``ANDERSON_DEPTH`` earlier ones on the same LU; the mixing history is
     cleared at each node, refactorization and undo.  Each iterate is tilted
-    once, for its defect and ``R_h``, and each correction is one triangular
-    solve.  Where a correction does not cut the residual by ``CHORD_RHO``,
+    once, on the kernel's row classes, and each correction is one triangular
+    solve.  A step needs only the log-normalizer ``Lambda_h`` of the tilt, so
+    the rule ``R_h`` is normalized only where it is used: for each
+    factorization (the ``zeta = 0`` tangent's included) and each checkpoint.
+    Where a correction does not cut the residual by ``CHORD_RHO``,
     the matrix is refactored at the current iterate, so that step is a full
     Newton step (Shamanskii); where a chord step does not lower the residual
     at all, it is undone and the full Newton step is taken from where it
@@ -318,7 +306,7 @@ def solve_average_reward(
         mixing: list[tuple[np.ndarray, np.ndarray]] = []
         for it in range(NEWTON_MAX_ITER + 1):
             h, eta = x[:d], float(x[d])
-            rule, lam = _tilt_values(h, model)
+            weights, lam = _tilt_values(h, model, normalize=False)
             defect = zeta * U + lam - h - eta
             res = float(np.max(np.abs(defect)))
             if not np.isfinite(res):
@@ -329,17 +317,18 @@ def solve_average_reward(
                 break
             refactor = res > CHORD_RHO * start_res
             if refactor and res >= start_res and not start_factored:
-                (x, rule, defect), res = start, start_res  # undo a chord step that did not help
+                (x, weights, defect), res = start, start_res  # undo a chord step that did not help
             if refactor:
                 lu = None  # at most one factorization alive
-                lu = factor(rule, zeta)
+                # in place: an undo never returns to an iterate that was factored
+                lu = factor(_normalize_rule(weights, out=weights), zeta)
                 factorizations[i] += 1
                 mixing.clear()
-            start, start_res, start_factored = (x, rule, defect), res, refactor
+            start, start_res, start_factored = (x, weights, defect), res, refactor
             x = _anderson_step(mixing, x, solve(lu, defect, zeta))
             newton_steps[i] += 1
-        if i == 0:
-            lu = factor(rule, zeta)
+        if i == 0:  # on a copy: the checkpoint normalizes these weights in place
+            lu = factor(_normalize_rule(weights), zeta)
             factorizations[i] += 1
             tangent = solve(lu, U, zeta)
         if not res <= cfg.residual_tol:
@@ -356,7 +345,8 @@ def solve_average_reward(
                     zeta=zeta,
                     h=ValueFunction(h, basepoint),
                     eta=eta,
-                    tilted_rule=StochasticMatrix(rule),
+                    # in place: a node's last weights are factored only at zeta = 0, on a copy
+                    tilted_rule=StochasticMatrix(_normalize_rule(weights, out=weights)),
                     Q0=model.Q0,
                     aroe_residual_sup=res,
                 )
@@ -393,7 +383,7 @@ def aroe_fixed_point_oracle(
     h = np.zeros(model.space.d)
     eta = 0.0
     for _ in range(max_iter):
-        _, lam = _tilt_values(h, model)
+        _, lam = _tilt_values(h, model, normalize=False)
         t = zeta * U + lam
         eta = t[basepoint]
         h_new = (1.0 - damping) * h + damping * (t - eta)

@@ -6,7 +6,9 @@ chosen through a randomized decision rule ``R``) and an exogenous coordinate
 is the product ``P(x, (x_u', x_n')) = R(x, x_u') * Q0(x, x_n')``.
 
 States are enumerated row-major over ``(x_u, x_n)``, so the exogenous
-coordinate is the fast axis.
+coordinate is the fast axis.  The kernel groups states into row classes that
+share their ``Q0`` row and the support of their ``R`` row; the tilt forms its
+conditional expectation and exponent once per class.
 """
 
 from __future__ import annotations
@@ -82,12 +84,24 @@ class FactoredKernel:
     ``R`` has shape ``(d, d_u)`` and ``Q0`` shape ``(d, d_n)``; both are
     row-indexed by the full flat state.  ``support`` is the read-only mask
     ``R > 0``, computed once: the tilt reweights only those entries.
+
+    A state enters the tilt's conditional expectation only through its
+    ``Q0`` row, and its exponent only through its support, so states that
+    share both form one row class.  ``row_class`` maps each state to its
+    class, numbered in order of first appearance; ``class_Q0`` and
+    ``class_support`` hold the ``Q0`` row and support of each class.  All are
+    read-only and computed once.  The UAV model has ``2 d_N`` classes, one
+    per wind state off the target and one per wind state on it (6 for 192
+    states at 8x8x3); a Dirichlet ``Q0`` has one class per state.
     """
 
     space: ProductStateSpace
     R: StochasticMatrix
     Q0: StochasticMatrix
     support: np.ndarray = field(init=False, repr=False, compare=False)
+    row_class: np.ndarray = field(init=False, repr=False, compare=False)
+    class_Q0: np.ndarray = field(init=False, repr=False, compare=False)
+    class_support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.space.d
@@ -96,8 +110,23 @@ class FactoredKernel:
         if self.Q0.rows != d or self.Q0.cols != self.space.d_n:
             raise ValueError(f"Q0 has shape {self.Q0.entries.shape}, expected ({d}, {self.space.d_n})")
         support = self.R.entries > 0
-        support.setflags(write=False)
-        object.__setattr__(self, "support", support)
+        # each state's class is found by the bytes of its two rows: a dict
+        # stays flat in memory where a row-wise np.unique sorts copies of both
+        first: dict[bytes, int] = {}  # class key -> its first state
+        firsts = [
+            first.setdefault(q.tobytes() + s.tobytes(), x)
+            for x, (q, s) in enumerate(zip(self.Q0.entries, support))
+        ]
+        reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))  # ascending
+        row_class = np.searchsorted(reps, firsts)
+        for name, value in (
+            ("support", support),
+            ("row_class", row_class),
+            ("class_Q0", self.Q0.entries[reps]),
+            ("class_support", support[reps]),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import argparse
 import json
+import platform
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from klmdp.cli import (
     _OutputTracker,
@@ -171,6 +173,38 @@ class TestSolveAr:
         for csv_path in out.glob("*.csv"):  # the CSVs stay byte-reproducible
             header = csv_path.read_text().splitlines()[0]
             assert "newton" not in header and "factorization" not in header and "predictor" not in header
+
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch, verb):
+        # CSV bytes repeat only under the same versions and BLAS threads, so
+        # the manifest records them; the CSVs themselves do not change
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg_path = write_config(tmp_path, small_uav_config(zeta_max=0.1, checkpoints=(0.0, 0.1)))
+        out = tmp_path / "run"
+        assert main(verb + ["--config", cfg_path, "--out", str(out)]) == 0
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "OMP_NUM_THREADS": None,
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        headers = {
+            "values": "state_index,x_u,x_n,h,cost_to_go",
+            "policy": "state_index,next_u_index,probability",
+            "eigenvalues": "real,imag",
+            "velocity": "i,j,n,v_lat,v_lon",
+            "eta": "zeta,eta,aroe_residual_sup",
+            "fh_values": "k,state_index,W",
+            "fh_policy": "state_index,next_u_index,probability",
+        }
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert len(names) == (9 if verb[0] == "solve-ar" else 4)
+        for name in names:
+            kind = name.split("_zeta")[0].removesuffix(".csv")
+            assert (out / name).read_text().splitlines()[0] == headers[kind]
 
     @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
     def test_manifest_warns_of_each_snapped_checkpoint(self, tmp_path, verb):

@@ -13,7 +13,7 @@ from klmdp import (
     kl_step_cost,
     tilt,
 )
-from klmdp.kl_calculus import _tilt_values, conditional_expectation_values
+from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import random_factored_model, random_utility
@@ -41,6 +41,70 @@ class TestConditionalExpectation:
         kernel = simple_kernel()
         out = conditional_expectation_values(np.array([1.0, 2.0, 3.0, 4.0]), kernel)
         np.testing.assert_allclose(out[0], [0.3 * 1 + 0.7 * 2, 0.3 * 3 + 0.7 * 4])
+
+    def test_rows_gathered_from_the_classes(self, rng):
+        # one product over the class rows; each state gets its class's row
+        scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+        kernel, _ = build_scenario_model(scenario)
+        values = 10.0 * rng.standard_normal(kernel.space.d)
+        by_class = conditional_expectation_values(values, kernel, by_class=True)
+        assert by_class.shape == (6, kernel.space.d_u)
+        out = conditional_expectation_values(values, kernel)
+        np.testing.assert_array_equal(out, by_class[kernel.row_class])
+        direct = kernel.Q0.entries @ values.reshape(kernel.space.d_u, kernel.space.d_n).T
+        np.testing.assert_allclose(out, direct, rtol=1e-14, atol=1e-14)
+
+
+def tiled_kernel(rng, d_u, d_n, distinct_rows):
+    """Kernel whose ``Q0`` repeats ``distinct_rows`` rows and whose ``R0`` has zeros,
+    so that states share a ``Q0`` row but not always a support."""
+    d = d_u * d_n
+    Q0 = rng.dirichlet(np.ones(d_n), size=distinct_rows)[rng.integers(0, distinct_rows, size=d)]
+    R0 = rng.uniform(0.05, 1.0, size=(d, d_u)) * (rng.random((d, d_u)) < 0.6)
+    R0[np.arange(d), rng.integers(0, d_u, size=d)] = rng.uniform(0.05, 1.0, size=d)
+    return FactoredKernel(
+        ProductStateSpace(d_u, d_n),
+        StochasticMatrix(R0 / R0.sum(axis=1, keepdims=True)),
+        StochasticMatrix(Q0),
+    )
+
+
+class TestRowClasses:
+    """States that share their ``Q0`` row and their ``R0`` support form one class."""
+
+    def check_classes(self, kernel):
+        Q0, support = kernel.Q0.entries, kernel.support
+        np.testing.assert_array_equal(kernel.class_Q0[kernel.row_class], Q0)
+        np.testing.assert_array_equal(kernel.class_support[kernel.row_class], support)
+        K = kernel.class_Q0.shape[0]
+        # numbered in order of first appearance, and no two classes alike
+        firsts = [int(np.flatnonzero(kernel.row_class == c)[0]) for c in range(K)]
+        assert firsts == sorted(firsts)
+        keys = {Q0[x].tobytes() + support[x].tobytes() for x in firsts}
+        assert len(keys) == K
+        for name in ("row_class", "class_Q0", "class_support"):
+            assert not getattr(kernel, name).flags.writeable
+
+    def test_uav_has_two_classes_per_wind_state(self):
+        for d_a, d_o, d_N in ((8, 8, 3), (4, 4, 2)):
+            scenario = UavScenario(d_a=d_a, d_o=d_o, d_N=d_N, wind=generate_wind_field(d_a, d_o, d_N, seed=0))
+            kernel, _ = build_scenario_model(scenario)
+            self.check_classes(kernel)
+            # one class per wind state off the target, one per wind state on it
+            assert kernel.class_Q0.shape[0] == 2 * d_N
+            on_target = np.arange(kernel.space.d) // d_N == scenario.target_index
+            assert set(kernel.row_class[on_target]).isdisjoint(kernel.row_class[~on_target])
+
+    def test_dirichlet_q0_has_one_class_per_state(self, rng):
+        kernel = random_factored_model(rng, 4, 3)
+        self.check_classes(kernel)
+        np.testing.assert_array_equal(kernel.row_class, np.arange(kernel.space.d))
+
+    def test_shared_q0_rows_split_by_support(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            kernel = tiled_kernel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            self.check_classes(kernel)
 
 
 def unconstrained_kernel(R0):
@@ -142,7 +206,8 @@ def reference_tilt(values, kernel):
 
 
 class TestTiltInPlace:
-    """The production tilt works in place on the support mask cached on the kernel."""
+    """The production tilt works once per row class, in place on the class
+    supports cached on the kernel, and matches the reference bit for bit."""
 
     def check(self, values, kernel):
         rule, lam = _tilt_values(values, kernel)
@@ -172,6 +237,29 @@ class TestTiltInPlace:
         assert not np.all(kernel.support)  # the absorbing target row
         for scale in (0.0, 1.0, 40.0):
             self.check(scale * U + np.linspace(-1.0, 1.0, kernel.space.d), kernel)
+
+    def test_tiled_q0_rows_with_zeros_in_r0(self):
+        # rows of one Q0 row but different supports fall in different classes
+        rng = np.random.default_rng(11)
+        shared, split = 0, 0
+        for _ in range(200):
+            d_u, d_n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            kernel = tiled_kernel(rng, d_u, d_n, int(rng.integers(1, 3)))
+            K = kernel.class_Q0.shape[0]
+            shared += K < kernel.space.d
+            split += len({q.tobytes() for q in kernel.class_Q0}) < K
+            self.check(rng.choice([1.0, 30.0, 300.0]) * rng.standard_normal(kernel.space.d), kernel)
+        assert shared > 100 and split > 100
+
+    def test_unnormalized_weights_normalize_to_the_rule(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            kernel = tiled_kernel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), 2)
+            values = 30.0 * rng.standard_normal(kernel.space.d)
+            rule, lam = _tilt_values(values, kernel)
+            weights, lam_lazy = _tilt_values(values, kernel, normalize=False)
+            np.testing.assert_array_equal(lam_lazy, lam)
+            np.testing.assert_array_equal(_normalize_rule(weights), rule)
 
 
 class TestOptimalRule:

@@ -16,7 +16,6 @@ from klmdp import (
     ProductStateSpace,
     ResidualToleranceError,
     StochasticMatrix,
-    ar_vector_field,
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     generate_wind_field,
@@ -24,6 +23,7 @@ from klmdp import (
     poisson_solve,
     solve_average_reward,
     solve_finite_horizon,
+    tilt,
 )
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
@@ -37,6 +37,18 @@ from klmdp.uav_benchmark import UavScenario, build_scenario_model
 from conftest import random_factored_model, random_utility
 
 
+def ar_vector_field(h, model, utility, basepoint):
+    """Average-reward vector field ``(dh/dzeta, deta/dzeta)`` at ``h``: the
+    reference the continuation is checked against.
+
+    The Poisson solution of the chain tilted by ``h``, pinned at the
+    basepoint, and that chain's mean utility, from one dense Poisson solve.
+    """
+    P_h = induced_transition(FactoredKernel(model.space, tilt(h, model).tilted_rule, model.Q0))
+    analysis = poisson_solve(P_h, utility, basepoint)
+    return analysis.poisson_solution, analysis.mean_reward
+
+
 def unconstrained_two_state():
     sp = ProductStateSpace(2, 1)
     R0 = StochasticMatrix(np.full((2, 2), 0.5))
@@ -45,6 +57,8 @@ def unconstrained_two_state():
 
 
 class TestArVectorField:
+    """The reference vector field above, against hand and nominal solutions."""
+
     def test_constant_utility(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         H, eta = ar_vector_field(np.zeros(6), kernel, np.full(6, 2.0), 0)
@@ -165,6 +179,41 @@ class TestSolveAverageReward:
         assert calls["lu_factor"] == path.factorizations.sum()
         assert calls["lu_solve"] == path.newton_steps.sum() + 1
         assert path.factorizations.sum() < path.newton_steps.sum()
+
+    def test_rules_normalized_only_where_used(self, monkeypatch):
+        # Newton steps need only the log-normalizer: the rule is normalized for
+        # each factorization (the zeta = 0 tangent's included) and checkpoint
+        import klmdp.ode_engine as ode_engine
+
+        scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+        rng = np.random.default_rng(4)
+        # the random R0's row sums are off 1 in the last bits, so normalizing
+        # one rule twice would show in its checkpoint at zeta = 0
+        cases = [(*build_scenario_model(scenario), scenario.basepoint),
+                 (random_factored_model(rng, 4, 3), random_utility(rng, 12), 0)]
+        normalizations, normalized_tilts = [0], [0]
+        normalize_rule, tilt_values = ode_engine._normalize_rule, ode_engine._tilt_values
+
+        def counted_normalize(weights, out=None):
+            normalizations[0] += 1
+            return normalize_rule(weights, out=out)
+
+        def counted_tilt(values, model, normalize=True):
+            normalized_tilts[0] += normalize
+            return tilt_values(values, model, normalize)
+
+        monkeypatch.setattr(ode_engine, "_normalize_rule", counted_normalize)
+        monkeypatch.setattr(ode_engine, "_tilt_values", counted_tilt)
+        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.0, 0.25, 0.5))
+        for kernel, U, basepoint in cases:
+            normalizations[0] = normalized_tilts[0] = 0
+            path = solve_average_reward(kernel, U, cfg, basepoint)
+            assert normalized_tilts[0] == 0
+            assert normalizations[0] == path.factorizations.sum() + len(path.checkpoints)
+            assert normalizations[0] < path.newton_steps.sum() / 4
+            for cp in path.checkpoints:
+                rule = tilt_values(cp.h.values, kernel)[0]
+                np.testing.assert_array_equal(cp.tilted_rule.entries, rule)
 
     def test_chord_safeguard_matches_fixed_point_oracle(self):
         # chord steps on the LU of zeta = 0 diverge at zeta = 0.01 here unless a
