@@ -10,11 +10,8 @@ included for validation.
 __version__ = "0.1.0"
 
 from .chain_solvers import (
-    ChainAnalysis,
     PerronFrobeniusPair,
-    invariant_pmf,
     perron_frobenius_baseline,
-    poisson_solve,
     recurrent_class,
 )
 from .errors import (
@@ -24,12 +21,7 @@ from .errors import (
     NotUnichainError,
     ResidualToleranceError,
 )
-from .kl_calculus import (
-    TiltResult,
-    dv_rate,
-    kl_step_cost,
-    tilt,
-)
+from .kl_calculus import kl_step_cost
 from .ode_engine import (
     FiniteHorizonPath,
     OdeConfig,

@@ -1,8 +1,8 @@
 """Linear-algebraic solvers for finite Markov chains.
 
-Invariant pmf, the factored bordered Poisson system that the continuation
-keeps across Newton steps, and the Poisson equation solver built on it, plus
-the Perron-Frobenius baseline for the unconstrained (exogenous-free) model.
+The recurrent class of a chain, the factored bordered Poisson system that
+the continuation keeps across Newton steps, and the Perron-Frobenius baseline
+for the unconstrained (exogenous-free) model.
 
 Admissibility is unichain aperiodic: one recurrent class, possibly with
 transient states.  The bordered Poisson system stays nonsingular in that
@@ -24,20 +24,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
 from .state_space import StochasticMatrix
 
-INVARIANT_TOL = 1e-9
 POISSON_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Basepoint-normalized Poisson solution (read-only, zero at the basepoint) and mean reward.
-
-    For a ``(d, k)`` utility both carry one entry per column: ``(d, k)``
-    solutions and ``k`` means.
-    """
-
-    poisson_solution: np.ndarray
-    mean_reward: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,28 +78,6 @@ def _is_aperiodic(A: np.ndarray, members: np.ndarray) -> bool:
     return abs(g) == 1
 
 
-def invariant_pmf(P: StochasticMatrix) -> np.ndarray:
-    """Unique invariant pmf of a unichain aperiodic transition matrix.
-
-    Solves the balance equations directly (one equation replaced by the
-    normalization), rather than iterating.
-    """
-    A = P.entries
-    d = A.shape[0]
-    recurrent_class(P)
-    M = A.T - np.eye(d)
-    M[-1, :] = 1.0
-    b = np.zeros(d)
-    b[-1] = 1.0
-    pi = np.linalg.solve(M, b)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = np.linalg.norm(pi @ A - pi, 1)
-    if not residual <= INVARIANT_TOL:
-        raise ConvergenceError(f"invariant pmf residual {residual:.3e} exceeds {INVARIANT_TOL}")
-    return pi
-
-
 class BorderedLU:
     """LU factorization of the bordered Poisson matrix ``[I - P | 1]`` of one chain.
 
@@ -139,10 +104,10 @@ class BorderedLU:
         self._x0 = x0
         self._matvec = matvec
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-        """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``; per column for ``(d, k)``."""
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
         y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-        eta = float(y[self._x0]) if y.ndim == 1 else y[self._x0].copy()
+        eta = float(y[self._x0])
         y[self._x0] = 0.0
         if self._matvec is not None:
             residual = np.max(np.abs(self._matvec(y) - y + rhs - eta))
@@ -150,35 +115,6 @@ class BorderedLU:
                 raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
             self._matvec = None
         return y, eta
-
-
-def poisson_solve(
-    P: StochasticMatrix | np.ndarray,
-    utility: np.ndarray,
-    x0: int,
-    check_structure: bool = True,
-) -> ChainAnalysis:
-    """Solve Poisson's equation ``(I - P) H + eta 1 = U`` with ``H(x0) = 0``.
-
-    One certified solve on a :class:`BorderedLU`, so ``eta = pi(U)``.  The
-    residual check certifies ``H`` and ``eta`` together: no other constant
-    makes the equation solvable.  ``x0`` must lie in the recurrent class.
-
-    A ``(d, k)`` utility is ``k`` right-hand sides of the one factorization;
-    the residual check covers every column.
-    """
-    A = P.entries if isinstance(P, StochasticMatrix) else np.asarray(P)
-    d = A.shape[0]
-    U = np.asarray(utility, dtype=float)
-    if U.ndim not in (1, 2) or U.shape[0] != d:
-        raise ValueError(f"utility has shape {U.shape}, expected ({d},) or ({d}, k)")
-    if check_structure:
-        members = recurrent_class(A)
-        if x0 not in members:
-            raise ValueError(f"basepoint {x0} is transient; it must be in the recurrent class")
-    y, eta = BorderedLU(A, x0, A.__matmul__).solve(U)
-    y.setflags(write=False)
-    return ChainAnalysis(poisson_solution=y, mean_reward=eta)
 
 
 def perron_frobenius_baseline(

@@ -17,20 +17,10 @@ Callers that need only the log-normalizer skip the rule's normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AbsoluteContinuityError
 from .state_space import FactoredKernel, StochasticMatrix
-
-
-@dataclass(frozen=True)
-class TiltResult:
-    """Tilted decision rule together with its per-state log-normalizer."""
-
-    tilted_rule: StochasticMatrix
-    log_normalizer: np.ndarray
 
 
 def conditional_expectation_values(
@@ -57,7 +47,11 @@ def conditional_expectation_values(
 def _tilt_values(
     values: np.ndarray, kernel: FactoredKernel, normalize: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted rule entries and log-normalizer, on raw arrays (hot path).
+    """Exponentially tilt the nominal rule by the value vector ``h = values``.
+
+    Returns the rule ``R_h(x, x_u') = R0(x, x_u') exp(h(x_u'|x) - Lambda_h(x))``,
+    where ``h(x_u'|x)`` is the conditional expectation of ``h``, and the
+    log-normalizer ``Lambda_h``.  Rows are pmfs; zeros of ``R0`` are kept.
 
     The conditional expectation, its maximum over the support and the
     exponential are formed on the row classes, which share one support, and
@@ -90,16 +84,6 @@ def _normalize_rule(weights: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.divide(weights, weights.sum(axis=1)[:, None], out=out)
 
 
-def tilt(h: np.ndarray, kernel: FactoredKernel) -> TiltResult:
-    """Exponentially tilt the nominal rule by the conditional expectation of ``h``.
-
-    ``R_h(x, x_u') = R0(x, x_u') exp(h(x_u'|x) - Lambda_h(x))``.  Rows are
-    exact pmfs by construction; zeros of ``R0`` are preserved.
-    """
-    rule, lam = _tilt_values(np.asarray(h, dtype=float), kernel)
-    return TiltResult(StochasticMatrix(rule), lam)
-
-
 def kl_step_cost(rule: StochasticMatrix, R0: StochasticMatrix) -> np.ndarray:
     """Row-wise relative entropy ``D(rule(x,.) || R0(x,.))`` as a vector over states.
 
@@ -120,25 +104,3 @@ def kl_step_cost(rule: StochasticMatrix, R0: StochasticMatrix) -> np.ndarray:
         terms = np.where(r > 0, r * (np.log(np.where(r > 0, r, 1.0)) - np.log(np.where(r0 > 0, r0, 1.0))), 0.0)
     return terms.sum(axis=1)
 
-
-def dv_rate(P: StochasticMatrix, P0: StochasticMatrix, pi: np.ndarray) -> float:
-    """Relative entropy rate between the stationary chains of ``P`` and ``P0``.
-
-    ``pi`` must be the invariant pmf of ``P`` (verified to 1e-9 residual);
-    rows with zero invariant mass are ignored.
-    """
-    pi = np.asarray(pi, dtype=float)
-    A = P.entries
-    B = P0.entries
-    if np.linalg.norm(pi @ A - pi, 1) > 1e-9:
-        raise ValueError("supplied pmf is not invariant for P (residual above 1e-9)")
-    mass = pi > 0
-    bad = mass[:, None] & (A > 0) & (B == 0)
-    if np.any(bad):
-        x, xp = np.argwhere(bad)[0]
-        raise AbsoluteContinuityError(
-            f"P({x}, {xp}) = {A[x, xp]:g} > 0 on a recurrent row where P0 is zero"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(A > 0, A * (np.log(np.where(A > 0, A, 1.0)) - np.log(np.where(B > 0, B, 1.0))), 0.0)
-    return float(pi @ terms.sum(axis=1))

@@ -10,9 +10,8 @@ kept across Newton steps and grid nodes: each node is predicted by
 polynomial extrapolation through as many of the last converged nodes as
 predicted the previous node best, and corrected by Anderson-accelerated
 chord steps on the kept LU, refactored only where the residual stops
-contracting (Shamanskii).  Only ``zeta = 0`` is solved for its tangent
-``V``.  Finite horizon: each member of the family is explicit, so each
-checkpoint is computed exactly by the backward recursion.
+contracting (Shamanskii).  Finite horizon: each member of the family is
+explicit, so each checkpoint is computed exactly by the backward recursion.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -109,7 +108,7 @@ class ZetaSolutionPath:
     newton_steps: np.ndarray  # corrections solved per grid node
     factorizations: np.ndarray  # bordered matrices factored per grid node
     predictor_residual: np.ndarray  # residual of the predicted iterate, before any correction
-    predictor_nodes: np.ndarray  # converged nodes the prediction used (1: Euler on the tangent)
+    predictor_nodes: np.ndarray  # converged nodes the prediction used (1: the last node, constant)
     snapped: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -214,6 +213,15 @@ def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, 
     return step
 
 
+def _checked_utility(utility: np.ndarray, model: FactoredKernel) -> np.ndarray:
+    U = np.asarray(utility, dtype=float)
+    if U.size != model.space.d:
+        raise ValueError(f"utility has length {U.size}, expected {model.space.d}")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("utility has non-finite entries")
+    return U
+
+
 def solve_average_reward(
     model: FactoredKernel,
     utility: np.ndarray,
@@ -225,32 +233,30 @@ def solve_average_reward(
     Predictor-corrector continuation on ``x = (h, eta)``.  The predictor
     extrapolates through up to ``PREDICTOR_MAX_NODES`` of the last converged
     nodes, as many as best predicted the node converged last (see
-    :func:`_extrapolate`); the first node past ``zeta = 0`` takes an Euler
-    step along the tangent, which is solved for there alone.  The corrector
-    is Newton on ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with
-    the bordered matrix ``[I - P_h | 1]`` kept as one :class:`BorderedLU`
-    across steps and nodes (chord method).  The chord correction is the
-    residual of a fixed-point map, and its steps are Anderson-mixed with up
-    to ``ANDERSON_DEPTH`` earlier ones on the same LU; the mixing history is
-    cleared at each node, refactorization and undo.  Each iterate is tilted
-    once, on the kernel's row classes, and each correction is one triangular
-    solve.  A step needs only the log-normalizer ``Lambda_h`` of the tilt, so
-    the rule ``R_h`` is normalized only where it is used: for each
-    factorization (the ``zeta = 0`` tangent's included) and each checkpoint.
-    Where a correction does not cut the residual by ``CHORD_RHO``,
-    the matrix is refactored at the current iterate, so that step is a full
-    Newton step (Shamanskii); where a chord step does not lower the residual
-    at all, it is undone and the full Newton step is taken from where it
-    started.  A stale LU changes only the iteration path: the residual
+    :func:`_extrapolate`); the first node past ``zeta = 0`` starts from the
+    exact solution there, the constant predictor.  The corrector is Newton on
+    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with the bordered
+    matrix ``[I - P_h | 1]`` factored at the first correction and kept as one
+    :class:`BorderedLU` across steps and nodes (chord method).  The chord
+    correction is the residual of a fixed-point map, and its steps are
+    Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones on the same LU;
+    the mixing history is cleared at each node, refactorization and undo.
+    Each iterate is tilted once, on the kernel's row classes, and each
+    correction is one triangular solve.  A step needs only the log-normalizer
+    ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only where it
+    is used: for each factorization and each checkpoint.  Where a correction
+    does not cut the residual by ``CHORD_RHO``, the matrix is refactored at
+    the current iterate, so that step is a full Newton step (Shamanskii);
+    where a chord step does not lower the residual at all, it is undone and
+    the full Newton step is taken from where it started.  A stale LU changes
+    only the iteration path: the residual
     ``sup_x |zeta U + Lambda_h - h - eta|`` comes from the exact tilt, and is
     recorded and enforced at every grid node.
     """
-    U = np.asarray(utility, dtype=float)
+    U = _checked_utility(utility, model)
     d = model.space.d
-    if U.size != d:
-        raise ValueError(f"utility has length {U.size}, expected {d}")
-    if not np.all(np.isfinite(U)):
-        raise ValueError("utility has non-finite entries")
+    if not 0 <= basepoint < d:
+        raise ValueError(f"basepoint {basepoint} outside [0, {d})")
 
     # The tilt never changes the support pattern, so structure is checked once;
     # the nominal d x d chain is not kept past the check.
@@ -292,9 +298,7 @@ def solve_average_reward(
     lu = None
 
     for i, zeta in enumerate(grid.tolist()):
-        if i == 1:
-            x, predictor_nodes[i] = x + zeta * tangent, 1
-        elif i > 1:
+        if i > 0:
             x, predictor_nodes[i] = _extrapolate(
                 np.array([z for z, _ in converged]), np.array([xj for _, xj in converged]), zeta
             )
@@ -315,7 +319,7 @@ def solve_average_reward(
                 predictor_residual[i] = res
             if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
                 break
-            refactor = res > CHORD_RHO * start_res
+            refactor = lu is None or res > CHORD_RHO * start_res
             if refactor and res >= start_res and not start_factored:
                 (x, weights, defect), res = start, start_res  # undo a chord step that did not help
             if refactor:
@@ -327,10 +331,6 @@ def solve_average_reward(
             start, start_res, start_factored = (x, weights, defect), res, refactor
             x = _anderson_step(mixing, x, solve(lu, defect, zeta))
             newton_steps[i] += 1
-        if i == 0:  # on a copy: the checkpoint normalizes these weights in place
-            lu = factor(_normalize_rule(weights), zeta)
-            factorizations[i] += 1
-            tangent = solve(lu, U, zeta)
         if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
@@ -345,7 +345,7 @@ def solve_average_reward(
                     zeta=zeta,
                     h=ValueFunction(h, basepoint),
                     eta=eta,
-                    # in place: a node's last weights are factored only at zeta = 0, on a copy
+                    # in place: a node's last weights are never factored
                     tilted_rule=StochasticMatrix(_normalize_rule(weights, out=weights)),
                     Q0=model.Q0,
                     aroe_residual_sup=res,
@@ -450,9 +450,7 @@ def solve_finite_horizon(
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    U = np.asarray(utility, dtype=float)
-    if not np.all(np.isfinite(U)):
-        raise ValueError("utility has non-finite entries")
+    U = _checked_utility(utility, model)
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)

@@ -56,9 +56,14 @@ class StochasticMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+        row_sums = a.sum(axis=1)
+        # a non-finite entry makes its row's sum non-finite: only then are the entries scanned
+        if not np.all(np.isfinite(row_sums)) and not np.all(np.isfinite(a)):
+            x, y = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"non-finite entry {a[x, y]} at ({x}, {y}) in stochastic matrix")
         if np.any(a < 0):
             raise ValueError("negative entry in stochastic matrix")
-        row_err = np.abs(a.sum(axis=1) - 1.0)
+        row_err = np.abs(row_sums - 1.0)
         if np.any(row_err > ROW_SUM_TOL):
             worst = int(np.argmax(row_err))
             raise ValueError(

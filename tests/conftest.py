@@ -15,6 +15,15 @@ def random_factored_model(rng, d_u, d_n, min_mass=0.05):
     return FactoredKernel(space, StochasticMatrix(R), StochasticMatrix(Q0))
 
 
+def balance_pmf(P):
+    """Invariant pmf of a unichain chain from its balance equations, the last
+    replaced by the normalization: a reference independent of the solver."""
+    d = P.shape[0]
+    M = P.T - np.eye(d)
+    M[-1, :] = 1.0
+    return np.linalg.solve(M, np.eye(d)[-1])
+
+
 def random_utility(rng, d):
     return rng.uniform(-1.0, 1.0, size=d)
 

@@ -21,12 +21,12 @@ from klmdp import (
     generate_wind_field,
     induced_transition,
     perron_frobenius_baseline,
-    poisson_solve,
     rollout_oracle,
     solve_average_reward,
     solve_finite_horizon,
     velocity_field,
 )
+from klmdp.chain_solvers import BorderedLU
 
 from conftest import random_factored_model, random_utility
 
@@ -154,9 +154,9 @@ def test_criterion_6_residuals_at_checkpoints(uav_sweep):
     worst_poisson, worst_aroe = 0.0, 0.0
     for run, U, x0 in runs:
         for cp in run.checkpoints:
-            out = poisson_solve(cp.controlled_P, U, x0)
-            H = out.poisson_solution
-            res = cp.controlled_P.entries @ H - H + U - out.mean_reward
+            P = cp.controlled_P.entries
+            H, eta = BorderedLU(P, x0, P.__matmul__).solve(U)
+            res = P @ H - H + U - eta
             worst_poisson = max(worst_poisson, float(np.max(np.abs(res))))
             worst_aroe = max(worst_aroe, cp.aroe_residual_sup)
     ok = worst_poisson <= 1e-6 and worst_aroe <= 1e-6

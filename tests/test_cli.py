@@ -117,6 +117,20 @@ class TestConfigErrors:
         assert "error:" in err and "'max_move'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]])
+    @pytest.mark.parametrize("key, value, message", [
+        # Python's json reads NaN
+        ("R0", [[float("nan"), 1.0]] + [[0.5, 0.5]] * 3, "non-finite entry nan at (0, 0)"),
+        ("utility", [1.0], "utility has length 1, expected 4"),
+    ], ids=["nan-in-R0", "short-utility"])
+    def test_invalid_model_is_a_clean_error(self, tmp_path, capsys, verb, key, value, message):
+        cfg = explicit_config()
+        cfg["model"][key] = value
+        out = tmp_path / "run"
+        assert main(verb + ["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())  # no files written
+
 
 class TestGenScenario:
     def test_roundtrips_through_loader(self, tmp_path):
@@ -159,7 +173,7 @@ class TestSolveAr:
         assert all(len(counts) == 51 for counts in per_node.values())
         assert sum(per_node["newton_steps"]) == trace["newton_steps_total"]
         assert sum(per_node["factorizations"]) == trace["factorizations"]
-        # the exact start, one Euler step on the tangent, then extrapolation
+        # the exact start, the constant predictor from it, then extrapolation
         # through 2 ... PREDICTOR_MAX_NODES converged nodes
         nodes = per_node["predictor_nodes"]
         assert nodes[:3] == [0, 1, 2] and all(2 <= n <= PREDICTOR_MAX_NODES for n in nodes[2:])

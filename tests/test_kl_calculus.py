@@ -7,11 +7,8 @@ from klmdp import (
     ProductStateSpace,
     StochasticMatrix,
     ValueFunction,
-    dv_rate,
     induced_transition,
-    invariant_pmf,
     kl_step_cost,
-    tilt,
 )
 from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
@@ -116,81 +113,81 @@ def unconstrained_kernel(R0):
 
 
 class TestLogNormalizer:
-    """``tilt(h, kernel).log_normalizer``, the per-state log moment generating
+    """The tilt's log-normalizer ``Lambda_h``, the per-state log moment generating
     function of ``h`` under ``R0``, read on ``d_n = 1`` kernels."""
 
     def test_zero(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = tilt(np.zeros(2), kernel).log_normalizer
+        _, lam = _tilt_values(np.zeros(2), kernel)
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_rows(self, rng):
         kernel = random_factored_model(rng, 4, 1)
-        lam = tilt(np.full(4, -3.7), kernel).log_normalizer
+        _, lam = _tilt_values(np.full(4, -3.7), kernel)
         np.testing.assert_allclose(lam, -3.7, atol=1e-13)
 
     def test_hand_value(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = tilt(np.array([0.0, np.log(3.0)]), kernel).log_normalizer
+        _, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
         np.testing.assert_allclose(lam, np.log(2.0))
 
     def test_overflow_safe(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = tilt(np.array([1000.0, 2000.0]), kernel).log_normalizer
+        _, lam = _tilt_values(np.array([1000.0, 2000.0]), kernel)
         np.testing.assert_allclose(lam, 2000.0 + np.log(0.5))
 
     def test_zero_support_ignored(self):
         kernel = unconstrained_kernel([[1.0, 0.0]])
-        lam = tilt(np.array([2.0, 1e9]), kernel).log_normalizer
+        _, lam = _tilt_values(np.array([2.0, 1e9]), kernel)
         np.testing.assert_allclose(lam, 2.0)
 
 
 class TestTilt:
     def test_identity_at_zero(self):
         kernel = simple_kernel()
-        out = tilt(np.zeros(4), kernel)
-        np.testing.assert_allclose(out.tilted_rule.entries, kernel.R.entries, atol=1e-15)
-        np.testing.assert_allclose(out.log_normalizer, 0.0, atol=1e-15)
+        rule, lam = _tilt_values(np.zeros(4), kernel)
+        np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-15)
+        np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_shift_cancels(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        out = tilt(np.full(6, 4.2), kernel)
-        np.testing.assert_allclose(out.tilted_rule.entries, kernel.R.entries, atol=1e-13)
+        rule, _ = _tilt_values(np.full(6, 4.2), kernel)
+        np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-13)
 
     def test_hand_value(self):
         sp = ProductStateSpace(2, 1)
         R0 = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        out = tilt(np.array([0.0, np.log(3.0)]), kernel)
-        np.testing.assert_allclose(out.tilted_rule.entries[0], [0.25, 0.75])
-        np.testing.assert_allclose(out.log_normalizer[0], np.log(2.0))
+        rule, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
+        np.testing.assert_allclose(rule[0], [0.25, 0.75])
+        np.testing.assert_allclose(lam[0], np.log(2.0))
 
     def test_shift_invariance(self, rng):
         kernel = random_factored_model(rng, 4, 3)
         h = random_utility(rng, 12)
-        a = tilt(h, kernel)
-        b = tilt(h + 17.3, kernel)
-        np.testing.assert_allclose(a.tilted_rule.entries, b.tilted_rule.entries, atol=1e-14)
-        np.testing.assert_allclose(b.log_normalizer - a.log_normalizer, 17.3, atol=1e-12)
+        rule_a, lam_a = _tilt_values(h, kernel)
+        rule_b, lam_b = _tilt_values(h + 17.3, kernel)
+        np.testing.assert_allclose(rule_a, rule_b, atol=1e-14)
+        np.testing.assert_allclose(lam_b - lam_a, 17.3, atol=1e-12)
 
     def test_support_preserved(self):
         sp = ProductStateSpace(3, 1)
         R0 = StochasticMatrix(np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]]))
         Q0 = StochasticMatrix(np.ones((3, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        out = tilt(np.array([5.0, -2.0, 9.0]), kernel)
-        assert np.all(out.tilted_rule.entries[R0.entries == 0] == 0.0)
+        rule, _ = _tilt_values(np.array([5.0, -2.0, 9.0]), kernel)
+        assert np.all(rule[R0.entries == 0] == 0.0)
 
     def test_legendre_duality_identity(self, rng):
         # KL cost of the tilted rule equals mean tilt minus log-normalizer
         for _ in range(10):
             kernel = random_factored_model(rng, 4, 3)
             h = 3.0 * random_utility(rng, 12)
-            out = tilt(h, kernel)
+            rule, lam = _tilt_values(h, kernel)
             g = conditional_expectation_values(h, kernel)
-            kl = kl_step_cost(out.tilted_rule, kernel.R)
-            expected = (out.tilted_rule.entries * g).sum(axis=1) - out.log_normalizer
+            kl = kl_step_cost(StochasticMatrix(rule), kernel.R)
+            expected = (rule * g).sum(axis=1) - lam
             np.testing.assert_allclose(kl, expected, atol=1e-10)
 
 
@@ -265,26 +262,26 @@ class TestTiltInPlace:
 class TestOptimalRule:
     def test_flat_continuation(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        out = tilt(np.zeros(6), kernel)
-        np.testing.assert_allclose(out.tilted_rule.entries, kernel.R.entries, atol=1e-14)
+        rule, _ = _tilt_values(np.zeros(6), kernel)
+        np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-14)
 
     def test_two_state_gibbs(self):
         sp = ProductStateSpace(2, 1)
         R0 = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        out = tilt(np.array([0.0, 1.0]), kernel)
+        rule, _ = _tilt_values(np.array([0.0, 1.0]), kernel)
         e = np.e
-        np.testing.assert_allclose(out.tilted_rule.entries[0], [1 / (1 + e), e / (1 + e)])
+        np.testing.assert_allclose(rule[0], [1 / (1 + e), e / (1 + e)])
 
     def test_gibbs_variational_bound(self, rng):
         # no feasible rule beats the tilted one on reward plus continuation
         kernel = random_factored_model(rng, 3, 2)
         W = 2.0 * random_utility(rng, 6)
         g = conditional_expectation_values(W, kernel)
-        best = tilt(W, kernel)
-        best_value = (best.tilted_rule.entries * g).sum(axis=1) - kl_step_cost(best.tilted_rule, kernel.R)
-        np.testing.assert_allclose(best_value, best.log_normalizer, atol=1e-12)
+        best, lam = _tilt_values(W, kernel)
+        best_value = (best * g).sum(axis=1) - kl_step_cost(StochasticMatrix(best), kernel.R)
+        np.testing.assert_allclose(best_value, lam, atol=1e-12)
         for _ in range(100):
             R = StochasticMatrix(rng.dirichlet(np.ones(3), size=6))
             value = (R.entries * g).sum(axis=1) - kl_step_cost(R, kernel.R)
@@ -317,33 +314,9 @@ class TestKlStepCost:
     def test_r_form_equals_p_form(self, rng):
         # divergence over full transition rows reduces to the rule rows
         kernel = random_factored_model(rng, 3, 3)
-        out = tilt(random_utility(rng, 9), kernel)
-        ruled = FactoredKernel(kernel.space, out.tilted_rule, kernel.Q0)
+        rule, _ = _tilt_values(random_utility(rng, 9), kernel)
+        ruled = FactoredKernel(kernel.space, StochasticMatrix(rule), kernel.Q0)
         P = induced_transition(ruled).entries
         P0 = induced_transition(kernel).entries
         p_form = (P * np.log(P / P0)).sum(axis=1)
-        np.testing.assert_allclose(p_form, kl_step_cost(out.tilted_rule, kernel.R), atol=1e-12)
-
-
-class TestDvRate:
-    def test_zero_at_nominal(self, rng):
-        kernel = random_factored_model(rng, 3, 2)
-        P = induced_transition(kernel)
-        pi = invariant_pmf(P)
-        assert dv_rate(P, P, pi) == pytest.approx(0.0, abs=1e-14)
-
-    def test_support_convention(self):
-        P = StochasticMatrix(np.eye(2))
-        P0 = StochasticMatrix(np.full((2, 2), 0.5))
-        assert dv_rate(P, P0, np.array([1.0, 0.0])) == pytest.approx(np.log(2.0))
-
-    def test_transient_rows_ignored(self):
-        # state 0 is transient under pi; its row may differ freely
-        P = StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        P0 = StochasticMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
-        assert dv_rate(P, P0, np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-    def test_rejects_non_invariant_pmf(self):
-        P = StochasticMatrix(np.full((2, 2), 0.5))
-        with pytest.raises(ValueError):
-            dv_rate(P, P, np.array([0.9, 0.1]))
+        np.testing.assert_allclose(p_form, kl_step_cost(StochasticMatrix(rule), kernel.R), atol=1e-12)

@@ -20,11 +20,11 @@ from klmdp import (
     fh_block_ode_oracle,
     generate_wind_field,
     induced_transition,
-    poisson_solve,
     solve_average_reward,
     solve_finite_horizon,
-    tilt,
 )
+from klmdp.chain_solvers import BorderedLU
+from klmdp.kl_calculus import _tilt_values
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
     PREDICTOR_MAX_NODES,
@@ -44,9 +44,9 @@ def ar_vector_field(h, model, utility, basepoint):
     The Poisson solution of the chain tilted by ``h``, pinned at the
     basepoint, and that chain's mean utility, from one dense Poisson solve.
     """
-    P_h = induced_transition(FactoredKernel(model.space, tilt(h, model).tilted_rule, model.Q0))
-    analysis = poisson_solve(P_h, utility, basepoint)
-    return analysis.poisson_solution, analysis.mean_reward
+    rule = StochasticMatrix(_tilt_values(h, model)[0])
+    P_h = induced_transition(FactoredKernel(model.space, rule, model.Q0)).entries
+    return BorderedLU(P_h, basepoint, P_h.__matmul__).solve(utility)
 
 
 def unconstrained_two_state():
@@ -69,9 +69,10 @@ class TestArVectorField:
         kernel = random_factored_model(rng, 3, 2)
         U = random_utility(rng, 6)
         H, eta = ar_vector_field(np.zeros(6), kernel, U, 1)
-        expected = poisson_solve(induced_transition(kernel), U, 1)
-        np.testing.assert_allclose(H, expected.poisson_solution, atol=1e-12)
-        assert eta == pytest.approx(expected.mean_reward, abs=1e-12)
+        P0 = induced_transition(kernel).entries
+        expected_H, expected_eta = BorderedLU(P0, 1, P0.__matmul__).solve(U)
+        np.testing.assert_allclose(H, expected_H, atol=1e-12)
+        assert eta == pytest.approx(expected_eta, abs=1e-12)
 
     def test_two_state_hand_solve(self):
         kernel = unconstrained_two_state()
@@ -146,15 +147,31 @@ class TestSolveAverageReward:
         lambda kernel, U: solve_average_reward(kernel, U, OdeConfig(zeta_max=0.1)),
         lambda kernel, U: solve_finite_horizon(kernel, U, 2, OdeConfig(zeta_max=0.1)),
     ], ids=["average-reward", "finite-horizon"])
-    def test_non_finite_utility_rejected(self, rng, solve):
+    @pytest.mark.parametrize("utility, message", [
+        ([np.nan, 0.0], "non-finite"),
+        ([1.0], "utility has length 1, expected 2"),  # would broadcast over the d = 2 states
+    ], ids=["non-finite", "wrong-length"])
+    def test_bad_utility_rejected(self, rng, solve, utility, message):
         kernel = random_factored_model(rng, 2, 1)
-        with pytest.raises(ValueError, match="non-finite"):
-            solve(kernel, np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            solve(kernel, np.array(utility))
+
+    def test_basepoint_must_be_a_recurrent_state(self):
+        # state 0 leaks into the recurrent pair {1, 2}
+        R0 = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.0, 0.4, 0.6]])
+        kernel = FactoredKernel(ProductStateSpace(3, 1), StochasticMatrix(R0), StochasticMatrix(np.ones((3, 1))))
+        U, cfg = np.arange(3.0), OdeConfig(zeta_max=0.1)
+        with pytest.raises(ValueError, match="basepoint 0 is transient"):
+            solve_average_reward(kernel, U, cfg, basepoint=0)
+        for basepoint in (3, 5, -1):
+            with pytest.raises(ValueError, match=rf"^basepoint {basepoint} outside \[0, 3\)$"):
+                solve_average_reward(kernel, U, cfg, basepoint=basepoint)
+        assert solve_average_reward(kernel, U, cfg, basepoint=1).checkpoints[-1].h.values[1] == 0.0
 
     def test_trace_counts_every_factorization_and_solve(self, monkeypatch):
         # the LU is kept across Newton steps and nodes: each correction is one
-        # triangular solve, zeta = 0 adds one for its tangent, and refactoring
-        # is rare
+        # triangular solve, the first correction factors the first LU, and
+        # refactoring is rare
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
         kernel, U = build_scenario_model(scenario)
         calls = {"lu_factor": 0, "lu_solve": 0}
@@ -174,15 +191,20 @@ class TestSolveAverageReward:
         path = solve_average_reward(kernel, U, OdeConfig(zeta_max=0.5, step=0.01), scenario.basepoint)
         for counts in (path.newton_steps, path.factorizations):
             assert counts.shape == path.grid.shape and counts.dtype.kind == "i"
-        assert path.newton_steps[0] == 0 and path.factorizations[0] == 1
+        assert path.newton_steps[0] == 0 and path.factorizations[0] == 0
+        assert path.factorizations[1] >= 1  # no LU is kept before the first correction
         assert path.newton_steps.sum() >= path.grid.size - 1
         assert calls["lu_factor"] == path.factorizations.sum()
-        assert calls["lu_solve"] == path.newton_steps.sum() + 1
+        assert calls["lu_solve"] == path.newton_steps.sum()
         assert path.factorizations.sum() < path.newton_steps.sum()
+        # node 1 starts from the exact h = 0, eta = 0 of node 0: its residual
+        # is zeta U plus the log of R0's row sums, which are 1 to rounding
+        assert path.predictor_nodes[1] == 1
+        assert path.predictor_residual[1] <= path.grid[1] * np.max(np.abs(U)) + 1e-15
 
     def test_rules_normalized_only_where_used(self, monkeypatch):
         # Newton steps need only the log-normalizer: the rule is normalized for
-        # each factorization (the zeta = 0 tangent's included) and checkpoint
+        # each factorization and each checkpoint
         import klmdp.ode_engine as ode_engine
 
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))

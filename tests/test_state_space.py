@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ def test_stochastic_matrix_validation():
     m = StochasticMatrix(np.array([[0.25, 0.75]]))
     assert m.rows == 1 and m.cols == 2
     assert not m.entries.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stochastic_matrix_rejects_non_finite_entries(bad):
+    a = np.full((3, 2), 0.5)
+    a[1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape(f"non-finite entry {bad} at (1, 0)")):
+        StochasticMatrix(a)
 
 
 def test_value_function_pinned():

@@ -3,6 +3,7 @@ import pytest
 
 from klmdp import (
     OdeConfig,
+    StochasticMatrix,
     UavScenario,
     WindField,
     build_nominal_rule,
@@ -15,9 +16,9 @@ from klmdp import (
     recurrent_class,
     rollout_oracle,
     solve_average_reward,
-    tilt,
     velocity_field,
 )
+from klmdp.kl_calculus import _tilt_values
 
 
 def small_scenario(d_a=4, d_o=4, d_N=2, seed=0, **kw):
@@ -246,7 +247,7 @@ class TestRolloutOracle:
     def test_seed_determinism(self):
         sc = small_scenario()
         model, utility = build_scenario_model(sc)
-        rule = tilt(np.zeros(model.space.d), model).tilted_rule
+        rule = StochasticMatrix(_tilt_values(np.zeros(model.space.d), model)[0])
         a = rollout_oracle(model, rule, sc, 0.5, start=0, trials=30, horizon_cap=500, seed=9)
         b = rollout_oracle(model, rule, sc, 0.5, start=0, trials=30, horizon_cap=500, seed=9)
         assert a.mean == b.mean and a.half_width_95 == b.half_width_95
