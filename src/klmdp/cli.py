@@ -27,7 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chain_solvers import perron_frobenius_baseline, recurrent_class
+from .chain_solvers import perron_frobenius_baseline
+from .errors import NotAperiodicError, NotUnichainError
 from .ode_engine import (
     OdeConfig,
     ZetaSolutionPath,
@@ -307,16 +308,10 @@ def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
 
 
 def cmd_validate(args) -> int:
-    try:
-        loaded = load_config(args.config)
-        loaded = _apply_overrides(loaded, args)
-        recurrent_class(induced_transition(loaded.kernel))
-    except Exception as exc:
-        print(f"FAIL structure: {exc}")
-        return 1
-
     rows: list[tuple[str, float, float]] = []
     try:
+        loaded = _apply_overrides(load_config(args.config), args)
+        # the solver checks the chain's structure before its first step
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
 
         def check_cp(cp):
@@ -366,6 +361,9 @@ def cmd_validate(args) -> int:
             ))
             if result.censored_fraction > 0.01:
                 print(f"warning: {result.censored_fraction:.1%} of rollouts censored (estimate biased low)")
+    except (NotUnichainError, NotAperiodicError) as exc:
+        print(f"FAIL structure: {exc}")
+        return 1
     except Exception as exc:
         print(f"FAIL while running validation suite: {exc}")
         return 1

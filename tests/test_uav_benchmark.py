@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from klmdp import (
     OdeConfig,
@@ -155,6 +156,66 @@ class TestModelStructure:
         wind_eig = np.linalg.eigvalsh(build_wind_chain(3, sc.delta_n).entries)
         for lam in wind_eig:
             assert np.min(np.abs(eig - lam)) < 1e-10
+
+
+def multiset_gap(a, b):
+    """Largest distance between matched values when ``a`` and ``b`` are paired one to one."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def hausdorff(a, b):
+    cost = np.abs(a[:, None] - b[None, :])
+    return float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
+
+
+def random_chain(seed, d):
+    return np.random.default_rng(seed).dirichlet(np.ones(d), size=d)
+
+
+class TestControlledSpectrum:
+    def test_duplicate_rows_give_exact_zeros(self):
+        a = random_chain(7, 12)
+        a[[3, 5, 8, 10, 11]] = a[[0, 0, 1, 4, 9]]  # 7 distinct rows
+        eig = controlled_spectrum(StochasticMatrix(a))
+        assert eig.size == 12
+        assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
+        assert np.count_nonzero(eig == 0) == 12 - 7
+
+    def test_distinct_rows_match_dense(self):
+        a = random_chain(8, 9)
+        eig = controlled_spectrum(StochasticMatrix(a))
+        assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
+
+    def test_read_only_input_unchanged(self):
+        a = random_chain(9, 6)
+        a[4] = a[1]
+        P = StochasticMatrix(a)
+        before = P.entries.copy()
+        controlled_spectrum(P)
+        assert not P.entries.flags.writeable
+        np.testing.assert_array_equal(P.entries, before)
+
+    def test_uav_nominal_chain(self):
+        sc = small_scenario()
+        model, _ = build_scenario_model(sc)
+        P = induced_transition(model)
+        eig = controlled_spectrum(P)
+        assert abs(eig[0] - 1.0) < 1e-12
+        for lam in np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries):
+            assert np.min(np.abs(eig - lam)) < 1e-10
+        assert hausdorff(eig, np.linalg.eigvals(P.entries)) < 1e-8
+
+    def test_tilted_uav_chain_leading_eigenvalues_match_dense(self):
+        # LAPACK on the transpose of the lumped matrix misses these by 1.6e-11
+        sc = small_scenario(d_a=8, d_o=8, d_N=3)
+        model, utility = build_scenario_model(sc)
+        cfg = OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
+        P = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1].controlled_P
+        dense = np.linalg.eigvals(P.entries)
+        dense = dense[np.lexsort((-dense.imag, -dense.real, -np.abs(dense)))]
+        np.testing.assert_allclose(controlled_spectrum(P)[:10], dense[:10], rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
