@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
 from .state_space import StochasticMatrix
@@ -35,63 +34,109 @@ class PerronFrobeniusPair:
     v: np.ndarray
 
 
-def recurrent_class(P: StochasticMatrix | np.ndarray) -> np.ndarray:
-    """Indices of the unique recurrent class of a unichain aperiodic matrix.
+def recurrent_class(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
+    """Indices of the unique recurrent class of the unichain aperiodic chain ``R ⊗ Q0``.
+
+    The chain is ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``, so row ``x``
+    of its support is ``supp R(x) × supp Q0(x)``: the support graph is built
+    in CSR form from the two factors, and no dense ``P`` is formed.  A chain
+    held as a dense ``P`` is the kernel ``R = P``, ``Q0 = ones((d, 1))``.
 
     Raises :class:`NotUnichainError` if the support graph has more than one
     closed communicating class, and :class:`NotAperiodicError` if the single
     class is periodic.
     """
-    A = P.entries if isinstance(P, StochasticMatrix) else np.asarray(P)
-    support = sp.csr_matrix(A > 0)
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
-    src, dst = support.nonzero()
-    leaving = np.zeros(n_comp, dtype=bool)
-    cross = labels[src] != labels[dst]
-    leaving[labels[src[cross]]] = True
-    closed = np.flatnonzero(~leaving)
+    d = R.shape[0]
+    columns, row_kind = _support_rows(R, Q0)
+    indptr = np.zeros(d + 1, dtype=np.int32)
+    np.cumsum([columns[k].size for k in row_kind], out=indptr[1:])
+    indices = np.concatenate([columns[k] for k in row_kind])
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(d, d))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    # a state stays in its class when the least and the greatest class of its
+    # successors are its own; a class is closed when all its states stay
+    least = np.array([labels[c].min() for c in columns])[row_kind]
+    greatest = np.array([labels[c].max() for c in columns])[row_kind]
+    leaving = labels[(least != labels) | (greatest != labels)]
+    closed = np.setdiff1d(np.arange(n_comp), leaving)
     if closed.size != 1:
         raise NotUnichainError(f"found {closed.size} recurrent classes, expected exactly 1")
     members = np.flatnonzero(labels == closed[0])
-    if not _is_aperiodic(A, members):
+    if not _is_aperiodic(graph, members):
         raise NotAperiodicError("the recurrent class is periodic")
     return members
 
 
-def _is_aperiodic(A: np.ndarray, members: np.ndarray) -> bool:
-    # A self-loop inside a single communicating class settles it immediately.
-    if np.any(A[members, members] > 0):
-        return True
-    sub = sp.csr_matrix(A[np.ix_(members, members)] > 0)
-    order, pred = breadth_first_order(sub, 0, directed=True, return_predecessors=True)
-    level = np.full(members.size, -1)
-    level[0] = 0
-    for node in order[1:]:
-        level[node] = level[pred[node]] + 1
-    # gcd of (level(u) + 1 - level(v)) over edges equals the chain period
-    src, dst = sub.nonzero()
-    g = 0
-    for u, v in zip(src, dst):
-        g = gcd(g, level[u] + 1 - level[v])
-        if g == 1:
-            return True
-    return abs(g) == 1
+def _support_rows(R: np.ndarray, Q0: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct rows of the support of ``R ⊗ Q0`` as int32 column indices, and each state's.
+
+    States whose ``R`` and ``Q0`` rows have one support share one row,
+    formed once.
+    """
+    d_n = Q0.shape[1]
+    kinds: dict[bytes, int] = {}  # support bytes -> index of the row in columns
+    columns: list[np.ndarray] = []
+    row_kind = np.empty(R.shape[0], dtype=np.intp)
+    for x, (r, q) in enumerate(zip(R > 0, Q0 > 0)):
+        key = r.tobytes() + q.tobytes()
+        if key not in kinds:
+            kinds[key] = len(columns)
+            columns.append((np.flatnonzero(r)[:, None] * d_n + np.flatnonzero(q)).ravel().astype(np.int32))
+        row_kind[x] = kinds[key]
+    return columns, row_kind
+
+
+def _is_aperiodic(graph: sp.csr_matrix, members: np.ndarray) -> bool:
+    """Whether the closed communicating class ``members`` of ``graph`` is aperiodic."""
+    # the class is closed, so its states' successors are its states: its edges
+    # are renumbered with numpy alone (scipy's sparse indexing pages in about
+    # 0.4 MB more of compiled code, a visible share of a small run's RSS)
+    position = np.empty(graph.shape[0], dtype=np.intp)
+    position[members] = np.arange(members.size)
+    rows = [graph.indices[graph.indptr[x] : graph.indptr[x + 1]] for x in members]
+    dst = position[np.concatenate(rows)]
+    counts = [row.size for row in rows]
+    src = np.repeat(np.arange(members.size), counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    sub = sp.csr_matrix((np.ones(dst.size), dst, indptr), shape=(members.size,) * 2)
+    level = shortest_path(sub, unweighted=True, indices=0).astype(np.intp)  # BFS levels
+    # gcd of (level(u) + 1 - level(v)) over the edges equals the chain period
+    return int(np.gcd.reduce(level[src] + 1 - level[dst])) == 1
+
+
+FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 class BorderedLU:
-    """LU factorization of the bordered Poisson matrix ``[I - P | 1]`` of one chain.
+    """LU factorization of the bordered Poisson matrix ``[I - P | 1]`` of a chain ``P = R ⊗ Q0``.
 
-    Column ``x0`` of ``I - P``, which would multiply the pinned ``H(x0) = 0``,
-    is replaced by ones, so slot ``x0`` of a solution carries the mean
-    ``eta``.  ``matvec(y)``, the product ``P y``, certifies the first solve:
-    its Poisson residual ``sup |P H - H + rhs - eta|`` must be within
-    ``POISSON_TOL``, which also settles that the factorization is sound.
-    Later solves reuse the factors unchecked; ``P`` itself is not kept.
+    ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')`` is written negated
+    straight into the Fortran-ordered buffer that LAPACK factors in place, so
+    that buffer is the only ``d x d`` array; a chain held as a dense ``P`` is
+    the kernel ``R = P``, ``Q0 = ones((d, 1))``.  Column ``x0`` of ``I - P``,
+    which would multiply the pinned ``H(x0) = 0``, is replaced by ones, so
+    slot ``x0`` of a solution carries the mean ``eta``.  Entries below
+    ``FLUSH_BELOW`` in magnitude are zeroed before factoring: subnormals slow
+    the factorization many times over, while the flushed LU still solves
+    the exact system to rounding.  ``matvec(y)``, the product ``P y`` from
+    the exact factors, certifies the first solve: its Poisson residual
+    ``sup |P H - H + rhs - eta|`` must be within ``POISSON_TOL``, which also
+    settles that the factorization is sound.  Later solves reuse the factors
+    unchecked; no dense ``P`` is kept.
     """
 
-    def __init__(self, P: np.ndarray, x0: int, matvec):
-        d = P.shape[0]
-        M = np.negative(P, order="F")  # Fortran order: LAPACK factors it in place
+    def __init__(self, R: np.ndarray, Q0: np.ndarray, x0: int, matvec):
+        (d, d_u), d_n = R.shape, Q0.shape[1]
+        M = np.empty((d, d), order="F")  # Fortran order: LAPACK factors it in place
+        # M.T is C-ordered, so its (d_u, d_n, d) view is M[x, (u, n)] at [u, n, x]
+        np.einsum("xu,xn->unx", R, Q0, out=M.T.reshape(d_u, d_n, d))
+        # negate and flush in place, by contiguous column blocks of about 2^16
+        # entries: no d x d temporary
+        width = max(1, 2**16 // d)
+        for j in range(0, d, width):
+            block = M[:, j : j + width]
+            np.negative(block, out=block)
+            block[np.abs(block) < FLUSH_BELOW] = 0.0
         M.flat[:: d + 1] += 1.0
         M[:, x0] = 1.0
         with warnings.catch_warnings():

@@ -193,7 +193,7 @@ def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSoluti
 
         _write_policy_csv(out, f"policy_zeta_{tag}.csv", cp.tilted_rule.entries)
 
-        eig = controlled_spectrum(cp.controlled_P)
+        eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
         lines = ["real,imag"]
         for z in eig:
             lines.append(f"{_fmt(z.real)},{_fmt(z.imag)}")
@@ -341,7 +341,8 @@ def cmd_validate(args) -> int:
             P0 = induced_transition(loaded.kernel)
             pf, twisted = perron_frobenius_baseline(P0, loaded.utility, zf, loaded.basepoint)
             cp = path.checkpoints[-1]
-            gap = float(np.max(np.abs(twisted.entries - cp.controlled_P.entries)))
+            controlled = induced_transition(FactoredKernel(loaded.kernel.space, cp.tilted_rule, cp.Q0))
+            gap = float(np.max(np.abs(twisted.entries - controlled.entries)))
             rows.append((f"pf twisted matrix vs ode @ zeta={_ztag(zf)}", gap, 1e-6))
             rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(zf)}", abs(cp.eta - np.log(pf.lam)), 1e-6))
 

@@ -27,13 +27,7 @@ import numpy as np
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
 from .kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
-from .state_space import (
-    FactoredKernel,
-    StochasticMatrix,
-    ValueFunction,
-    induced_transition,
-    induced_transition_values,
-)
+from .state_space import FactoredKernel, StochasticMatrix, ValueFunction
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
 # next correction, is at rounding level relative to ``1 + |h| + |zeta U|``; the
@@ -81,8 +75,8 @@ class OdeConfig:
 class PathCheckpoint:
     """Full solution snapshot at one value of the weight.
 
-    The dense controlled chain is built from ``tilted_rule`` and ``Q0`` each
-    time :attr:`controlled_P` is read, not stored.
+    The controlled chain is kept as its factors ``tilted_rule`` and ``Q0``;
+    no dense ``d x d`` matrix is stored.
     """
 
     zeta: float
@@ -91,10 +85,6 @@ class PathCheckpoint:
     tilted_rule: StochasticMatrix
     Q0: StochasticMatrix
     aroe_residual_sup: float
-
-    @property
-    def controlled_P(self) -> StochasticMatrix:
-        return StochasticMatrix(induced_transition_values(self.tilted_rule.entries, self.Q0.entries))
 
 
 @dataclass(frozen=True)
@@ -258,9 +248,9 @@ def solve_average_reward(
     if not 0 <= basepoint < d:
         raise ValueError(f"basepoint {basepoint} outside [0, {d})")
 
-    # The tilt never changes the support pattern, so structure is checked once;
-    # the nominal d x d chain is not kept past the check.
-    members = recurrent_class(induced_transition(model))
+    # The tilt never changes the support pattern, so structure is checked once,
+    # on the support of the nominal factors.
+    members = recurrent_class(model.R.entries, model.Q0.entries)
     if basepoint not in members:
         raise ValueError(f"basepoint {basepoint} is transient; it must be in the recurrent class")
 
@@ -273,7 +263,7 @@ def solve_average_reward(
             return (rule * conditional_expectation_values(y, model)).sum(axis=1)
 
         try:
-            return BorderedLU(induced_transition_values(rule, model.Q0.entries), basepoint, matvec)
+            return BorderedLU(rule, model.Q0.entries, basepoint, matvec)
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
 

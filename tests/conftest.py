@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
+from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix, induced_transition
+from klmdp.chain_solvers import BorderedLU
 
 
 def random_factored_model(rng, d_u, d_n, min_mass=0.05):
@@ -22,6 +23,22 @@ def balance_pmf(P):
     M = P.T - np.eye(d)
     M[-1, :] = 1.0
     return np.linalg.solve(M, np.eye(d)[-1])
+
+
+def dense_kernel(P):
+    """A chain held as a dense ``P`` as factors: the rule ``P`` and ``Q0 = ones((d, 1))``."""
+    return P, np.ones((P.shape[0], 1))
+
+
+def dense_bordered_lu(P, x0):
+    """The bordered LU of a dense chain, certified against ``P @ y``."""
+    return BorderedLU(*dense_kernel(P), x0, P.__matmul__)
+
+
+def controlled_chain(cp):
+    """Dense controlled chain of a checkpoint, built from its factors in the test."""
+    space = ProductStateSpace(cp.tilted_rule.cols, cp.Q0.cols)
+    return induced_transition(FactoredKernel(space, cp.tilted_rule, cp.Q0)).entries
 
 
 def random_utility(rng, d):

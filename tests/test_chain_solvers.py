@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from klmdp import (
     ConvergenceError,
+    FactoredKernel,
     NotAperiodicError,
     NotUnichainError,
+    ProductStateSpace,
     StochasticMatrix,
+    induced_transition,
     perron_frobenius_baseline,
     recurrent_class,
 )
 
-from klmdp.chain_solvers import BorderedLU
+from klmdp.chain_solvers import FLUSH_BELOW, BorderedLU
 
-from conftest import balance_pmf, random_utility
+from conftest import balance_pmf, dense_bordered_lu, dense_kernel, random_factored_model, random_utility
 
 
 def two_state(a=0.3, b=0.1):
@@ -22,7 +28,7 @@ def two_state(a=0.3, b=0.1):
 def bordered_pmf(P, x0):
     """Invariant pmf read off the bordered solve: ``eta`` for the utility
     ``1{x}`` is ``pi(x)``."""
-    lu = BorderedLU(P, x0, P.__matmul__)
+    lu = dense_bordered_lu(P, x0)
     return np.array([lu.solve(e)[1] for e in np.eye(P.shape[0])])
 
 
@@ -59,7 +65,7 @@ class TestInvariantPmf:
             P = rng.dirichlet(np.ones(7), size=7)
             P[:, rng.choice(np.arange(1, 7), size=3, replace=False)] = 0.0  # 3 transient states
             P /= P.sum(axis=1, keepdims=True)
-            x0 = rng.choice(recurrent_class(P))
+            x0 = rng.choice(recurrent_class(*dense_kernel(P)))
             pi = bordered_pmf(P, x0)
             assert np.max(np.abs(pi - balance_pmf(P))) <= 1e-12
             assert np.all(pi[P.sum(axis=0) == 0.0] == pytest.approx(0.0, abs=1e-12))
@@ -72,7 +78,7 @@ class TestRecurrentClass:
             [0.0, 0.5, 0.5],
             [0.0, 0.4, 0.6],
         ])
-        np.testing.assert_array_equal(recurrent_class(P), [1, 2])
+        np.testing.assert_array_equal(recurrent_class(*dense_kernel(P)), [1, 2])
 
     def test_aperiodic_without_self_loops(self):
         # two cycle lengths 2 and 3 sharing states: gcd 1, no self loop
@@ -81,50 +87,142 @@ class TestRecurrentClass:
             [0.5, 0.0, 0.5],
             [1.0, 0.0, 0.0],
         ])
-        np.testing.assert_array_equal(recurrent_class(P), [0, 1, 2])
+        np.testing.assert_array_equal(recurrent_class(*dense_kernel(P)), [0, 1, 2])
 
     def test_multiple_recurrent_classes_rejected(self):
         with pytest.raises(NotUnichainError):
-            recurrent_class(StochasticMatrix(np.eye(2)))
+            recurrent_class(*dense_kernel(np.eye(2)))
 
     def test_periodic_rejected(self):
-        P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NotAperiodicError):
-            recurrent_class(P)
+            recurrent_class(*dense_kernel(P))
+
+    def test_period_two_without_two_cycles_rejected(self):
+        # cycles of lengths 4 and 6 through state 0, and a transient entry state 7
+        P = np.zeros((8, 8))
+        for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 0), (7, 0)):
+            P[a, b] = 1.0
+        P /= P.sum(axis=1, keepdims=True)
+        with pytest.raises(NotAperiodicError):
+            recurrent_class(*dense_kernel(P))
+
+    def test_factored_matches_dense_reference(self, rng):
+        outcomes = {"members": 0, NotUnichainError: 0, NotAperiodicError: 0}
+        for _ in range(300):
+            d_u, d_n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            kernel = sparse_factored_model(rng, d_u, d_n, keep=rng.choice([0.0, 0.3, 0.6]))
+            expected = dense_recurrent_class(induced_transition(kernel).entries)
+            try:
+                got = recurrent_class(kernel.R.entries, kernel.Q0.entries)
+            except (NotUnichainError, NotAperiodicError) as exc:
+                assert type(exc) is expected
+                outcomes[expected] += 1
+            else:
+                np.testing.assert_array_equal(got, expected)
+                outcomes["members"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+
+def sparse_factored_model(rng, d_u, d_n, keep):
+    """The random model of the conftest with each factor entry kept with
+    probability ``keep`` (one per row at least) and the rows renormalized:
+    ``keep = 0`` gives a deterministic chain."""
+    kernel = random_factored_model(rng, d_u, d_n)
+    factors = []
+    for F in (kernel.R.entries.copy(), kernel.Q0.entries.copy()):
+        mask = rng.random(F.shape) < keep
+        mask[np.arange(F.shape[0]), rng.integers(F.shape[1], size=F.shape[0])] = True
+        F *= mask
+        factors.append(StochasticMatrix(F / F.sum(axis=1, keepdims=True)))
+    return FactoredKernel(kernel.space, *factors)
+
+
+def dense_recurrent_class(P):
+    """Members of the single closed class of a dense chain, or the error type
+    for none or several closed classes and for a periodic one.  Aperiodicity
+    is primitivity of the class: by Wielandt's bound, a power ``(m-1)^2 + 1``
+    of its ``m x m`` support is positive."""
+    support = P > 0
+    n_comp, labels = connected_components(sp.csr_matrix(support), directed=True, connection="strong")
+    closed = [c for c in range(n_comp) if not support[labels == c][:, labels != c].any()]
+    if len(closed) != 1:
+        return NotUnichainError
+    members = np.flatnonzero(labels == closed[0])
+    A = support[np.ix_(members, members)].astype(int)
+    power = A
+    for _ in range((members.size - 1) ** 2):
+        power = np.minimum(power @ A, 1)
+    return members if power.all() else NotAperiodicError
 
 
 class TestBorderedLU:
+    def test_factors_match_dense_bordered_solve(self, rng):
+        for d_u, d_n in ((3, 1), (3, 2), (4, 3)):
+            kernel = random_factored_model(rng, d_u, d_n)
+            P = induced_transition(kernel).entries
+            d = P.shape[0]
+            x0 = int(rng.integers(d))
+            U = random_utility(rng, d)
+            H, eta = BorderedLU(kernel.R.entries, kernel.Q0.entries, x0, P.__matmul__).solve(U)
+            M = np.eye(d) - P
+            M[:, x0] = 1.0
+            y = scipy.linalg.solve(M, U)
+            assert abs(eta - y[x0]) <= 1e-13
+            y[x0] = 0.0
+            assert np.max(np.abs(H - y)) <= 1e-13
+
+    def test_tiny_entries_flushed_before_factoring_only(self, rng):
+        # the factors drop the entries below FLUSH_BELOW; the certified solve
+        # still matches the dense solve of the exact bordered matrix
+        P = rng.dirichlet(np.ones(6), size=6)
+        P[rng.random((6, 6)) < 0.3] = 1e-300  # subnormal in the products below
+        P /= P.sum(axis=1, keepdims=True)
+        Q0 = rng.dirichlet(np.ones(2), size=12)
+        R = np.repeat(P, 2, axis=0)
+        kernel = FactoredKernel(ProductStateSpace(6, 2), StochasticMatrix(R), StochasticMatrix(Q0))
+        Pd = induced_transition(kernel).entries
+        assert 0 < np.min(Pd[Pd > 0]) < FLUSH_BELOW
+        U = random_utility(rng, 12)
+        H, eta = BorderedLU(R, Q0, 5, Pd.__matmul__).solve(U)
+        M = np.eye(12) - Pd
+        M[:, 5] = 1.0
+        y = scipy.linalg.solve(M, U)
+        assert abs(eta - y[5]) <= 1e-13
+        y[5] = 0.0
+        assert np.max(np.abs(H - y)) <= 1e-13
+
     def test_constant_utility(self, rng):
         P = rng.dirichlet(np.ones(5), size=5)
-        H, eta = BorderedLU(P, 2, P.__matmul__).solve(np.full(5, 3.0))
+        H, eta = dense_bordered_lu(P, 2).solve(np.full(5, 3.0))
         np.testing.assert_allclose(H, 0.0, atol=1e-10)
         assert eta == pytest.approx(3.0)
 
     def test_zero_utility(self, rng):
         P = rng.dirichlet(np.ones(4), size=4)
-        H, eta = BorderedLU(P, 0, P.__matmul__).solve(np.zeros(4))
+        H, eta = dense_bordered_lu(P, 0).solve(np.zeros(4))
         np.testing.assert_allclose(H, 0.0, atol=1e-12)
         assert eta == 0.0
 
     def test_non_finite_utility_fails_residual_check(self, rng):
         P = rng.dirichlet(np.ones(4), size=4)
         with pytest.raises(ConvergenceError, match="Poisson residual nan"):
-            BorderedLU(P, 0, P.__matmul__).solve(np.array([np.nan, 0.0, 0.0, 0.0]))
+            dense_bordered_lu(P, 0).solve(np.array([np.nan, 0.0, 0.0, 0.0]))
 
     def test_singular_bordered_matrix_is_a_convergence_error(self):
         # two closed classes: the structure check that would catch them is not run
         P = np.eye(2)
         with pytest.raises(ConvergenceError, match="singular"):
-            BorderedLU(P, 0, P.__matmul__)
+            dense_bordered_lu(P, 0)
 
     def test_kept_factorization_serves_later_right_hand_sides(self, rng):
         P = StochasticMatrix(rng.dirichlet(np.ones(6), size=6)).entries
-        lu = BorderedLU(P, 2, P.__matmul__)
+        lu = dense_bordered_lu(P, 2)
         lu.solve(np.zeros(6))  # the first solve is certified
         for _ in range(3):
             U = random_utility(rng, 6)
             H, eta = lu.solve(U)
-            expected_H, expected_eta = BorderedLU(P, 2, P.__matmul__).solve(U)
+            expected_H, expected_eta = dense_bordered_lu(P, 2).solve(U)
             assert np.max(np.abs(H - expected_H)) <= 1e-13
             assert abs(eta - expected_eta) <= 1e-13
 
@@ -132,12 +230,12 @@ class TestBorderedLU:
         P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4)).entries
         wrong = rng.dirichlet(np.ones(4), size=4)  # certify against another chain
         with pytest.raises(ConvergenceError, match="Poisson residual"):
-            BorderedLU(P, 0, wrong.__matmul__).solve(random_utility(rng, 4))
+            BorderedLU(*dense_kernel(P), 0, wrong.__matmul__).solve(random_utility(rng, 4))
 
     def test_two_state_hand_check(self):
         A = two_state().entries
         U = np.array([1.0, 0.0])
-        H, eta = BorderedLU(A, 1, A.__matmul__).solve(U)
+        H, eta = dense_bordered_lu(A, 1).solve(U)
         assert eta == pytest.approx(0.25)
         # brute-force series sum_n (P^n - 1 (x) pi) U
         pi = balance_pmf(A)
@@ -153,7 +251,7 @@ class TestBorderedLU:
         for _ in range(3):
             P = rng.dirichlet(np.ones(8), size=8)
             U = random_utility(rng, 8)
-            H, eta = BorderedLU(P, 3, P.__matmul__).solve(U)
+            H, eta = dense_bordered_lu(P, 3).solve(U)
             residual = P @ H - H + U - eta
             assert np.max(np.abs(residual)) <= 1e-8
             assert H[3] == 0.0
@@ -167,7 +265,7 @@ class TestBorderedLU:
             [0.0, 0.4, 0.6],
         ])
         U = np.arange(3.0)
-        H, eta = BorderedLU(P, 1, P.__matmul__).solve(U)
+        H, eta = dense_bordered_lu(P, 1).solve(U)
         assert np.max(np.abs(P @ H - H + U - eta)) <= 1e-8
         assert abs(eta - balance_pmf(P) @ U) <= 1e-12
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -34,7 +33,7 @@ from klmdp.ode_engine import (
 )
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
-from conftest import random_factored_model, random_utility
+from conftest import controlled_chain, dense_bordered_lu, random_factored_model, random_utility
 
 
 def ar_vector_field(h, model, utility, basepoint):
@@ -46,7 +45,7 @@ def ar_vector_field(h, model, utility, basepoint):
     """
     rule = StochasticMatrix(_tilt_values(h, model)[0])
     P_h = induced_transition(FactoredKernel(model.space, rule, model.Q0)).entries
-    return BorderedLU(P_h, basepoint, P_h.__matmul__).solve(utility)
+    return BorderedLU(rule.entries, model.Q0.entries, basepoint, P_h.__matmul__).solve(utility)
 
 
 def unconstrained_two_state():
@@ -70,7 +69,7 @@ class TestArVectorField:
         U = random_utility(rng, 6)
         H, eta = ar_vector_field(np.zeros(6), kernel, U, 1)
         P0 = induced_transition(kernel).entries
-        expected_H, expected_eta = BorderedLU(P0, 1, P0.__matmul__).solve(U)
+        expected_H, expected_eta = dense_bordered_lu(P0, 1).solve(U)
         np.testing.assert_allclose(H, expected_H, atol=1e-12)
         assert eta == pytest.approx(expected_eta, abs=1e-12)
 
@@ -91,11 +90,9 @@ class TestSolveAverageReward:
         cp = path.checkpoints[0]
         assert cp.zeta == 0.0 and cp.eta == 0.0
         np.testing.assert_array_equal(cp.h.values, 0.0)
-        # built from the rule on demand, not stored
-        assert "controlled_P" not in {f.name for f in dataclasses.fields(cp)}
-        np.testing.assert_allclose(
-            cp.controlled_P.entries, induced_transition(kernel).entries, atol=1e-15
-        )
+        # kept as its factors: no dense chain is stored or built
+        assert not hasattr(cp, "controlled_P")
+        np.testing.assert_allclose(controlled_chain(cp), induced_transition(kernel).entries, atol=1e-15)
 
     def test_constant_utility_linear_eta(self, rng):
         kernel = random_factored_model(rng, 3, 2)
@@ -113,7 +110,7 @@ class TestSolveAverageReward:
         e = np.e
         assert cp.eta == pytest.approx(np.log((1 + e) / 2), abs=1e-9)
         np.testing.assert_allclose(
-            cp.controlled_P.entries, [[1 / (1 + e), e / (1 + e)]] * 2, atol=1e-9
+            controlled_chain(cp), [[1 / (1 + e), e / (1 + e)]] * 2, atol=1e-9
         )
 
     def test_checkpoint_snapping(self, rng):
@@ -299,7 +296,7 @@ class TestSolveAverageReward:
         cfg = OdeConfig(zeta_max=1.0, step=0.02, checkpoints=(0.5, 1.0))
         for cp in solve_average_reward(kernel, U, cfg).checkpoints:
             H, eta = ar_vector_field(cp.h.values, kernel, U, 0)
-            residual = cp.controlled_P.entries @ H - H + U - eta
+            residual = controlled_chain(cp) @ H - H + U - eta
             assert np.max(np.abs(residual)) <= 1e-6
 
 

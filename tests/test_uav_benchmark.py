@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -19,7 +21,11 @@ from klmdp import (
     solve_average_reward,
     velocity_field,
 )
+from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import _tilt_values
+from klmdp.state_space import induced_transition_values
+
+from conftest import controlled_chain, dense_kernel
 
 
 def small_scenario(d_a=4, d_o=4, d_N=2, seed=0, **kw):
@@ -144,15 +150,14 @@ class TestModelStructure:
     def test_recurrent_class_is_target_times_wind(self):
         sc = small_scenario()
         model, _ = build_scenario_model(sc)
-        P = induced_transition(model).entries
-        members = recurrent_class(P)
+        members = recurrent_class(model.R.entries, model.Q0.entries)
         expected = sc.target_index * sc.d_N + np.arange(sc.d_N)
         np.testing.assert_array_equal(members, expected)
 
     def test_nominal_eigenvalues_contain_wind_spectrum(self):
         sc = small_scenario(d_N=3)
         model, _ = build_scenario_model(sc)
-        eig = controlled_spectrum(induced_transition(model))
+        eig = controlled_spectrum(model.R.entries, model.Q0.entries)
         wind_eig = np.linalg.eigvalsh(build_wind_chain(3, sc.delta_n).entries)
         for lam in wind_eig:
             assert np.min(np.abs(eig - lam)) < 1e-10
@@ -178,22 +183,35 @@ class TestControlledSpectrum:
     def test_duplicate_rows_give_exact_zeros(self):
         a = random_chain(7, 12)
         a[[3, 5, 8, 10, 11]] = a[[0, 0, 1, 4, 9]]  # 7 distinct rows
-        eig = controlled_spectrum(StochasticMatrix(a))
+        eig = controlled_spectrum(*dense_kernel(a))
         assert eig.size == 12
         assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
         assert np.count_nonzero(eig == 0) == 12 - 7
 
+    def test_factored_duplicate_rows_give_exact_zeros(self):
+        rng = np.random.default_rng(10)
+        R = rng.dirichlet(np.ones(4), size=12)
+        Q0 = rng.dirichlet(np.ones(3), size=12)
+        R[[5, 9]] = R[2]
+        Q0[[5, 9]] = Q0[2]  # states 2, 5 and 9 share both rows
+        Q0[7] = Q0[1]  # state 7 shares only its Q0 row: a group of its own
+        eig = controlled_spectrum(R, Q0)
+        assert eig.size == 12
+        assert multiset_gap(eig, np.linalg.eigvals(induced_transition_values(R, Q0))) < 1e-12
+        assert np.count_nonzero(eig == 0) == 2
+
     def test_distinct_rows_match_dense(self):
         a = random_chain(8, 9)
-        eig = controlled_spectrum(StochasticMatrix(a))
+        eig = controlled_spectrum(*dense_kernel(a))
         assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
 
     def test_read_only_input_unchanged(self):
         a = random_chain(9, 6)
         a[4] = a[1]
         P = StochasticMatrix(a)
+        Q0 = StochasticMatrix(np.ones((6, 1)))
         before = P.entries.copy()
-        controlled_spectrum(P)
+        controlled_spectrum(P.entries, Q0.entries)
         assert not P.entries.flags.writeable
         np.testing.assert_array_equal(P.entries, before)
 
@@ -201,7 +219,7 @@ class TestControlledSpectrum:
         sc = small_scenario()
         model, _ = build_scenario_model(sc)
         P = induced_transition(model)
-        eig = controlled_spectrum(P)
+        eig = controlled_spectrum(model.R.entries, model.Q0.entries)
         assert abs(eig[0] - 1.0) < 1e-12
         for lam in np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries):
             assert np.min(np.abs(eig - lam)) < 1e-10
@@ -212,10 +230,60 @@ class TestControlledSpectrum:
         sc = small_scenario(d_a=8, d_o=8, d_N=3)
         model, utility = build_scenario_model(sc)
         cfg = OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
-        P = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1].controlled_P
-        dense = np.linalg.eigvals(P.entries)
+        cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
+        dense = np.linalg.eigvals(controlled_chain(cp))
         dense = dense[np.lexsort((-dense.imag, -dense.real, -np.abs(dense)))]
-        np.testing.assert_allclose(controlled_spectrum(P)[:10], dense[:10], rtol=0, atol=1e-12)
+        eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
+        np.testing.assert_allclose(eig[:10], dense[:10], rtol=0, atol=1e-12)
+
+    def test_factors_lump_as_the_dense_chain_bit_for_bit(self):
+        # equal factor rows group as equal rows of P, and each entry of the
+        # lumped matrix sums the same products of the factors in the same order
+        sc = small_scenario(d_a=8, d_o=8, d_N=3)
+        model, utility = build_scenario_model(sc)
+        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,))
+        cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
+        np.testing.assert_array_equal(
+            controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries),
+            controlled_spectrum(*dense_kernel(controlled_chain(cp))),
+        )
+
+
+def peak_bytes(f) -> int:
+    """Peak of the memory that ``f()`` allocates and numpy reports to tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoDenseChain:
+    """A dense d x d float array is 8 d^2 bytes.  At the gen-scenario default
+    15x15x5 (d = 1125), the structure check and the spectrum peak below one,
+    and the bordered LU holds its own matrix and not the chain beside it."""
+
+    @pytest.fixture(scope="class")
+    def uav15(self):
+        sc = small_scenario(d_a=15, d_o=15, d_N=5)
+        return sc, build_scenario_model(sc)[0]
+
+    def test_structure_check(self, uav15):
+        _, model = uav15
+        d = model.space.d
+        assert peak_bytes(lambda: recurrent_class(model.R.entries, model.Q0.entries)) < 8 * d**2
+
+    def test_spectrum(self, uav15):
+        _, model = uav15
+        d = model.space.d
+        assert peak_bytes(lambda: controlled_spectrum(model.R.entries, model.Q0.entries)) < 8 * d**2
+
+    def test_bordered_lu(self, uav15):
+        sc, model = uav15
+        d = model.space.d
+        peak = peak_bytes(lambda: BorderedLU(model.R.entries, model.Q0.entries, sc.basepoint, None))
+        assert 8 * d**2 <= peak < 9 * d**2
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +313,7 @@ class TestSolvedFamily:
         sc, _, path = solved
         wind_eig = np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries)
         for cp in path.checkpoints:
-            eig = controlled_spectrum(cp.controlled_P)
+            eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
             assert eig[0] == pytest.approx(1.0, abs=1e-9)
             for lam in wind_eig:
                 assert np.min(np.abs(eig - lam)) < 1e-8
