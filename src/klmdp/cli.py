@@ -8,7 +8,10 @@ Verbs:
 
 Configs are JSON; all numeric CSV output carries full double precision so
 identical configs reproduce byte-identical files under the same numpy, scipy
-and BLAS thread setting, which each manifest records.
+and BLAS thread setting, which each manifest records.  Every CSV goes through
+one table writer (``_csv_rows``): floats are written as ``%.17g``, each
+distinct bit pattern formatted once and gathered back, ints from a ``str``
+lookup table, and policies a block of rule rows at a time.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ from .uav_benchmark import (
     rollout_oracle,
     velocity_field,
 )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _ztag(z: float) -> str:
@@ -166,53 +165,93 @@ class _OutputTracker:
             path.unlink(missing_ok=True)
 
 
+def _int_text(column: np.ndarray, end: str) -> np.ndarray:
+    """``str(i) + end`` of each int, from a lookup table over ``min ... max``."""
+    low, high = (int(column.min()), int(column.max())) if column.size else (0, -1)
+    labels = np.array([f"{i}{end}" for i in range(low, high + 1)], dtype=object)
+    return labels[column - low]
+
+
+def _float_text(column: np.ndarray, end: str) -> np.ndarray:
+    """``%.17g`` of each float plus ``end``, each distinct bit pattern formatted once.
+
+    Deduplicated on the ``int64`` view, not on the values: ``-0.0 == 0.0``, but
+    they are written as ``-0`` and ``0``.
+    """
+    bits, inverse = np.unique(
+        np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    # one C-level %-format of all distinct values, split on a space, which %g never writes
+    joined = f"%.17g{end} " * len(bits) % tuple(bits.view(np.float64).tolist())
+    return np.array(joined.split(" ")[:-1], dtype=object)[inverse]
+
+
+def _csv_rows(*columns: np.ndarray) -> str:
+    """CSV lines of equal-length 1-D columns: int columns as ``str``, float columns as ``%.17g``.
+
+    Each column's cells carry their separator, so a row is its cells joined.
+    """
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        column = np.asarray(column)
+        end = "\n" if j == len(columns) - 1 else ","
+        cells[:, j] = _int_text(column, end) if column.dtype.kind in "iu" else _float_text(column, end)
+    return "".join(cells.ravel().tolist())
+
+
+def _write_table(out: _OutputTracker, name: str, header: str, *columns: np.ndarray) -> None:
+    out.write_text(name, f"{header}\n{_csv_rows(*columns)}")
+
+
+# Rule rows per block of a policy file.  A block's distinct-value strings are
+# live at once, so peak RSS grows with the block: 128 rows add about 1 MB on
+# the 15x15x5 solve-ar, and 32 rows cost about 7% more write time than 128.
+POLICY_BLOCK_ROWS = 32
+
+
 def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
     # sparse triplets; entries below 1e-12 dropped, rows renormalized
-    trimmed = np.where(rule >= 1e-12, rule, 0.0)
-    trimmed = trimmed / trimmed.sum(axis=1, keepdims=True)
-    # one C-level %-format per row, on a template of the row's nonzero columns;
-    # row by row: one tolist() of the whole rule raises peak RSS by ~10 MB at d=1125
-    columns = np.array([f",{u},%.17g\n" for u in range(trimmed.shape[1])], dtype=object)
     parts = ["state_index,next_u_index,probability\n"]
-    for x, row in enumerate(trimmed):
-        nz = np.flatnonzero(row)
-        parts.append(str(x).join(["", *columns[nz]]) % tuple(row[nz].tolist()))
-    out.write_text(name, "".join(parts))
+    for start in range(0, rule.shape[0], POLICY_BLOCK_ROWS):
+        block = rule[start : start + POLICY_BLOCK_ROWS]
+        trimmed = np.where(block >= 1e-12, block, 0.0)
+        trimmed /= trimmed.sum(axis=1, keepdims=True)
+        x, u = np.nonzero(trimmed)
+        parts.append(_csv_rows(x + start, u, trimmed[x, u]))
+    text = "".join(parts)
+    del parts  # freed before write_text makes the file's encoded copy
+    out.write_text(name, text)
 
 
-def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> None:
-    space = loaded.kernel.space
+def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> float:
+    """Write every ``solve-ar`` CSV; returns the seconds spent in ``controlled_spectrum``."""
+    x = np.arange(loaded.kernel.space.d)
+    xu, xn = np.divmod(x, loaded.kernel.space.d_n)
+    spectrum_s = 0.0
     for cp in path.checkpoints:
         tag = _ztag(cp.zeta)
         J = cost_to_go(cp) if loaded.scenario is not None else -cp.h.values
-        lines = ["state_index,x_u,x_n,h,cost_to_go"]
-        for x in range(space.d):
-            xu, xn = space.unflatten(x)
-            lines.append(f"{x},{xu},{xn},{_fmt(cp.h.values[x])},{_fmt(J[x])}")
-        out.write_text(f"values_zeta_{tag}.csv", "\n".join(lines) + "\n")
+        header = "state_index,x_u,x_n,h,cost_to_go"
+        _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, J)
 
         _write_policy_csv(out, f"policy_zeta_{tag}.csv", cp.tilted_rule.entries)
 
+        t0 = time.perf_counter()
         eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
-        lines = ["real,imag"]
-        for z in eig:
-            lines.append(f"{_fmt(z.real)},{_fmt(z.imag)}")
-        out.write_text(f"eigenvalues_zeta_{tag}.csv", "\n".join(lines) + "\n")
+        spectrum_s += time.perf_counter() - t0
+        _write_table(out, f"eigenvalues_zeta_{tag}.csv", "real,imag", np.real(eig), np.imag(eig))
 
         if loaded.scenario is not None:
-            v = velocity_field(cp.tilted_rule, loaded.scenario)
             sc = loaded.scenario
-            lines = ["i,j,n,v_lat,v_lon"]
-            for l in range(sc.d_L):
-                li, lj = divmod(l, sc.d_o)
-                for n in range(sc.d_N):
-                    lines.append(f"{li + 1},{lj + 1},{n + 1},{_fmt(v[l, n, 0])},{_fmt(v[l, n, 1])}")
-            out.write_text(f"velocity_zeta_{tag}.csv", "\n".join(lines) + "\n")
+            v = velocity_field(cp.tilted_rule, sc).reshape(sc.d_L * sc.d_N, 2)
+            l, n = np.divmod(np.arange(sc.d_L * sc.d_N), sc.d_N)
+            i, j = np.divmod(l, sc.d_o)
+            header = "i,j,n,v_lat,v_lon"
+            _write_table(out, f"velocity_zeta_{tag}.csv", header, i + 1, j + 1, n + 1, v[:, 0], v[:, 1])
 
-    lines = ["zeta,eta,aroe_residual_sup"]
-    for z, eta, res in zip(path.grid, path.eta_trace, path.residual_trace):
-        lines.append(f"{_fmt(z)},{_fmt(eta)},{_fmt(res)}")
-    out.write_text("eta.csv", "\n".join(lines) + "\n")
+    header = "zeta,eta,aroe_residual_sup"
+    _write_table(out, "eta.csv", header, path.grid, path.eta_trace, path.residual_trace)
+    return spectrum_s
 
 
 def _write_manifest(
@@ -246,7 +285,7 @@ def cmd_solve_ar(args) -> int:
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        _write_ar_outputs(out, loaded, path)
+        timings["spectrum"] = _write_ar_outputs(out, loaded, path)
         timings["write"] = time.perf_counter() - t0
         trace = {
             "newton_steps_total": int(path.newton_steps.sum()),
@@ -277,13 +316,11 @@ def cmd_solve_fh(args) -> int:
         path = solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode)
         timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
+        d = loaded.kernel.space.d
+        stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
         for cp in path.checkpoints:
             tag = _ztag(cp.zeta)
-            lines = ["k,state_index,W"]
-            for k in range(path.horizon + 1):
-                for x in range(loaded.kernel.space.d):
-                    lines.append(f"{k},{x},{_fmt(cp.W[k, x])}")
-            out.write_text(f"fh_values_zeta_{tag}.csv", "\n".join(lines) + "\n")
+            _write_table(out, f"fh_values_zeta_{tag}.csv", "k,state_index,W", stage, state, cp.W.ravel())
             for k, rule in enumerate(cp.policies):
                 _write_policy_csv(out, f"fh_policy_zeta_{tag}_k_{k}.csv", rule.entries)
         timings["write"] = time.perf_counter() - t0

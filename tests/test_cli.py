@@ -1,6 +1,7 @@
 import argparse
 import json
 import platform
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +9,16 @@ import pytest
 import scipy
 
 from klmdp.cli import (
+    POLICY_BLOCK_ROWS,
     _OutputTracker,
     _apply_overrides,
+    _csv_rows,
     _write_policy_csv,
     default_uav_config,
     load_config,
     main,
 )
-from klmdp.ode_engine import PREDICTOR_MAX_NODES
+from klmdp.ode_engine import PREDICTOR_MAX_NODES, OdeConfig, solve_finite_horizon
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -267,6 +270,23 @@ class TestSolveAr:
         assert table[30] == (0.0, -0.0)
         assert all(np.isfinite(v[0]) for v in table.values())
 
+    def test_values_at_zeta_0_write_negative_zero_cost(self, tmp_path):
+        # h = 0 at zeta = 0, so cost_to_go = -h is -0.0, written as -0
+        cfg_path = write_config(tmp_path, small_uav_config())
+        out = tmp_path / "run"
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "values_zeta_0.csv")
+        assert len(rows) == 32
+        assert all(r[3] == "0" and r[4] == "-0" for r in rows)
+
+    def test_manifest_times_the_spectra(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_uav_config())
+        out = tmp_path / "run"
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_seconds"]
+        assert set(timings) == {"solve", "spectrum", "write"}
+        assert 0.0 < timings["spectrum"] <= timings["write"]  # the spectra are part of the write
+
     def test_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_uav_config())
         out = tmp_path / "run"
@@ -312,6 +332,82 @@ class TestPolicyCsv:
         assert (tmp_path / "policy.csv").read_bytes() == expected.encode()
         assert len(lines) == 1 + 20 - 2 - 4
         assert any(float(format(p, ".16g")) != p for p in trimmed[trimmed > 0])  # 17 digits needed
+
+    def test_blocks_match_per_entry_formatting(self, tmp_path):
+        # rows span several blocks and repeat values across them; entries of
+        # 1e-13 are dropped and their rows renormalized
+        rng = np.random.default_rng(11)
+        rule = rng.choice([0.0, 1e-13, 0.25, 1.0 / 3.0, 0.1, 2.0 / 7.0], size=(2 * POLICY_BLOCK_ROWS + 5, 6))
+        rule[:, 0] += 0.5
+        rule /= rule.sum(axis=1, keepdims=True)
+        _write_policy_csv(_OutputTracker(tmp_path), "policy.csv", rule)
+
+        trimmed = np.where(rule >= 1e-12, rule, 0.0)
+        trimmed = trimmed / trimmed.sum(axis=1, keepdims=True)
+        lines = ["state_index,next_u_index,probability"]
+        for x, u in zip(*np.nonzero(trimmed)):
+            lines.append(f"{x},{u},{format(float(trimmed[x, u]), '.17g')}")
+        assert (tmp_path / "policy.csv").read_text() == "\n".join(lines) + "\n"
+        assert np.any((rule > 0) & (rule < 1e-12))
+        assert len(lines) - 1 == np.count_nonzero(rule >= 1e-12) < np.count_nonzero(rule)
+
+    def test_peak_memory_below_three_rules(self, tmp_path):
+        # the gen-scenario default 15x15x5 model (d = 1125, d_u = 225) at zeta = 1;
+        # the last of 6 stages has the most distinct entries (71%), so the most text to format
+        loaded = load_config(write_config(tmp_path, default_uav_config()))
+        fh = solve_finite_horizon(
+            loaded.kernel, loaded.utility, 6, OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
+        )
+        rule = fh.checkpoints[-1].policies[-1].entries
+        assert rule.shape == (1125, 225)
+        out = _OutputTracker(tmp_path)
+        tracemalloc.start()
+        try:
+            _write_policy_csv(out, "policy.csv", rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text and its encoded copy are 2.1x the rule; the blocks add little
+        assert peak < 3 * rule.nbytes
+
+
+def per_entry_rows(*columns):
+    """The reference for ``_csv_rows``: one ``str`` or ``format(.17g)`` call per entry."""
+    lines = []
+    for row in zip(*columns):
+        cells = [str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g") for v in row]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+class TestCsvRows:
+    def test_signed_zeros_keep_their_own_text(self):
+        column = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+        assert _csv_rows(column) == "0\n-0\n0\n-0\n1\n"
+        assert _csv_rows(column) == per_entry_rows(column)
+
+    def test_special_values(self):
+        column = np.array([5e-324, np.nan, np.inf, -np.inf, -5e-324, np.finfo(float).max, 5e-324])
+        assert _csv_rows(column) == per_entry_rows(column)
+        assert _csv_rows(column).splitlines()[:4] == ["4.9406564584124654e-324", "nan", "inf", "-inf"]
+
+    def test_values_that_need_17_digits(self):
+        column = np.array([0.1 + 0.2, 1.0 / 3.0, 0.1, 2.0 / 3.0, 1e-7 / 3.0, 1.0 / 3.0])
+        assert any(float(format(v, ".16g")) != v for v in column)
+        assert _csv_rows(column) == per_entry_rows(column)
+        assert [float(v) for v in _csv_rows(column).split()] == column.tolist()
+
+    def test_int_and_float_columns(self):
+        rng = np.random.default_rng(3)
+        ints = rng.integers(0, 50, size=200)
+        offset = ints + 1000  # a lookup table that does not start at 0
+        floats = rng.choice([0.5, -0.0, 1.0 / 7.0, 3e-300], size=200)
+        text = _csv_rows(ints, offset, floats, floats[::-1])
+        assert text == per_entry_rows(ints, offset, floats, floats[::-1])
+        assert text.count("\n") == 200
+
+    def test_empty_table(self):
+        assert _csv_rows(np.arange(0), np.zeros(0)) == ""
 
 
 class TestSolveFh:
