@@ -36,6 +36,7 @@ from .ode_engine import (
     OdeConfig,
     ZetaSolutionPath,
     aroe_fixed_point_oracle,
+    checkpoint_weights,
     fh_block_ode_oracle,
     solve_average_reward,
     solve_finite_horizon,
@@ -55,6 +56,20 @@ from .uav_benchmark import (
 
 def _ztag(z: float) -> str:
     return format(float(z), "g")
+
+
+def _check_tags(ode: OdeConfig) -> None:
+    """Raise ``ValueError`` unless the checkpoints' file tags are distinct.
+
+    A tag keeps 6 significant digits, so two checkpoints that agree in them
+    would write the same files; this runs before any file is written.
+    """
+    seen: dict[str, float] = {}
+    for z in checkpoint_weights(ode):
+        tag = _ztag(z)
+        if tag in seen:
+            raise ValueError(f"checkpoints zeta={seen[tag]!r} and zeta={z!r} share the file tag {tag!r}")
+        seen[tag] = z
 
 
 # BLAS rounds differently with more threads, so CSV bytes repeat only at one setting
@@ -280,6 +295,7 @@ def cmd_solve_ar(args) -> int:
     timings: dict[str, float] = {}
     try:
         loaded = _apply_overrides(load_config(args.config), args)
+        _check_tags(loaded.ode)
         out.out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
@@ -311,6 +327,7 @@ def cmd_solve_fh(args) -> int:
     timings: dict[str, float] = {}
     try:
         loaded = _apply_overrides(load_config(args.config), args)
+        _check_tags(loaded.ode)
         out.out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         path = solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode)
@@ -318,11 +335,17 @@ def cmd_solve_fh(args) -> int:
         t0 = time.perf_counter()
         d = loaded.kernel.space.d
         stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
+        tilt_s = 0.0
         for cp in path.checkpoints:
             tag = _ztag(cp.zeta)
             _write_table(out, f"fh_values_zeta_{tag}.csv", "k,state_index,W", stage, state, cp.W.ravel())
-            for k, rule in enumerate(cp.policies):
-                _write_policy_csv(out, f"fh_policy_zeta_{tag}_k_{k}.csv", rule.entries)
+            for k in range(path.horizon):
+                t1 = time.perf_counter()
+                rule = cp.policy(k).entries
+                tilt_s += time.perf_counter() - t1
+                _write_policy_csv(out, f"fh_policy_zeta_{tag}_k_{k}.csv", rule)
+                del rule  # freed before the next stage's policy is derived
+        timings["tilt"] = tilt_s
         timings["write"] = time.perf_counter() - t0
         _write_manifest(out, loaded, timings, path.snapped)
     except Exception as exc:

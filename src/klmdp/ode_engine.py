@@ -11,7 +11,9 @@ polynomial extrapolation through as many of the last converged nodes as
 predicted the previous node best, and corrected by Anderson-accelerated
 chord steps on the kept LU, refactored only where the residual stops
 contracting (Shamanskii).  Finite horizon: each member of the family is
-explicit, so each checkpoint is computed exactly by the backward recursion.
+explicit, so each checkpoint is computed exactly by the backward recursion,
+and it keeps only its stacked values: each stage policy is the tilt of the
+nominal rule by that stage's values, derived when it is asked for.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -104,11 +106,22 @@ class ZetaSolutionPath:
 
 @dataclass(frozen=True)
 class FhCheckpoint:
-    """Stacked finite-horizon values (rows 0..T) and the stage policies."""
+    """Stacked finite-horizon values (rows ``0..T``, read-only) at one weight.
+
+    The optimal stage-``k`` rule is the tilt of the nominal rule by ``W[k]``
+    (Gibbs form), so the values determine every stage policy and no policy is
+    stored: :meth:`policy` derives one when it is asked for.
+    """
 
     zeta: float
     W: np.ndarray
-    policies: list[StochasticMatrix]
+    kernel: FactoredKernel
+
+    def policy(self, k: int) -> StochasticMatrix:
+        """The stage-``k`` policy, ``0 <= k < T``: the nominal rule tilted by ``W[k]``."""
+        if not 0 <= k < self.W.shape[0] - 1:
+            raise IndexError(f"stage {k} outside [0, {self.W.shape[0] - 1})")
+        return StochasticMatrix(_tilt_values(self.W[k], self.kernel)[0])
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,11 @@ def _snap_checkpoints(cfg: OdeConfig, grid: np.ndarray) -> tuple[dict[int, float
             snapped.append((c, float(grid[i])))
         by_node[i] = float(grid[i])
     return by_node, snapped
+
+
+def checkpoint_weights(cfg: OdeConfig) -> list[float]:
+    """The grid nodes the requested checkpoints snap to, ascending: the weights a solve reports."""
+    return sorted(_snap_checkpoints(cfg, _zeta_grid(cfg))[0].values())
 
 
 def _extrapolation_weights(nodes: np.ndarray, z: float) -> np.ndarray:
@@ -432,11 +450,15 @@ def solve_finite_horizon(
     """Solve the finite-horizon family at each checkpoint by backward recursion.
 
     Checkpoints snap to the weight grid; at each, ``W[0] = zeta U`` and
-    ``W[k] = zeta U + Lambda(W[k-1])``.  One tilt of ``W[k]`` gives both the
-    stage-``k`` policy and ``W[k+1]``, so a checkpoint costs ``T`` tilts
-    whatever the grid.  The values are the recursion itself, so recomputing
-    its residual would only read rounding error; instead a non-finite
-    ``W[k]`` raises :class:`ConvergenceError` at the stage where it appears.
+    ``W[k] = zeta U + Lambda(W[k-1])``.  The recursion needs only the
+    log-normalizer ``Lambda`` of each tilt, so a checkpoint costs ``T``
+    unnormalized tilts whatever the grid, and none at ``zeta = 0``, where
+    ``W = 0`` exactly.  A checkpoint keeps only ``W``, frozen; its stage
+    policies are the normalized tilts of the same rows, derived by
+    :meth:`FhCheckpoint.policy`.  The values are the recursion itself, so
+    recomputing its residual would only read rounding error; instead a
+    non-finite ``W[k]`` raises :class:`ConvergenceError` at the stage where
+    it appears.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
@@ -448,15 +470,13 @@ def solve_finite_horizon(
     for zeta in sorted(cp_nodes.values()):
         W = np.zeros((T + 1, model.space.d))
         W[0] = zeta * U
-        policies = []
         for k in range(T + 1):
             if not np.all(np.isfinite(W[k])):
                 raise ConvergenceError(f"non-finite finite-horizon value W[{k}] at zeta={zeta:g}")
-            if k < T:
-                rule, lam = _tilt_values(W[k], model)
-                policies.append(StochasticMatrix(rule))
-                if zeta > 0:  # at zeta = 0, W = 0 exactly; lam is log of R0's row sums
-                    W[k + 1] = zeta * U + lam
-        checkpoints.append(FhCheckpoint(zeta=zeta, W=W, policies=policies))
+            # at zeta = 0, W = 0 exactly, where Lambda(0), the log of R0's row sums, reads ±1e-16
+            if k < T and zeta > 0:
+                W[k + 1] = zeta * U + _tilt_values(W[k], model, normalize=False)[1]
+        W.setflags(write=False)  # a stage policy comes only from the values written
+        checkpoints.append(FhCheckpoint(zeta=zeta, W=W, kernel=model))
 
     return FiniteHorizonPath(horizon=T, checkpoints=checkpoints, snapped=snapped)

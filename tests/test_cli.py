@@ -134,6 +134,19 @@ class TestConfigErrors:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())  # no files written
 
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
+    def test_colliding_checkpoint_tags_are_a_clean_error(self, tmp_path, capsys, verb):
+        # both are grid nodes, and both would be written as zeta_12345.7
+        out = tmp_path / "run"
+        argv = verb + [
+            "--config", write_config(tmp_path, small_uav_config()), "--out", str(out),
+            "--zeta-max", "12345.68", "--checkpoints", "12345.67,12345.68",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: checkpoints zeta=12345.67 and zeta=12345.68 share the file tag '12345.7'" in err
+        assert not out.exists()
+
 
 class TestGenScenario:
     def test_roundtrips_through_loader(self, tmp_path):
@@ -358,7 +371,7 @@ class TestPolicyCsv:
         fh = solve_finite_horizon(
             loaded.kernel, loaded.utility, 6, OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
         )
-        rule = fh.checkpoints[-1].policies[-1].entries
+        rule = fh.checkpoints[-1].policy(5).entries
         assert rule.shape == (1125, 225)
         out = _OutputTracker(tmp_path)
         tracemalloc.start()
@@ -420,6 +433,24 @@ class TestSolveFh:
         assert len(rows) == 3 * 4
         assert (out / "fh_policy_zeta_1_k_0.csv").exists()
         assert (out / "fh_policy_zeta_1_k_1.csv").exists()
+        timings = json.loads((out / "manifest.json").read_text())["timings_seconds"]
+        assert set(timings) == {"solve", "tilt", "write"}
+        assert 0.0 < timings["tilt"] <= timings["write"]  # the stage policies are derived in the write
+
+    def test_peak_memory_below_six_rules(self, tmp_path):
+        # the whole verb on the gen-scenario default 15x15x5 model (d = 1125,
+        # d_u = 225), checkpoints 0, 1, 2: 18 stage policies, one alive at a time
+        cfg_path = write_config(tmp_path, default_uav_config())
+        rule_bytes = 1125 * 225 * 8
+        tracemalloc.start()
+        try:
+            code = main(["solve-fh", "--config", cfg_path, "--out", str(tmp_path / "run"), "--horizon", "6"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(list((tmp_path / "run").glob("fh_policy_zeta_*_k_*.csv"))) == 18
+        assert peak < 6 * rule_bytes
 
     def test_horizon_zero_is_scaled_utility(self, tmp_path):
         cfg_path = write_config(tmp_path, explicit_config())

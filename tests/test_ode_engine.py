@@ -23,7 +23,7 @@ from klmdp import (
     solve_finite_horizon,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import _tilt_values
+from klmdp.kl_calculus import _tilt_values, conditional_expectation_values, kl_step_cost
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
     PREDICTOR_MAX_NODES,
@@ -407,8 +407,8 @@ class TestFiniteHorizon:
         cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.0,))
         cp = solve_finite_horizon(kernel, U, 3, cfg).checkpoints[0]
         np.testing.assert_array_equal(cp.W, 0.0)
-        for rule in cp.policies:
-            np.testing.assert_allclose(rule.entries, kernel.R.entries, atol=1e-14)
+        for k in range(3):
+            np.testing.assert_allclose(cp.policy(k).entries, kernel.R.entries, atol=1e-14)
 
     def test_constant_utility_closed_form(self, rng):
         kernel = random_factored_model(rng, 3, 2)
@@ -451,6 +451,22 @@ class TestFiniteHorizon:
         assert cps[0].zeta == cps[1].zeta == 1.0
         np.testing.assert_array_equal(cps[0].W, cps[1].W)
 
+    @pytest.mark.parametrize("model", ["random", "uav8"])
+    def test_stage_policies_are_gibbs_maximizers(self, rng, model):
+        if model == "random":
+            kernel = random_factored_model(rng, 3, 2)
+            U = random_utility(rng, 6)
+        else:
+            scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+            kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=2.0, step=0.01, checkpoints=(0.0, 1.0, 2.0))
+        for cp in solve_finite_horizon(kernel, U, 6, cfg).checkpoints:
+            assert_stage_policies_are_gibbs_maximizers(kernel, U, cp)
+            with pytest.raises(IndexError):
+                cp.policy(6)  # W[6] is the last stage's value; no decision follows it
+            with pytest.raises(ValueError, match="read-only"):
+                cp.W[0, 0] = 1.0
+
     def test_values_convex_and_monotone_in_weight(self, rng):
         kernel = random_factored_model(rng, 2, 2)
         U = -rng.uniform(0.0, 1.0, size=4)
@@ -479,6 +495,28 @@ def fh_cases(draw):
     )
     U = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
     return kernel, U, draw(st.integers(0, 4)), draw(st.integers(0, 100)) / 20
+
+
+def assert_stage_policies_are_gibbs_maximizers(kernel, U, cp):
+    """Each stage policy attains the Gibbs variational maximum that the recursion's next value holds.
+
+    ``W[k+1] - zeta U = max_R sum_u R g_k - KL(R || R0)`` with ``g_k`` the
+    conditional expectation of ``W[k]``, and the maximizer is the tilt.
+    """
+    tol = 1e-10 * (1.0 + np.max(np.abs(cp.W)))
+    for k in range(cp.W.shape[0] - 1):
+        rule = cp.policy(k)
+        g = conditional_expectation_values(cp.W[k], kernel)
+        achieved = (rule.entries * g).sum(axis=1) - kl_step_cost(rule, kernel.R)
+        assert np.max(np.abs(cp.W[k + 1] - cp.zeta * U - achieved)) <= tol
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(fh_cases())
+def test_stage_policies_are_gibbs_maximizers_on_random_models(case):
+    kernel, U, T, zeta = case
+    cp = solve_finite_horizon(kernel, U, T, OdeConfig(zeta_max=zeta, step=1.0)).checkpoints[-1]
+    assert_stage_policies_are_gibbs_maximizers(kernel, U, cp)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
