@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from klmdp.ode_engine import (
     _anderson_step,
     _extrapolate,
     _extrapolation_weights,
+    _zeta_grid,
 )
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
@@ -526,6 +528,94 @@ def test_finite_horizon_matches_block_ode_on_random_models(case):
     cp = solve_finite_horizon(kernel, U, T, OdeConfig(zeta_max=zeta, step=1.0)).checkpoints[-1]
     oracle = fh_block_ode_oracle(kernel, U, T, cp.zeta, 0.02)
     assert np.max(np.abs(cp.W - oracle)) <= 1e-6
+
+
+def dense_block_ode(kernel, U, T, zeta, step):
+    """The block ODE integrated by RK4 on the oracle's grid, with a dense right-hand side.
+
+    ``V_k = U + P_{k-1} V_{k-1}`` per state, with ``P_{k-1}`` the full chain
+    of the normalized tilt of ``W[k-1]``, built by ``induced_transition``.
+    """
+
+    def rhs(W):
+        V = np.empty_like(W)
+        V[0] = U
+        for k in range(1, T + 1):
+            rule = StochasticMatrix(_tilt_values(W[k - 1], kernel)[0])
+            V[k] = U + induced_transition(FactoredKernel(kernel.space, rule, kernel.Q0)).entries @ V[k - 1]
+        return V
+
+    W = np.zeros((T + 1, kernel.space.d))
+    for dz in np.diff(_zeta_grid(OdeConfig(zeta_max=zeta, step=step))):
+        k1 = rhs(W)
+        k2 = rhs(W + 0.5 * dz * k1)
+        k3 = rhs(W + 0.5 * dz * k2)
+        k4 = rhs(W + dz * k3)
+        W = W + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return W
+
+
+def assert_block_ode_oracle_matches_dense(kernel, U, T, zeta, step):
+    W = fh_block_ode_oracle(kernel, U, T, zeta, step)
+    assert W.shape == (T + 1, kernel.space.d)
+    reference = dense_block_ode(kernel, U, T, zeta, step)
+    # the same ODE and grid: the two differ only in the rounding of their sums
+    assert np.max(np.abs(W - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(fh_cases())
+def test_block_ode_oracle_matches_dense_rhs_on_random_models(case):
+    kernel, U, T, zeta = case  # a random Q0: one row class per state
+    assert_block_ode_oracle_matches_dense(kernel, U, T, zeta, 0.25)
+
+
+def uav8_model():
+    scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+    return scenario, *build_scenario_model(scenario)
+
+
+class TestBlockOdeOracle:
+    @pytest.mark.parametrize("T", [0, 1, 4])
+    def test_matches_dense_rhs_with_one_exogenous_state(self, rng, T):
+        kernel = random_factored_model(rng, 5, 1)
+        assert_block_ode_oracle_matches_dense(kernel, random_utility(rng, 5), T, 1.5, 0.1)
+
+    def test_matches_dense_rhs_on_uav8(self):
+        _, kernel, U = uav8_model()
+        assert kernel.class_Q0.shape[0] == 6
+        assert_block_ode_oracle_matches_dense(kernel, U, 4, 0.5, 0.05)
+
+    def test_peak_memory_is_one_copy_of_the_nominal_rule(self):
+        # the default 15x15x5 scenario: d = 1125, d_u = 225
+        scenario = UavScenario(d_a=15, d_o=15, d_N=5, wind=generate_wind_field(15, 15, 5, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        rule_bytes = 8 * kernel.space.d * kernel.space.d_u
+        tracemalloc.start()
+        try:
+            fh_block_ode_oracle(kernel, U, 4, 0.01, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one class-ordered copy of R0, and vectors of the stages
+        assert peak < 1.5 * rule_bytes
+
+
+def test_oracles_do_not_call_the_solvers_tilt(monkeypatch):
+    import klmdp.ode_engine as ode_engine
+
+    scenario, kernel, U = uav8_model()
+    W = fh_block_ode_oracle(kernel, U, 4, 0.5, 0.05)
+    h, eta = aroe_fixed_point_oracle(kernel, U, 1.0, scenario.basepoint)
+
+    def tilt(*args, **kwargs):
+        raise AssertionError("an oracle called the solvers' tilt")
+
+    monkeypatch.setattr(ode_engine, "_tilt_values", tilt)
+    np.testing.assert_array_equal(fh_block_ode_oracle(kernel, U, 4, 0.5, 0.05), W)
+    h_again, eta_again = aroe_fixed_point_oracle(kernel, U, 1.0, scenario.basepoint)
+    np.testing.assert_array_equal(h_again.values, h.values)
+    assert eta_again == eta
 
 
 @st.composite
