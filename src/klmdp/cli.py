@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -238,35 +239,87 @@ def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
     out.write_text(name, text)
 
 
-def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> float:
-    """Write every ``solve-ar`` CSV; returns the seconds spent in ``controlled_spectrum``."""
-    x = np.arange(loaded.kernel.space.d)
-    xu, xn = np.divmod(x, loaded.kernel.space.d_n)
-    spectrum_s = 0.0
-    for cp in path.checkpoints:
-        tag = _ztag(cp.zeta)
-        J = cost_to_go(cp) if loaded.scenario is not None else -cp.h.values
-        header = "state_index,x_u,x_n,h,cost_to_go"
-        _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, J)
+# The checkpoints' (R_h, Q0) factors, set in each spectrum worker by the pool's
+# initializer; the fork hands them over by inheritance, with no pickling.
+_spectrum_factors: list[tuple[np.ndarray, np.ndarray]] = []
 
-        _write_policy_csv(out, f"policy_zeta_{tag}.csv", cp.tilted_rule.entries)
+
+def _hold_factors(factors: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    global _spectrum_factors
+    _spectrum_factors = factors
+
+
+def _spectrum_task(i: int) -> tuple[np.ndarray, float]:
+    """Checkpoint ``i``'s ``controlled_spectrum`` less its trailing ``+0`` entries, and its seconds.
+
+    The ``d - r`` zeros that lumping appends have every bit clear, so dropping
+    the trailing all-zero entries and padding ``+0`` back restores the bytes.
+    """
+    t0 = time.perf_counter()
+    eig = controlled_spectrum(*_spectrum_factors[i])
+    seconds = time.perf_counter() - t0
+    words = np.trim_zeros(eig.view(np.uint64), "b")  # two words per complex entry
+    return eig[: (words.size + 1) // 2], seconds
+
+
+def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> tuple[float, dict]:
+    """Write every ``solve-ar`` CSV; returns the seconds spent waiting for the spectra, and their trace.
+
+    The checkpoints' spectra run in ``fork``-started worker processes, at most
+    one per CPU and one per checkpoint, while this process writes the values,
+    policy and velocity CSVs and ``eta.csv``.  The workers inherit the
+    ``(R_h, Q0)`` factors, so a task carries only a checkpoint index and a
+    result only the eigenvalues and the seconds ``controlled_spectrum`` took.
+    The eigenvalue files are written last, in checkpoint order.  The returned
+    wait is the time between this process's last own CSV and the last result.
+    The ``with`` block joins every worker, on success and on error.
+    """
+    factors = [(cp.tilted_rule.entries, cp.Q0.entries) for cp in path.checkpoints]
+    workers = min(len(factors), len(os.sched_getaffinity(0)))
+    # the fork start flushes sys.stdout and sys.stderr before each fork, so a
+    # worker, which flushes its copy of each buffer when it exits, writes nothing twice
+    context = multiprocessing.get_context("fork")
+    # a pool forks its workers at the first task, so with no checkpoint it forks none
+    with ProcessPoolExecutor(max(workers, 1), context, initializer=_hold_factors, initargs=(factors,)) as pool:
+        spectra = [pool.submit(_spectrum_task, i) for i in range(len(factors))]
+
+        x = np.arange(loaded.kernel.space.d)
+        xu, xn = np.divmod(x, loaded.kernel.space.d_n)
+        for cp in path.checkpoints:
+            tag = _ztag(cp.zeta)
+            J = cost_to_go(cp) if loaded.scenario is not None else -cp.h.values
+            header = "state_index,x_u,x_n,h,cost_to_go"
+            _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, J)
+
+            _write_policy_csv(out, f"policy_zeta_{tag}.csv", cp.tilted_rule.entries)
+
+            if loaded.scenario is not None:
+                sc = loaded.scenario
+                v = velocity_field(cp.tilted_rule, sc).reshape(sc.d_L * sc.d_N, 2)
+                l, n = np.divmod(np.arange(sc.d_L * sc.d_N), sc.d_N)
+                i, j = np.divmod(l, sc.d_o)
+                header = "i,j,n,v_lat,v_lon"
+                _write_table(out, f"velocity_zeta_{tag}.csv", header, i + 1, j + 1, n + 1, v[:, 0], v[:, 1])
+
+        header = "zeta,eta,aroe_residual_sup"
+        _write_table(out, "eta.csv", header, path.grid, path.eta_trace, path.residual_trace)
 
         t0 = time.perf_counter()
-        eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
-        spectrum_s += time.perf_counter() - t0
-        _write_table(out, f"eigenvalues_zeta_{tag}.csv", "real,imag", np.real(eig), np.imag(eig))
+        results = [future.result() for future in spectra]
+        wait_s = time.perf_counter() - t0
 
-        if loaded.scenario is not None:
-            sc = loaded.scenario
-            v = velocity_field(cp.tilted_rule, sc).reshape(sc.d_L * sc.d_N, 2)
-            l, n = np.divmod(np.arange(sc.d_L * sc.d_N), sc.d_N)
-            i, j = np.divmod(l, sc.d_o)
-            header = "i,j,n,v_lat,v_lon"
-            _write_table(out, f"velocity_zeta_{tag}.csv", header, i + 1, j + 1, n + 1, v[:, 0], v[:, 1])
-
-    header = "zeta,eta,aroe_residual_sup"
-    _write_table(out, "eta.csv", header, path.grid, path.eta_trace, path.residual_trace)
-    return spectrum_s
+    for cp, (eig, _) in zip(path.checkpoints, results):
+        eig = np.concatenate([eig, np.zeros(x.size - eig.size, dtype=eig.dtype)])
+        _write_table(out, f"eigenvalues_zeta_{_ztag(cp.zeta)}.csv", "real,imag", np.real(eig), np.imag(eig))
+    trace = {
+        "spectrum_workers": workers,
+        # one entry per checkpoint, in the order of the solve's checkpoints
+        "per_checkpoint": {
+            "zeta": [cp.zeta for cp in path.checkpoints],
+            "spectrum_s": [seconds for _, seconds in results],
+        },
+    }
+    return wait_s, trace
 
 
 def _write_manifest(
@@ -301,7 +354,7 @@ def cmd_solve_ar(args) -> int:
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        timings["spectrum"] = _write_ar_outputs(out, loaded, path)
+        timings["spectrum"], spectrum_trace = _write_ar_outputs(out, loaded, path)
         timings["write"] = time.perf_counter() - t0
         trace = {
             "newton_steps_total": int(path.newton_steps.sum()),
@@ -313,6 +366,7 @@ def cmd_solve_ar(args) -> int:
                 "predictor_residual": path.predictor_residual.tolist(),
                 "predictor_nodes": path.predictor_nodes.tolist(),
             },
+            **spectrum_trace,
         }
         _write_manifest(out, loaded, timings, path.snapped, trace)
     except Exception as exc:

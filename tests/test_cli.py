@@ -1,13 +1,20 @@
 import argparse
 import json
+import multiprocessing
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import klmdp.cli
 from klmdp.cli import (
     POLICY_BLOCK_ROWS,
     _OutputTracker,
@@ -18,7 +25,8 @@ from klmdp.cli import (
     load_config,
     main,
 )
-from klmdp.ode_engine import PREDICTOR_MAX_NODES, OdeConfig, solve_finite_horizon
+from klmdp.ode_engine import PREDICTOR_MAX_NODES, OdeConfig, solve_average_reward, solve_finite_horizon
+from klmdp.uav_benchmark import controlled_spectrum
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -296,9 +304,81 @@ class TestSolveAr:
         cfg_path = write_config(tmp_path, small_uav_config())
         out = tmp_path / "run"
         assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 0
-        timings = json.loads((out / "manifest.json").read_text())["timings_seconds"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings_seconds"]
         assert set(timings) == {"solve", "spectrum", "write"}
-        assert 0.0 < timings["spectrum"] <= timings["write"]  # the spectra are part of the write
+        assert 0.0 < timings["spectrum"] <= timings["write"]  # the wait for the spectra is part of the write
+        trace = manifest["trace"]
+        assert trace["spectrum_workers"] == min(2, len(os.sched_getaffinity(0)))
+        assert trace["per_checkpoint"]["zeta"] == [0.0, 0.5]
+        spectrum_s = trace["per_checkpoint"]["spectrum_s"]
+        assert len(spectrum_s) == 2 and all(s > 0.0 for s in spectrum_s)
+
+    def test_worker_count_does_not_change_a_byte(self, tmp_path, monkeypatch):
+        # UAV 8x8x3 (d = 192) with 3 checkpoints, on every CPU and on one
+        cfg = small_uav_config(zeta_max=2.0, checkpoints=(0.0, 1.0, 2.0))
+        cfg["model"].update(d_a=8, d_o=8, d_N=3, target=[8, 8])
+        cfg_path = write_config(tmp_path, cfg)
+        out_all, out_one = tmp_path / "all", tmp_path / "one"
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out_all)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert main(["solve-ar", "--config", cfg_path, "--out", str(out_one)]) == 0
+        workers = [json.loads((out / "manifest.json").read_text())["trace"]["spectrum_workers"]
+                   for out in (out_all, out_one)]
+        assert workers == [min(3, len(os.sched_getaffinity(0))), 1]
+        names = sorted(p.name for p in out_all.glob("*.csv"))
+        assert len(names) == 13 and names == sorted(p.name for p in out_one.glob("*.csv"))
+        for name in names:
+            assert (out_all / name).read_bytes() == (out_one / name).read_bytes()
+        loaded = load_config(cfg_path)
+        path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
+        assert [cp.zeta for cp in path.checkpoints] == [0.0, 1.0, 2.0]
+        for cp in path.checkpoints:
+            eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
+            assert np.count_nonzero(eig == 0) > 0  # the lumped zeros are padded back
+            expected = "real,imag\n" + _csv_rows(np.real(eig), np.imag(eig))
+            assert (out_all / f"eigenvalues_zeta_{cp.zeta:g}.csv").read_text() == expected
+
+    def test_spectrum_failure_leaves_no_file_and_no_worker(self, tmp_path, monkeypatch, capsys):
+        def fail(R, Q0):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        cfg_path = write_config(tmp_path, small_uav_config())
+        out = tmp_path / "run"
+        # the forked workers inherit the patched module global
+        monkeypatch.setattr(klmdp.cli, "controlled_spectrum", fail)
+        assert main(["solve-ar", "--config", cfg_path, "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+        assert "eigenvalues did not converge" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_buffered_output_is_written_once(self, tmp_path):
+        # a forked worker flushes its copy of each stream buffer when it exits,
+        # so text still buffered at the fork would be written twice
+        cfg_path = write_config(tmp_path, small_uav_config())
+        code = (
+            "import sys; from klmdp.cli import main; sys.stdout.write('before'); "
+            f"sys.stderr.write('before'); sys.exit(main(['solve-ar', '--config', {cfg_path!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}]))"
+        )
+        src = str(Path(klmdp.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        # stdout to a pipe is block-buffered, stderr line-buffered: both hold text with no newline
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before"
+        assert done.stderr == "before"
+
+    def test_workers_fork_without_a_deprecation_warning(self, tmp_path):
+        # Python 3.12+ warns when a process with more than one thread forks
+        cfg_path = write_config(tmp_path, small_uav_config())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve-ar", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        assert multiprocessing.active_children() == []
 
     def test_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, small_uav_config())
