@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
-from .state_space import StochasticMatrix
+from .state_space import FactoredKernel, StochasticMatrix
 
 POISSON_TOL = 1e-8
 
@@ -34,29 +34,35 @@ class PerronFrobeniusPair:
     v: np.ndarray
 
 
-def recurrent_class(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
+def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
     """Indices of the unique recurrent class of the unichain aperiodic chain ``R ⊗ Q0``.
 
     The chain is ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``, so row ``x``
-    of its support is ``supp R(x) × supp Q0(x)``: the support graph is built
-    in CSR form from the two factors, and no dense ``P`` is formed.  A chain
-    held as a dense ``P`` is the kernel ``R = P``, ``Q0 = ones((d, 1))``.
+    of its support is ``supp R(x) × supp Q0(x)``: it is formed once per row
+    class of the kernel, whose states share both supports, and the support
+    graph is built in CSR form from those rows, with no dense ``P``.  A chain
+    held as a dense ``P`` is the kernel ``FactoredKernel(ProductStateSpace(d,
+    1), P, ones((d, 1)))``.
 
     Raises :class:`NotUnichainError` if the support graph has more than one
     closed communicating class, and :class:`NotAperiodicError` if the single
     class is periodic.
     """
-    d = R.shape[0]
-    columns, row_kind = _support_rows(R, Q0)
+    d, d_n = kernel.space.d, kernel.space.d_n
+    columns = [  # int32 column indices of each class's support row
+        (np.flatnonzero(r)[:, None] * d_n + np.flatnonzero(q)).ravel().astype(np.int32)
+        for r, q in zip(kernel.class_support, kernel.class_Q0 > 0)
+    ]
+    row_class = kernel.row_class
     indptr = np.zeros(d + 1, dtype=np.int32)
-    np.cumsum([columns[k].size for k in row_kind], out=indptr[1:])
-    indices = np.concatenate([columns[k] for k in row_kind])
+    np.cumsum([columns[k].size for k in row_class], out=indptr[1:])
+    indices = np.concatenate([columns[k] for k in row_class])
     graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(d, d))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     # a state stays in its class when the least and the greatest class of its
     # successors are its own; a class is closed when all its states stay
-    least = np.array([labels[c].min() for c in columns])[row_kind]
-    greatest = np.array([labels[c].max() for c in columns])[row_kind]
+    least = np.array([labels[c].min() for c in columns])[row_class]
+    greatest = np.array([labels[c].max() for c in columns])[row_class]
     leaving = labels[(least != labels) | (greatest != labels)]
     closed = np.setdiff1d(np.arange(n_comp), leaving)
     if closed.size != 1:
@@ -65,25 +71,6 @@ def recurrent_class(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
     if not _is_aperiodic(graph, members):
         raise NotAperiodicError("the recurrent class is periodic")
     return members
-
-
-def _support_rows(R: np.ndarray, Q0: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct rows of the support of ``R ⊗ Q0`` as int32 column indices, and each state's.
-
-    States whose ``R`` and ``Q0`` rows have one support share one row,
-    formed once.
-    """
-    d_n = Q0.shape[1]
-    kinds: dict[bytes, int] = {}  # support bytes -> index of the row in columns
-    columns: list[np.ndarray] = []
-    row_kind = np.empty(R.shape[0], dtype=np.intp)
-    for x, (r, q) in enumerate(zip(R > 0, Q0 > 0)):
-        key = r.tobytes() + q.tobytes()
-        if key not in kinds:
-            kinds[key] = len(columns)
-            columns.append((np.flatnonzero(r)[:, None] * d_n + np.flatnonzero(q)).ravel().astype(np.int32))
-        row_kind[x] = kinds[key]
-    return columns, row_kind
 
 
 def _is_aperiodic(graph: sp.csr_matrix, members: np.ndarray) -> bool:

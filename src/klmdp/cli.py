@@ -35,6 +35,7 @@ from .chain_solvers import perron_frobenius_baseline
 from .errors import NotAperiodicError, NotUnichainError
 from .ode_engine import (
     OdeConfig,
+    PathCheckpoint,
     ZetaSolutionPath,
     aroe_fixed_point_oracle,
     checkpoint_weights,
@@ -239,27 +240,22 @@ def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
     out.write_text(name, text)
 
 
-# The checkpoints' (R_h, Q0) factors, set in each spectrum worker by the pool's
+# The solve's checkpoints, set in each spectrum worker by the pool's
 # initializer; the fork hands them over by inheritance, with no pickling.
-_spectrum_factors: list[tuple[np.ndarray, np.ndarray]] = []
+_spectrum_checkpoints: list[PathCheckpoint] = []
 
 
-def _hold_factors(factors: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    global _spectrum_factors
-    _spectrum_factors = factors
+def _hold_checkpoints(checkpoints: list[PathCheckpoint]) -> None:
+    global _spectrum_checkpoints
+    _spectrum_checkpoints = checkpoints
 
 
 def _spectrum_task(i: int) -> tuple[np.ndarray, float]:
-    """Checkpoint ``i``'s ``controlled_spectrum`` less its trailing ``+0`` entries, and its seconds.
-
-    The ``d - r`` zeros that lumping appends have every bit clear, so dropping
-    the trailing all-zero entries and padding ``+0`` back restores the bytes.
-    """
+    """Checkpoint ``i``'s ``controlled_spectrum``, and the seconds its rule and spectrum took."""
     t0 = time.perf_counter()
-    eig = controlled_spectrum(*_spectrum_factors[i])
-    seconds = time.perf_counter() - t0
-    words = np.trim_zeros(eig.view(np.uint64), "b")  # two words per complex entry
-    return eig[: (words.size + 1) // 2], seconds
+    cp = _spectrum_checkpoints[i]
+    eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+    return eig, time.perf_counter() - t0
 
 
 def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> tuple[float, dict]:
@@ -267,39 +263,43 @@ def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSoluti
 
     The checkpoints' spectra run in ``fork``-started worker processes, at most
     one per CPU and one per checkpoint, while this process writes the values,
-    policy and velocity CSVs and ``eta.csv``.  The workers inherit the
-    ``(R_h, Q0)`` factors, so a task carries only a checkpoint index and a
-    result only the eigenvalues and the seconds ``controlled_spectrum`` took.
-    The eigenvalue files are written last, in checkpoint order.  The returned
-    wait is the time between this process's last own CSV and the last result.
-    The ``with`` block joins every worker, on success and on error.
+    policy and velocity CSVs and ``eta.csv``.  Each checkpoint's rule is
+    derived from its ``h`` once here, for its policy and velocity files, and
+    dropped.  The workers inherit the checkpoints, which hold only values, so
+    a task carries only a checkpoint index; a worker derives the rule itself,
+    and a result carries only the eigenvalues and the seconds the rule and
+    ``controlled_spectrum`` took.  The eigenvalue files are written last, in
+    checkpoint order.  The returned wait is the time between this process's
+    last own CSV and the last result.  The ``with`` block joins every worker,
+    on success and on error.
     """
-    factors = [(cp.tilted_rule.entries, cp.Q0.entries) for cp in path.checkpoints]
-    workers = min(len(factors), len(os.sched_getaffinity(0)))
+    checkpoints = path.checkpoints
+    workers = min(len(checkpoints), len(os.sched_getaffinity(0)))
     # the fork start flushes sys.stdout and sys.stderr before each fork, so a
     # worker, which flushes its copy of each buffer when it exits, writes nothing twice
     context = multiprocessing.get_context("fork")
     # a pool forks its workers at the first task, so with no checkpoint it forks none
-    with ProcessPoolExecutor(max(workers, 1), context, initializer=_hold_factors, initargs=(factors,)) as pool:
-        spectra = [pool.submit(_spectrum_task, i) for i in range(len(factors))]
+    with ProcessPoolExecutor(max(workers, 1), context, initializer=_hold_checkpoints, initargs=(checkpoints,)) as pool:
+        spectra = [pool.submit(_spectrum_task, i) for i in range(len(checkpoints))]
 
         x = np.arange(loaded.kernel.space.d)
         xu, xn = np.divmod(x, loaded.kernel.space.d_n)
-        for cp in path.checkpoints:
+        for cp in checkpoints:
             tag = _ztag(cp.zeta)
-            J = cost_to_go(cp) if loaded.scenario is not None else -cp.h.values
             header = "state_index,x_u,x_n,h,cost_to_go"
-            _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, J)
+            _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, cost_to_go(cp))
 
-            _write_policy_csv(out, f"policy_zeta_{tag}.csv", cp.tilted_rule.entries)
+            rule = cp.policy()
+            _write_policy_csv(out, f"policy_zeta_{tag}.csv", rule.entries)
 
             if loaded.scenario is not None:
                 sc = loaded.scenario
-                v = velocity_field(cp.tilted_rule, sc).reshape(sc.d_L * sc.d_N, 2)
+                v = velocity_field(rule, sc).reshape(sc.d_L * sc.d_N, 2)
                 l, n = np.divmod(np.arange(sc.d_L * sc.d_N), sc.d_N)
                 i, j = np.divmod(l, sc.d_o)
                 header = "i,j,n,v_lat,v_lon"
                 _write_table(out, f"velocity_zeta_{tag}.csv", header, i + 1, j + 1, n + 1, v[:, 0], v[:, 1])
+            del rule  # freed before the next checkpoint's rule is derived
 
         header = "zeta,eta,aroe_residual_sup"
         _write_table(out, "eta.csv", header, path.grid, path.eta_trace, path.residual_trace)
@@ -308,14 +308,13 @@ def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSoluti
         results = [future.result() for future in spectra]
         wait_s = time.perf_counter() - t0
 
-    for cp, (eig, _) in zip(path.checkpoints, results):
-        eig = np.concatenate([eig, np.zeros(x.size - eig.size, dtype=eig.dtype)])
+    for cp, (eig, _) in zip(checkpoints, results):
         _write_table(out, f"eigenvalues_zeta_{_ztag(cp.zeta)}.csv", "real,imag", np.real(eig), np.imag(eig))
     trace = {
         "spectrum_workers": workers,
         # one entry per checkpoint, in the order of the solve's checkpoints
         "per_checkpoint": {
-            "zeta": [cp.zeta for cp in path.checkpoints],
+            "zeta": [cp.zeta for cp in checkpoints],
             "spectrum_s": [seconds for _, seconds in results],
         },
     }
@@ -451,21 +450,25 @@ def cmd_validate(args) -> int:
                 1e-5,
             ))
 
-        if loaded.kernel.space.d_n == 1 and zf > 0:
+        pf_rows = loaded.kernel.space.d_n == 1 and zf > 0
+        rollout_rows = loaded.scenario is not None and zf > 0 and args.trials > 0
+        if pf_rows or rollout_rows:
+            cp = path.checkpoints[-1]
+            rule = cp.policy()  # one rule for the Perron-Frobenius and rollout rows
+
+        if pf_rows:
             P0 = induced_transition(loaded.kernel)
             pf, twisted = perron_frobenius_baseline(P0, loaded.utility, zf, loaded.basepoint)
-            cp = path.checkpoints[-1]
-            controlled = induced_transition(FactoredKernel(loaded.kernel.space, cp.tilted_rule, cp.Q0))
+            controlled = induced_transition(FactoredKernel(loaded.kernel.space, rule, loaded.kernel.Q0))
             gap = float(np.max(np.abs(twisted.entries - controlled.entries)))
             rows.append((f"pf twisted matrix vs ode @ zeta={_ztag(zf)}", gap, 1e-6))
             rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(zf)}", abs(cp.eta - np.log(pf.lam)), 1e-6))
 
-        if loaded.scenario is not None and zf > 0 and args.trials > 0:
-            cp = path.checkpoints[-1]
+        if rollout_rows:
             sc = loaded.scenario
             start = 0 * sc.d_N  # corner location (1,1), first wind state
             result = rollout_oracle(
-                loaded.kernel, cp.tilted_rule, sc, cp.zeta, start,
+                loaded.kernel, rule, sc, cp.zeta, start,
                 trials=args.trials, horizon_cap=args.horizon_cap, seed=args.seed,
             )
             gap = abs(result.mean - (-cp.h.values[start]))

@@ -12,7 +12,9 @@ The exogenous coordinate is not controlled, so a state enters the
 conditional expectation only through its ``Q0`` row: it is formed once per
 row class of the kernel (see :class:`FactoredKernel`), as are the shift and
 the exponential, and gathered to the states for the weighting by ``R0``.
-Callers that need only the log-normalizer skip the rule's normalization.
+The tilt returns the unnormalized weights with the log-normalizer, which is
+all a Newton step or a backward recursion needs; :func:`tilted_rule` turns
+a value vector into its normalized, validated rule where a policy is used.
 """
 
 from __future__ import annotations
@@ -44,21 +46,19 @@ def conditional_expectation_values(
     return g if by_class else g[kernel.row_class]
 
 
-def _tilt_values(
-    values: np.ndarray, kernel: FactoredKernel, normalize: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
     """Exponentially tilt the nominal rule by the value vector ``h = values``.
 
-    Returns the rule ``R_h(x, x_u') = R0(x, x_u') exp(h(x_u'|x) - Lambda_h(x))``,
-    where ``h(x_u'|x)`` is the conditional expectation of ``h``, and the
-    log-normalizer ``Lambda_h``.  Rows are pmfs; zeros of ``R0`` are kept.
+    Returns the unnormalized weights ``R0(x, x_u') exp(g(x, x_u') - max g(x))``,
+    where ``g(x, x_u') = h(x_u'|x)`` is the conditional expectation of ``h``
+    and ``max g(x)`` its maximum over the support of ``R0(x, .)``, and the
+    log-normalizer ``Lambda_h`` of the rule ``R_h = R0 exp(g - Lambda_h)``.
+    Zeros of ``R0`` stay ``+0.0``.
 
     The conditional expectation, its maximum over the support and the
     exponential are formed on the row classes, which share one support, and
     gathered to the states; the weighting by ``R0`` and the row sums are per
-    state.  Without ``normalize`` the first array holds the unnormalized
-    weights ``R0 exp(g - max g)``, and :func:`_normalize_rule` turns them
-    into the rule where it is needed.
+    state.  :func:`_normalize_rule` turns the weights into the rule.
     """
     g = conditional_expectation_values(values, kernel, by_class=True)
     support = kernel.class_support
@@ -68,20 +68,18 @@ def _tilt_values(
     e = np.exp(g, out=np.zeros_like(g), where=support)
     t = e[kernel.row_class]
     t *= kernel.R.entries
-    s = t.sum(axis=1)
-    lam = np.log(s) + m[kernel.row_class]
-    if normalize:
-        t /= s[:, None]
+    lam = np.log(t.sum(axis=1)) + m[kernel.row_class]
     return t, lam
 
 
-def _normalize_rule(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The decision rule of unnormalized tilt weights: each row over its sum.
+def _normalize_rule(weights: np.ndarray) -> np.ndarray:
+    """The decision rule of unnormalized tilt weights: each row over its sum, in place."""
+    return np.divide(weights, weights.sum(axis=1)[:, None], out=weights)
 
-    Written to ``out`` if given (``weights`` itself normalizes in place).
-    Bit-identical to the rule :func:`_tilt_values` normalizes itself.
-    """
-    return np.divide(weights, weights.sum(axis=1)[:, None], out=out)
+
+def tilted_rule(values: np.ndarray, kernel: FactoredKernel) -> StochasticMatrix:
+    """The optimal rule for continuation values ``values``: the nominal rule tilted by them (Gibbs form)."""
+    return StochasticMatrix(_normalize_rule(_tilt_values(values, kernel)[0]))
 
 
 def kl_step_cost(rule: StochasticMatrix, R0: StochasticMatrix) -> np.ndarray:

@@ -11,9 +11,10 @@ polynomial extrapolation through as many of the last converged nodes as
 predicted the previous node best, and corrected by Anderson-accelerated
 chord steps on the kept LU, refactored only where the residual stops
 contracting (Shamanskii).  Finite horizon: each member of the family is
-explicit, so each checkpoint is computed exactly by the backward recursion,
-and it keeps only its stacked values: each stage policy is the tilt of the
-nominal rule by that stage's values, derived when it is asked for.
+explicit, so each checkpoint is computed exactly by the backward recursion.
+A checkpoint of either family keeps only its values: each policy is the tilt
+of the nominal rule by the values it is optimal for, derived when it is
+asked for.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -29,7 +30,7 @@ import numpy as np
 
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
-from .kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
+from .kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values, tilted_rule
 from .state_space import FactoredKernel, StochasticMatrix, ValueFunction
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
@@ -76,18 +77,22 @@ class OdeConfig:
 
 @dataclass(frozen=True)
 class PathCheckpoint:
-    """Full solution snapshot at one value of the weight.
+    """Average-reward solution at one value of the weight: ``h``, ``eta`` and the residual.
 
-    The controlled chain is kept as its factors ``tilted_rule`` and ``Q0``;
-    no dense ``d x d`` matrix is stored.
+    The optimal rule is the tilt of the nominal rule by ``h`` (Gibbs form), so
+    ``h`` determines it and no rule is stored: :meth:`policy` derives it, and
+    the controlled chain is that rule with the kernel's ``Q0``.
     """
 
     zeta: float
     h: ValueFunction
     eta: float
-    tilted_rule: StochasticMatrix
-    Q0: StochasticMatrix
     aroe_residual_sup: float
+    kernel: FactoredKernel
+
+    def policy(self) -> StochasticMatrix:
+        """The optimal rule ``R_h``: the nominal rule tilted by ``h``."""
+        return tilted_rule(self.h.values, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class FhCheckpoint:
         """The stage-``k`` policy, ``0 <= k < T``: the nominal rule tilted by ``W[k]``."""
         if not 0 <= k < self.W.shape[0] - 1:
             raise IndexError(f"stage {k} outside [0, {self.W.shape[0] - 1})")
-        return StochasticMatrix(_tilt_values(self.W[k], self.kernel)[0])
+        return tilted_rule(self.W[k], self.kernel)
 
 
 @dataclass(frozen=True)
@@ -252,8 +257,9 @@ def solve_average_reward(
     the mixing history is cleared at each node, refactorization and undo.
     Each iterate is tilted once, on the kernel's row classes, and each
     correction is one triangular solve.  A step needs only the log-normalizer
-    ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only where it
-    is used: for each factorization and each checkpoint.  Where a correction
+    ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only for each
+    factorization; a checkpoint keeps ``h`` and derives its rule from it
+    (:meth:`PathCheckpoint.policy`).  Where a correction
     does not cut the residual by ``CHORD_RHO``, the matrix is refactored at
     the current iterate, so that step is a full Newton step (Shamanskii);
     where a chord step does not lower the residual at all, it is undone and
@@ -269,7 +275,7 @@ def solve_average_reward(
 
     # The tilt never changes the support pattern, so structure is checked once,
     # on the support of the nominal factors.
-    members = recurrent_class(model.R.entries, model.Q0.entries)
+    members = recurrent_class(model)
     if basepoint not in members:
         raise ValueError(f"basepoint {basepoint} is transient; it must be in the recurrent class")
 
@@ -319,7 +325,7 @@ def solve_average_reward(
         mixing: list[tuple[np.ndarray, np.ndarray]] = []
         for it in range(NEWTON_MAX_ITER + 1):
             h, eta = x[:d], float(x[d])
-            weights, lam = _tilt_values(h, model, normalize=False)
+            weights, lam = _tilt_values(h, model)
             defect = zeta * U + lam - h - eta
             res = float(np.max(np.abs(defect)))
             if not np.isfinite(res):
@@ -334,7 +340,7 @@ def solve_average_reward(
             if refactor:
                 lu = None  # at most one factorization alive
                 # in place: an undo never returns to an iterate that was factored
-                lu = factor(_normalize_rule(weights, out=weights), zeta)
+                lu = factor(_normalize_rule(weights), zeta)
                 factorizations[i] += 1
                 mixing.clear()
             start, start_res, start_factored = (x, weights, defect), res, refactor
@@ -349,17 +355,7 @@ def solve_average_reward(
         residual_trace[i] = res
         converged = [*converged[-PREDICTOR_MAX_NODES:], (zeta, x)]
         if i in cp_nodes:
-            checkpoints.append(
-                PathCheckpoint(
-                    zeta=zeta,
-                    h=ValueFunction(h, basepoint),
-                    eta=eta,
-                    # in place: a node's last weights are never factored
-                    tilted_rule=StochasticMatrix(_normalize_rule(weights, out=weights)),
-                    Q0=model.Q0,
-                    aroe_residual_sup=res,
-                )
-            )
+            checkpoints.append(PathCheckpoint(zeta, ValueFunction(h, basepoint), eta, res, model))
 
     return ZetaSolutionPath(
         checkpoints=checkpoints,
@@ -525,7 +521,7 @@ def solve_finite_horizon(
     Checkpoints snap to the weight grid; at each, ``W[0] = zeta U`` and
     ``W[k] = zeta U + Lambda(W[k-1])``.  The recursion needs only the
     log-normalizer ``Lambda`` of each tilt, so a checkpoint costs ``T``
-    unnormalized tilts whatever the grid, and none at ``zeta = 0``, where
+    tilts, never normalized, whatever the grid, and none at ``zeta = 0``, where
     ``W = 0`` exactly.  A checkpoint keeps only ``W``, frozen; its stage
     policies are the normalized tilts of the same rows, derived by
     :meth:`FhCheckpoint.policy`.  The values are the recursion itself, so
@@ -548,7 +544,7 @@ def solve_finite_horizon(
                 raise ConvergenceError(f"non-finite finite-horizon value W[{k}] at zeta={zeta:g}")
             # at zeta = 0, W = 0 exactly, where Lambda(0), the log of R0's row sums, reads ±1e-16
             if k < T and zeta > 0:
-                W[k + 1] = zeta * U + _tilt_values(W[k], model, normalize=False)[1]
+                W[k + 1] = zeta * U + _tilt_values(W[k], model)[1]
         W.setflags(write=False)  # a stage policy comes only from the values written
         checkpoints.append(FhCheckpoint(zeta=zeta, W=W, kernel=model))
 

@@ -22,7 +22,7 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProductStateSpace:
-    """Indexing bijection for the product of two finite coordinate sets."""
+    """Sizes of the two coordinates; state ``(x_u, x_n)`` has flat index ``x_u d_n + x_n``."""
 
     d_u: int
     d_n: int
@@ -34,16 +34,6 @@ class ProductStateSpace:
     @property
     def d(self) -> int:
         return self.d_u * self.d_n
-
-    def flatten(self, x_u: int, x_n: int) -> int:
-        if not (0 <= x_u < self.d_u and 0 <= x_n < self.d_n):
-            raise ValueError(f"state ({x_u}, {x_n}) outside {self.d_u} x {self.d_n} space")
-        return x_u * self.d_n + x_n
-
-    def unflatten(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.d:
-            raise ValueError(f"flat index {i} outside [0, {self.d})")
-        return divmod(i, self.d_n)
 
 
 @dataclass(frozen=True)
@@ -87,15 +77,14 @@ class FactoredKernel:
     """Decision rule and exogenous kernel generating a product transition matrix.
 
     ``R`` has shape ``(d, d_u)`` and ``Q0`` shape ``(d, d_n)``; both are
-    row-indexed by the full flat state.  ``support`` is the read-only mask
-    ``R > 0``, computed once: the tilt reweights only those entries.
+    row-indexed by the full flat state.
 
     A state enters the tilt's conditional expectation only through its
     ``Q0`` row, and its exponent only through its support, so states that
     share both form one row class.  ``row_class`` maps each state to its
     class, numbered in order of first appearance; ``class_Q0`` and
-    ``class_support`` hold the ``Q0`` row and support of each class.  All are
-    read-only and computed once.  The UAV model has ``2 d_N`` classes, one
+    ``class_support`` hold the ``Q0`` row and the support ``R > 0`` of each
+    class.  All are read-only and computed once.  The UAV model has ``2 d_N`` classes, one
     per wind state off the target and one per wind state on it (6 for 192
     states at 8x8x3); a Dirichlet ``Q0`` has one class per state.
     """
@@ -103,7 +92,6 @@ class FactoredKernel:
     space: ProductStateSpace
     R: StochasticMatrix
     Q0: StochasticMatrix
-    support: np.ndarray = field(init=False, repr=False, compare=False)
     row_class: np.ndarray = field(init=False, repr=False, compare=False)
     class_Q0: np.ndarray = field(init=False, repr=False, compare=False)
     class_support: np.ndarray = field(init=False, repr=False, compare=False)
@@ -125,7 +113,6 @@ class FactoredKernel:
         reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))  # ascending
         row_class = np.searchsorted(reps, firsts)
         for name, value in (
-            ("support", support),
             ("row_class", row_class),
             ("class_Q0", self.Q0.entries[reps]),
             ("class_support", support[reps]),

@@ -30,15 +30,21 @@ def dense_kernel(P):
     return P, np.ones((P.shape[0], 1))
 
 
+def dense_chain_kernel(P):
+    """A stochastic dense ``P`` as a kernel: the rule ``P`` over ``d`` controlled states, ``d_n = 1``."""
+    d = P.shape[0]
+    return FactoredKernel(ProductStateSpace(d, 1), StochasticMatrix(P), StochasticMatrix(np.ones((d, 1))))
+
+
 def dense_bordered_lu(P, x0):
     """The bordered LU of a dense chain, certified against ``P @ y``."""
     return BorderedLU(*dense_kernel(P), x0, P.__matmul__)
 
 
 def controlled_chain(cp):
-    """Dense controlled chain of a checkpoint, built from its factors in the test."""
-    space = ProductStateSpace(cp.tilted_rule.cols, cp.Q0.cols)
-    return induced_transition(FactoredKernel(space, cp.tilted_rule, cp.Q0)).entries
+    """Dense controlled chain of a checkpoint, built from its policy in the test."""
+    kernel = cp.kernel
+    return induced_transition(FactoredKernel(kernel.space, cp.policy(), kernel.Q0)).entries
 
 
 def random_utility(rng, d):

@@ -62,7 +62,7 @@ def test_criterion_2_spectrum_lines_invariant(uav_sweep):
     wind_eig = np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries)
     worst = 0.0
     for cp in path.checkpoints:
-        spectrum = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
+        spectrum = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
         for lam in wind_eig:
             worst = max(worst, float(np.min(np.abs(spectrum - lam))))
     ok = worst <= 1e-3 and elapsed < 120.0
@@ -192,7 +192,7 @@ def test_criterion_8_rollout_validation():
     cfg = OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
     cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
     start = 0  # corner location (1, 1), first wind state
-    result = rollout_oracle(model, cp.tilted_rule, sc, 1.0, start=start,
+    result = rollout_oracle(model, cp.policy(), sc, 1.0, start=start,
                             trials=10_000, horizon_cap=10_000, seed=0)
     gap = abs(result.mean - cost_to_go(cp)[start])
     ok = result.censored == 0 and gap <= 3.0 * result.half_width_95
@@ -231,7 +231,7 @@ def test_figure_structure_substitutes(uav_sweep):
         for n in range(sc.d_N):
             ok = ok and bool(np.all(np.abs(v0[l, n] - sc.wind.table[l, n]) <= 0.05))
     for cp in path.checkpoints:
-        v = velocity_field(cp.tilted_rule, sc)
+        v = velocity_field(cp.policy(), sc)
         ok = ok and bool(np.all(np.abs(v[sc.target_index]) <= 1e-12))
     J = np.stack([cost_to_go(cp) for cp in path.checkpoints])
     ok = ok and bool(np.all(np.diff(J, axis=0) >= -1e-9))

@@ -17,8 +17,16 @@ from klmdp import (
 )
 
 from klmdp.chain_solvers import FLUSH_BELOW, BorderedLU
+from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
-from conftest import balance_pmf, dense_bordered_lu, dense_kernel, random_factored_model, random_utility
+from conftest import (
+    balance_pmf,
+    dense_bordered_lu,
+    dense_chain_kernel,
+    dense_kernel,
+    random_factored_model,
+    random_utility,
+)
 
 
 def two_state(a=0.3, b=0.1):
@@ -65,7 +73,7 @@ class TestInvariantPmf:
             P = rng.dirichlet(np.ones(7), size=7)
             P[:, rng.choice(np.arange(1, 7), size=3, replace=False)] = 0.0  # 3 transient states
             P /= P.sum(axis=1, keepdims=True)
-            x0 = rng.choice(recurrent_class(*dense_kernel(P)))
+            x0 = rng.choice(recurrent_class(dense_chain_kernel(P)))
             pi = bordered_pmf(P, x0)
             assert np.max(np.abs(pi - balance_pmf(P))) <= 1e-12
             assert np.all(pi[P.sum(axis=0) == 0.0] == pytest.approx(0.0, abs=1e-12))
@@ -78,7 +86,7 @@ class TestRecurrentClass:
             [0.0, 0.5, 0.5],
             [0.0, 0.4, 0.6],
         ])
-        np.testing.assert_array_equal(recurrent_class(*dense_kernel(P)), [1, 2])
+        np.testing.assert_array_equal(recurrent_class(dense_chain_kernel(P)), [1, 2])
 
     def test_aperiodic_without_self_loops(self):
         # two cycle lengths 2 and 3 sharing states: gcd 1, no self loop
@@ -87,16 +95,16 @@ class TestRecurrentClass:
             [0.5, 0.0, 0.5],
             [1.0, 0.0, 0.0],
         ])
-        np.testing.assert_array_equal(recurrent_class(*dense_kernel(P)), [0, 1, 2])
+        np.testing.assert_array_equal(recurrent_class(dense_chain_kernel(P)), [0, 1, 2])
 
     def test_multiple_recurrent_classes_rejected(self):
         with pytest.raises(NotUnichainError):
-            recurrent_class(*dense_kernel(np.eye(2)))
+            recurrent_class(dense_chain_kernel(np.eye(2)))
 
     def test_periodic_rejected(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NotAperiodicError):
-            recurrent_class(*dense_kernel(P))
+            recurrent_class(dense_chain_kernel(P))
 
     def test_period_two_without_two_cycles_rejected(self):
         # cycles of lengths 4 and 6 through state 0, and a transient entry state 7
@@ -105,7 +113,7 @@ class TestRecurrentClass:
             P[a, b] = 1.0
         P /= P.sum(axis=1, keepdims=True)
         with pytest.raises(NotAperiodicError):
-            recurrent_class(*dense_kernel(P))
+            recurrent_class(dense_chain_kernel(P))
 
     def test_factored_matches_dense_reference(self, rng):
         outcomes = {"members": 0, NotUnichainError: 0, NotAperiodicError: 0}
@@ -114,7 +122,7 @@ class TestRecurrentClass:
             kernel = sparse_factored_model(rng, d_u, d_n, keep=rng.choice([0.0, 0.3, 0.6]))
             expected = dense_recurrent_class(induced_transition(kernel).entries)
             try:
-                got = recurrent_class(kernel.R.entries, kernel.Q0.entries)
+                got = recurrent_class(kernel)
             except (NotUnichainError, NotAperiodicError) as exc:
                 assert type(exc) is expected
                 outcomes[expected] += 1
@@ -122,6 +130,33 @@ class TestRecurrentClass:
                 np.testing.assert_array_equal(got, expected)
                 outcomes["members"] += 1
         assert min(outcomes.values()) >= 10, outcomes
+
+    def test_shared_q0_rows_match_dense_reference(self, rng):
+        # states share one of a few Q0 rows, so a row class holds several
+        # states, and their sparse R0 rows split those that share a Q0 row
+        grouped = 0
+        for _ in range(200):
+            d_u, d_n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            kernel = sparse_factored_model(rng, d_u, d_n, keep=rng.choice([0.3, 0.6]))
+            Q0 = kernel.Q0.entries[rng.integers(0, 2, size=kernel.space.d)]
+            kernel = FactoredKernel(kernel.space, kernel.R, StochasticMatrix(Q0))
+            grouped += kernel.class_Q0.shape[0] < kernel.space.d
+            expected = dense_recurrent_class(induced_transition(kernel).entries)
+            try:
+                got = recurrent_class(kernel)
+            except (NotUnichainError, NotAperiodicError) as exc:
+                assert type(exc) is expected
+            else:
+                np.testing.assert_array_equal(got, expected)
+        assert grouped >= 100
+
+    @pytest.mark.parametrize("d_a, d_o, d_N", [(4, 4, 2), (5, 5, 2)])
+    def test_uav_kernel_matches_dense_reference(self, d_a, d_o, d_N):
+        scenario = UavScenario(d_a=d_a, d_o=d_o, d_N=d_N, wind=generate_wind_field(d_a, d_o, d_N, seed=0))
+        kernel, _ = build_scenario_model(scenario)
+        assert kernel.class_Q0.shape[0] < kernel.space.d
+        expected = dense_recurrent_class(induced_transition(kernel).entries)
+        np.testing.assert_array_equal(recurrent_class(kernel), expected)
 
 
 def sparse_factored_model(rng, d_u, d_n, keep):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy.special import logsumexp
 
 import klmdp.cli
 from klmdp.cli import (
@@ -272,6 +273,29 @@ class TestSolveAr:
         for total in mass.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_explicit_model_writes_policies_tilted_by_the_written_values(self, tmp_path):
+        cfg = explicit_config(checkpoints=[0.0, 0.5, 1.0])
+        out = tmp_path / "run"
+        assert main(["solve-ar", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        tags = ("0", "0.5", "1")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["eta.csv", "manifest.json"]
+            + [f"{kind}_zeta_{tag}.csv" for kind in ("values", "policy", "eigenvalues") for tag in tags]
+        )
+        R0, Q0 = np.array(cfg["model"]["R0"]), np.array(cfg["model"]["Q0"])
+        d_u, d_n = R0.shape[1], Q0.shape[1]
+        for tag in tags:
+            values = np.loadtxt(out / f"values_zeta_{tag}.csv", delimiter=",", skiprows=1)
+            h = values[:, 3]
+            np.testing.assert_array_equal(values[:, 4], -h)  # cost_to_go
+            # the Gibbs rule by logsumexp: R0 exp(g - log sum_u R0 exp g), g = E[h | x, x_u']
+            logits = np.log(R0) + Q0 @ h.reshape(d_u, d_n).T
+            expected = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+            x, u, p = np.loadtxt(out / f"policy_zeta_{tag}.csv", delimiter=",", skiprows=1, unpack=True)
+            written = np.zeros_like(expected)
+            written[x.astype(int), u.astype(int)] = p
+            assert np.max(np.abs(written - expected)) <= 1e-9
+
     def test_eigenvalues_contain_unit(self, tmp_path):
         cfg_path = write_config(tmp_path, small_uav_config())
         out = tmp_path / "run"
@@ -335,8 +359,8 @@ class TestSolveAr:
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         assert [cp.zeta for cp in path.checkpoints] == [0.0, 1.0, 2.0]
         for cp in path.checkpoints:
-            eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
-            assert np.count_nonzero(eig == 0) > 0  # the lumped zeros are padded back
+            eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+            assert np.count_nonzero(eig == 0) > 0  # the lumped zeros are written too
             expected = "real,imag\n" + _csv_rows(np.real(eig), np.imag(eig))
             assert (out_all / f"eigenvalues_zeta_{cp.zeta:g}.csv").read_text() == expected
 

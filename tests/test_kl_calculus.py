@@ -10,7 +10,7 @@ from klmdp import (
     induced_transition,
     kl_step_cost,
 )
-from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values
+from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values, tilted_rule
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import random_factored_model, random_utility
@@ -70,7 +70,7 @@ class TestRowClasses:
     """States that share their ``Q0`` row and their ``R0`` support form one class."""
 
     def check_classes(self, kernel):
-        Q0, support = kernel.Q0.entries, kernel.support
+        Q0, support = kernel.Q0.entries, kernel.R.entries > 0
         np.testing.assert_array_equal(kernel.class_Q0[kernel.row_class], Q0)
         np.testing.assert_array_equal(kernel.class_support[kernel.row_class], support)
         K = kernel.class_Q0.shape[0]
@@ -145,13 +145,14 @@ class TestLogNormalizer:
 class TestTilt:
     def test_identity_at_zero(self):
         kernel = simple_kernel()
-        rule, lam = _tilt_values(np.zeros(4), kernel)
+        rule = tilted_rule(np.zeros(4), kernel).entries
+        _, lam = _tilt_values(np.zeros(4), kernel)
         np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-15)
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_shift_cancels(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        rule, _ = _tilt_values(np.full(6, 4.2), kernel)
+        rule = tilted_rule(np.full(6, 4.2), kernel).entries
         np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-13)
 
     def test_hand_value(self):
@@ -159,15 +160,18 @@ class TestTilt:
         R0 = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        rule, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
+        rule = tilted_rule(np.array([0.0, np.log(3.0)]), kernel).entries
+        _, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
         np.testing.assert_allclose(rule[0], [0.25, 0.75])
         np.testing.assert_allclose(lam[0], np.log(2.0))
 
     def test_shift_invariance(self, rng):
         kernel = random_factored_model(rng, 4, 3)
         h = random_utility(rng, 12)
-        rule_a, lam_a = _tilt_values(h, kernel)
-        rule_b, lam_b = _tilt_values(h + 17.3, kernel)
+        rule_a = tilted_rule(h, kernel).entries
+        lam_a = _tilt_values(h, kernel)[1]
+        rule_b = tilted_rule(h + 17.3, kernel).entries
+        lam_b = _tilt_values(h + 17.3, kernel)[1]
         np.testing.assert_allclose(rule_a, rule_b, atol=1e-14)
         np.testing.assert_allclose(lam_b - lam_a, 17.3, atol=1e-12)
 
@@ -176,7 +180,7 @@ class TestTilt:
         R0 = StochasticMatrix(np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [1.0, 0.0, 0.0]]))
         Q0 = StochasticMatrix(np.ones((3, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        rule, _ = _tilt_values(np.array([5.0, -2.0, 9.0]), kernel)
+        rule = tilted_rule(np.array([5.0, -2.0, 9.0]), kernel).entries
         assert np.all(rule[R0.entries == 0] == 0.0)
 
     def test_legendre_duality_identity(self, rng):
@@ -184,10 +188,11 @@ class TestTilt:
         for _ in range(10):
             kernel = random_factored_model(rng, 4, 3)
             h = 3.0 * random_utility(rng, 12)
-            rule, lam = _tilt_values(h, kernel)
+            rule = tilted_rule(h, kernel)
+            lam = _tilt_values(h, kernel)[1]
             g = conditional_expectation_values(h, kernel)
-            kl = kl_step_cost(StochasticMatrix(rule), kernel.R)
-            expected = (rule * g).sum(axis=1) - lam
+            kl = kl_step_cost(rule, kernel.R)
+            expected = (rule.entries * g).sum(axis=1) - lam
             np.testing.assert_allclose(kl, expected, atol=1e-10)
 
 
@@ -207,7 +212,8 @@ class TestTiltInPlace:
     supports cached on the kernel, and matches the reference bit for bit."""
 
     def check(self, values, kernel):
-        rule, lam = _tilt_values(values, kernel)
+        rule = tilted_rule(values, kernel).entries
+        lam = _tilt_values(values, kernel)[1]
         ref_rule, ref_lam = reference_tilt(values, kernel)
         np.testing.assert_array_equal(rule, ref_rule)
         np.testing.assert_array_equal(lam, ref_lam)
@@ -231,7 +237,7 @@ class TestTiltInPlace:
     def test_uav_model(self):
         scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
         kernel, U = build_scenario_model(scenario)
-        assert not np.all(kernel.support)  # the absorbing target row
+        assert not np.all(kernel.R.entries > 0)  # the absorbing target row
         for scale in (0.0, 1.0, 40.0):
             self.check(scale * U + np.linspace(-1.0, 1.0, kernel.space.d), kernel)
 
@@ -253,16 +259,17 @@ class TestTiltInPlace:
         for _ in range(50):
             kernel = tiled_kernel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), 2)
             values = 30.0 * rng.standard_normal(kernel.space.d)
-            rule, lam = _tilt_values(values, kernel)
-            weights, lam_lazy = _tilt_values(values, kernel, normalize=False)
-            np.testing.assert_array_equal(lam_lazy, lam)
-            np.testing.assert_array_equal(_normalize_rule(weights), rule)
+            weights, lam = _tilt_values(values, kernel)
+            ref_rule, ref_lam = reference_tilt(values, kernel)
+            np.testing.assert_array_equal(lam, ref_lam)
+            np.testing.assert_array_equal(tilted_rule(values, kernel).entries, ref_rule)
+            np.testing.assert_array_equal(_normalize_rule(weights), ref_rule)
 
 
 class TestOptimalRule:
     def test_flat_continuation(self, rng):
         kernel = random_factored_model(rng, 3, 2)
-        rule, _ = _tilt_values(np.zeros(6), kernel)
+        rule = tilted_rule(np.zeros(6), kernel).entries
         np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-14)
 
     def test_two_state_gibbs(self):
@@ -270,7 +277,7 @@ class TestOptimalRule:
         R0 = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
-        rule, _ = _tilt_values(np.array([0.0, 1.0]), kernel)
+        rule = tilted_rule(np.array([0.0, 1.0]), kernel).entries
         e = np.e
         np.testing.assert_allclose(rule[0], [1 / (1 + e), e / (1 + e)])
 
@@ -279,8 +286,9 @@ class TestOptimalRule:
         kernel = random_factored_model(rng, 3, 2)
         W = 2.0 * random_utility(rng, 6)
         g = conditional_expectation_values(W, kernel)
-        best, lam = _tilt_values(W, kernel)
-        best_value = (best * g).sum(axis=1) - kl_step_cost(StochasticMatrix(best), kernel.R)
+        best = tilted_rule(W, kernel)
+        lam = _tilt_values(W, kernel)[1]
+        best_value = (best.entries * g).sum(axis=1) - kl_step_cost(best, kernel.R)
         np.testing.assert_allclose(best_value, lam, atol=1e-12)
         for _ in range(100):
             R = StochasticMatrix(rng.dirichlet(np.ones(3), size=6))
@@ -314,9 +322,9 @@ class TestKlStepCost:
     def test_r_form_equals_p_form(self, rng):
         # divergence over full transition rows reduces to the rule rows
         kernel = random_factored_model(rng, 3, 3)
-        rule, _ = _tilt_values(random_utility(rng, 9), kernel)
-        ruled = FactoredKernel(kernel.space, StochasticMatrix(rule), kernel.Q0)
+        rule = tilted_rule(random_utility(rng, 9), kernel)
+        ruled = FactoredKernel(kernel.space, rule, kernel.Q0)
         P = induced_transition(ruled).entries
         P0 = induced_transition(kernel).entries
         p_form = (P * np.log(P / P0)).sum(axis=1)
-        np.testing.assert_allclose(p_form, kl_step_cost(StochasticMatrix(rule), kernel.R), atol=1e-12)
+        np.testing.assert_allclose(p_form, kl_step_cost(rule, kernel.R), atol=1e-12)

@@ -24,7 +24,7 @@ from klmdp import (
     solve_finite_horizon,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import _tilt_values, conditional_expectation_values, kl_step_cost
+from klmdp.kl_calculus import conditional_expectation_values, kl_step_cost, tilted_rule
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
     PREDICTOR_MAX_NODES,
@@ -45,7 +45,7 @@ def ar_vector_field(h, model, utility, basepoint):
     The Poisson solution of the chain tilted by ``h``, pinned at the
     basepoint, and that chain's mean utility, from one dense Poisson solve.
     """
-    rule = StochasticMatrix(_tilt_values(h, model)[0])
+    rule = tilted_rule(h, model)
     P_h = induced_transition(FactoredKernel(model.space, rule, model.Q0)).entries
     return BorderedLU(rule.entries, model.Q0.entries, basepoint, P_h.__matmul__).solve(utility)
 
@@ -203,38 +203,49 @@ class TestSolveAverageReward:
 
     def test_rules_normalized_only_where_used(self, monkeypatch):
         # Newton steps need only the log-normalizer: the rule is normalized for
-        # each factorization and each checkpoint
+        # each factorization, and a checkpoint keeps only h
+        import klmdp.kl_calculus as kl_calculus
         import klmdp.ode_engine as ode_engine
 
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
         rng = np.random.default_rng(4)
-        # the random R0's row sums are off 1 in the last bits, so normalizing
-        # one rule twice would show in its checkpoint at zeta = 0
         cases = [(*build_scenario_model(scenario), scenario.basepoint),
                  (random_factored_model(rng, 4, 3), random_utility(rng, 12), 0)]
-        normalizations, normalized_tilts = [0], [0]
-        normalize_rule, tilt_values = ode_engine._normalize_rule, ode_engine._tilt_values
+        normalizations = [0]
+        normalize_rule = ode_engine._normalize_rule
 
-        def counted_normalize(weights, out=None):
+        def counted_normalize(weights):
             normalizations[0] += 1
-            return normalize_rule(weights, out=out)
+            return normalize_rule(weights)
 
-        def counted_tilt(values, model, normalize=True):
-            normalized_tilts[0] += normalize
-            return tilt_values(values, model, normalize)
-
-        monkeypatch.setattr(ode_engine, "_normalize_rule", counted_normalize)
-        monkeypatch.setattr(ode_engine, "_tilt_values", counted_tilt)
+        # also where the tilt helper normalizes, so a rule derived in the solve is counted
+        for module in (ode_engine, kl_calculus):
+            monkeypatch.setattr(module, "_normalize_rule", counted_normalize)
         cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.0, 0.25, 0.5))
         for kernel, U, basepoint in cases:
-            normalizations[0] = normalized_tilts[0] = 0
+            normalizations[0] = 0
             path = solve_average_reward(kernel, U, cfg, basepoint)
-            assert normalized_tilts[0] == 0
-            assert normalizations[0] == path.factorizations.sum() + len(path.checkpoints)
+            assert normalizations[0] == path.factorizations.sum()
             assert normalizations[0] < path.newton_steps.sum() / 4
-            for cp in path.checkpoints:
-                rule = tilt_values(cp.h.values, kernel)[0]
-                np.testing.assert_array_equal(cp.tilted_rule.entries, rule)
+
+    def test_checkpoints_hold_values_not_rules(self):
+        # the 15x15x5 stiff start (d = 1125, d_u = 225) with 3 checkpoints:
+        # each checkpoint's rule is derived from h, so the path holds no rule
+        scenario = UavScenario(d_a=15, d_o=15, d_N=5, wind=generate_wind_field(15, 15, 5, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=0.0002, step=0.0001, checkpoints=(0.0, 0.0001, 0.0002))
+        tracemalloc.start()
+        try:
+            path = solve_average_reward(kernel, U, cfg, scenario.basepoint)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(path.checkpoints) == 3
+        assert held < 8 * kernel.space.d * kernel.space.d_u
+        for cp in path.checkpoints:
+            rule = cp.policy().entries
+            np.testing.assert_array_equal(rule, tilted_rule(cp.h.values, kernel).entries)
+            assert rule.shape == (kernel.space.d, kernel.space.d_u)
 
     def test_chord_safeguard_matches_fixed_point_oracle(self):
         # chord steps on the LU of zeta = 0 diverge at zeta = 0.01 here unless a
@@ -541,7 +552,7 @@ def dense_block_ode(kernel, U, T, zeta, step):
         V = np.empty_like(W)
         V[0] = U
         for k in range(1, T + 1):
-            rule = StochasticMatrix(_tilt_values(W[k - 1], kernel)[0])
+            rule = tilted_rule(W[k - 1], kernel)
             V[k] = U + induced_transition(FactoredKernel(kernel.space, rule, kernel.Q0)).entries @ V[k - 1]
         return V
 

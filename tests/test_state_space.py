@@ -14,32 +14,6 @@ from klmdp import (
 from conftest import random_factored_model
 
 
-def test_flatten_layout():
-    sp = ProductStateSpace(3, 2)
-    assert sp.flatten(0, 0) == 0
-    assert sp.flatten(2, 1) == 5
-    assert sp.flatten(1, 0) == 2
-
-
-def test_flatten_unflatten_roundtrip():
-    sp = ProductStateSpace(4, 3)
-    for i in range(sp.d):
-        assert sp.flatten(*sp.unflatten(i)) == i
-    for xu in range(4):
-        for xn in range(3):
-            assert sp.unflatten(sp.flatten(xu, xn)) == (xu, xn)
-
-
-def test_flatten_out_of_range():
-    sp = ProductStateSpace(3, 2)
-    with pytest.raises(ValueError):
-        sp.flatten(3, 0)
-    with pytest.raises(ValueError):
-        sp.flatten(0, -1)
-    with pytest.raises(ValueError):
-        sp.unflatten(6)
-
-
 def test_degenerate_space():
     with pytest.raises(ValueError):
         ProductStateSpace(0, 2)

@@ -22,7 +22,7 @@ from klmdp import (
     velocity_field,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import _tilt_values
+from klmdp.kl_calculus import tilted_rule
 from klmdp.state_space import induced_transition_values
 
 from conftest import controlled_chain, dense_kernel
@@ -150,7 +150,7 @@ class TestModelStructure:
     def test_recurrent_class_is_target_times_wind(self):
         sc = small_scenario()
         model, _ = build_scenario_model(sc)
-        members = recurrent_class(model.R.entries, model.Q0.entries)
+        members = recurrent_class(model)
         expected = sc.target_index * sc.d_N + np.arange(sc.d_N)
         np.testing.assert_array_equal(members, expected)
 
@@ -233,7 +233,7 @@ class TestControlledSpectrum:
         cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
         dense = np.linalg.eigvals(controlled_chain(cp))
         dense = dense[np.lexsort((-dense.imag, -dense.real, -np.abs(dense)))]
-        eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
+        eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
         np.testing.assert_allclose(eig[:10], dense[:10], rtol=0, atol=1e-12)
 
     def test_factors_lump_as_the_dense_chain_bit_for_bit(self):
@@ -244,7 +244,7 @@ class TestControlledSpectrum:
         cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,))
         cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
         np.testing.assert_array_equal(
-            controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries),
+            controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries),
             controlled_spectrum(*dense_kernel(controlled_chain(cp))),
         )
 
@@ -272,7 +272,7 @@ class TestNoDenseChain:
     def test_structure_check(self, uav15):
         _, model = uav15
         d = model.space.d
-        assert peak_bytes(lambda: recurrent_class(model.R.entries, model.Q0.entries)) < 8 * d**2
+        assert peak_bytes(lambda: recurrent_class(model)) < 8 * d**2
 
     def test_spectrum(self, uav15):
         _, model = uav15
@@ -313,7 +313,7 @@ class TestSolvedFamily:
         sc, _, path = solved
         wind_eig = np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries)
         for cp in path.checkpoints:
-            eig = controlled_spectrum(cp.tilted_rule.entries, cp.Q0.entries)
+            eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
             assert eig[0] == pytest.approx(1.0, abs=1e-9)
             for lam in wind_eig:
                 assert np.min(np.abs(eig - lam)) < 1e-8
@@ -321,7 +321,7 @@ class TestSolvedFamily:
     def test_velocity_shapes_and_target_rest(self, solved):
         sc, _, path = solved
         cp = path.checkpoints[-1]
-        v = velocity_field(cp.tilted_rule, sc)
+        v = velocity_field(cp.policy(), sc)
         assert v.shape == (sc.d_L, sc.d_N, 2)
         np.testing.assert_allclose(v[sc.target_index], 0.0, atol=1e-12)
 
@@ -330,7 +330,7 @@ class TestSolvedFamily:
         # projection onto the target direction than the nominal drift
         sc, model, path = solved
         cp = path.checkpoints[-1]
-        v_opt = velocity_field(cp.tilted_rule, sc)
+        v_opt = velocity_field(cp.policy(), sc)
         v_nom = velocity_field(model.R, sc)
         towards = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert v_opt[0, 0] @ towards > v_nom[0, 0] @ towards
@@ -376,7 +376,7 @@ class TestRolloutOracle:
     def test_seed_determinism(self):
         sc = small_scenario()
         model, utility = build_scenario_model(sc)
-        rule = StochasticMatrix(_tilt_values(np.zeros(model.space.d), model)[0])
+        rule = tilted_rule(np.zeros(model.space.d), model)
         a = rollout_oracle(model, rule, sc, 0.5, start=0, trials=30, horizon_cap=500, seed=9)
         b = rollout_oracle(model, rule, sc, 0.5, start=0, trials=30, horizon_cap=500, seed=9)
         assert a.mean == b.mean and a.half_width_95 == b.half_width_95
@@ -387,7 +387,7 @@ class TestRolloutOracle:
         cfg = OdeConfig(zeta_max=1.0, step=0.01, checkpoints=(1.0,))
         cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
         start = 0  # corner opposite the target
-        out = rollout_oracle(model, cp.tilted_rule, sc, 1.0, start=start,
+        out = rollout_oracle(model, cp.policy(), sc, 1.0, start=start,
                              trials=3000, horizon_cap=10_000, seed=5)
         assert out.censored == 0
         J = cost_to_go(cp)[start]
