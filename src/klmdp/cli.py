@@ -12,6 +12,12 @@ and BLAS thread setting, which each manifest records.  Every CSV goes through
 one table writer (``_csv_rows``): floats are written as ``%.17g``, each
 distinct bit pattern formatted once and gathered back, ints from a ``str``
 lookup table, and policies a block of rule rows at a time.
+
+``solve-ar``'s spectra and ``solve-fh``'s stage policies run in one kind of
+pool (``_fork_pool``): ``fork``-started workers, at most one per CPU and one
+per task, that inherit the frozen checkpoints, so a task carries only indices
+and file names.  Each task's result is the same on any worker, so the bytes do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import json
 import multiprocessing
 import os
 import platform
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,8 +42,8 @@ from . import __version__
 from .chain_solvers import perron_frobenius_baseline
 from .errors import NotAperiodicError, NotUnichainError
 from .ode_engine import (
+    FiniteHorizonPath,
     OdeConfig,
-    PathCheckpoint,
     ZetaSolutionPath,
     aroe_fixed_point_oracle,
     checkpoint_weights,
@@ -172,10 +180,14 @@ class _OutputTracker:
         self.out_dir = out_dir
         self.written: list[Path] = []
 
-    def write_text(self, name: str, text: str) -> None:
+    def claim(self, name: str) -> Path:
+        """Records ``name`` before it is written, here or by a worker process."""
         path = self.out_dir / name
-        path.write_text(text)
         self.written.append(path)
+        return path
+
+    def write_text(self, name: str, text: str) -> None:
+        self.claim(name).write_text(text)
 
     def cleanup(self) -> None:
         for path in self.written:
@@ -240,20 +252,42 @@ def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
     out.write_text(name, text)
 
 
-# The solve's checkpoints, set in each spectrum worker by the pool's
-# initializer; the fork hands them over by inheritance, with no pickling.
-_spectrum_checkpoints: list[PathCheckpoint] = []
+# The state a pool's workers share, set in each worker by the pool's
+# initializer; the fork hands it over by inheritance, with no pickling, so a
+# task carries only indices and names.
+_inherited = None
 
 
-def _hold_checkpoints(checkpoints: list[PathCheckpoint]) -> None:
-    global _spectrum_checkpoints
-    _spectrum_checkpoints = checkpoints
+def _inherit(state) -> None:
+    global _inherited
+    _inherited = state
+
+
+@contextmanager
+def _fork_pool(tasks: int, state):
+    """A pool of ``fork``-started workers that inherit ``state``, and its worker count.
+
+    At most one worker per CPU and one per task.  On leaving, tasks not yet
+    sent to a worker are cancelled (there are some only after an error) and
+    every worker is joined, so none outlives the block or writes a file after
+    the caller's cleanup.
+    """
+    workers = min(tasks, len(os.sched_getaffinity(0)))
+    # the fork start flushes sys.stdout and sys.stderr before each fork, so a
+    # worker, which flushes its copy of each buffer when it exits, writes nothing twice
+    context = multiprocessing.get_context("fork")
+    # a pool forks its workers at the first task, so with no task it forks none
+    pool = ProcessPoolExecutor(max(workers, 1), context, initializer=_inherit, initargs=(state,))
+    try:
+        yield pool, workers
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _spectrum_task(i: int) -> tuple[np.ndarray, float]:
     """Checkpoint ``i``'s ``controlled_spectrum``, and the seconds its rule and spectrum took."""
     t0 = time.perf_counter()
-    cp = _spectrum_checkpoints[i]
+    cp = _inherited[i]
     eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
     return eig, time.perf_counter() - t0
 
@@ -261,25 +295,18 @@ def _spectrum_task(i: int) -> tuple[np.ndarray, float]:
 def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> tuple[float, dict]:
     """Write every ``solve-ar`` CSV; returns the seconds spent waiting for the spectra, and their trace.
 
-    The checkpoints' spectra run in ``fork``-started worker processes, at most
-    one per CPU and one per checkpoint, while this process writes the values,
-    policy and velocity CSVs and ``eta.csv``.  Each checkpoint's rule is
-    derived from its ``h`` once here, for its policy and velocity files, and
-    dropped.  The workers inherit the checkpoints, which hold only values, so
-    a task carries only a checkpoint index; a worker derives the rule itself,
-    and a result carries only the eigenvalues and the seconds the rule and
-    ``controlled_spectrum`` took.  The eigenvalue files are written last, in
-    checkpoint order.  The returned wait is the time between this process's
-    last own CSV and the last result.  The ``with`` block joins every worker,
-    on success and on error.
+    The checkpoints' spectra run in a ``_fork_pool``, one task per checkpoint,
+    while this process writes the values, policy and velocity CSVs and
+    ``eta.csv``.  Each checkpoint's rule is derived from its ``h`` once here,
+    for its policy and velocity files, and dropped.  The workers inherit the
+    checkpoints, which hold only values, so a task carries only a checkpoint
+    index; a worker derives the rule itself, and a result carries only the
+    eigenvalues and the seconds the rule and ``controlled_spectrum`` took.
+    The eigenvalue files are written last, in checkpoint order.  The returned
+    wait is the time between this process's last own CSV and the last result.
     """
     checkpoints = path.checkpoints
-    workers = min(len(checkpoints), len(os.sched_getaffinity(0)))
-    # the fork start flushes sys.stdout and sys.stderr before each fork, so a
-    # worker, which flushes its copy of each buffer when it exits, writes nothing twice
-    context = multiprocessing.get_context("fork")
-    # a pool forks its workers at the first task, so with no checkpoint it forks none
-    with ProcessPoolExecutor(max(workers, 1), context, initializer=_hold_checkpoints, initargs=(checkpoints,)) as pool:
+    with _fork_pool(len(checkpoints), checkpoints) as (pool, workers):
         spectra = [pool.submit(_spectrum_task, i) for i in range(len(checkpoints))]
 
         x = np.arange(loaded.kernel.space.d)
@@ -319,6 +346,41 @@ def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSoluti
         },
     }
     return wait_s, trace
+
+
+def _policy_tasks(path: FiniteHorizonPath) -> list[tuple[int, int, list[str]]]:
+    """``(checkpoint index, k, file names)`` per distinct stage policy of ``path``.
+
+    Stages of one checkpoint with equal ``W[k]`` have the same policy, so they
+    form one task that names all of their files: at ``zeta = 0``, ``W = 0``
+    and all stages are one task.  Equal is bit-identical once adding ``+0.0``
+    has made each ``-0.0`` a ``+0.0`` (``W[0] = 0 U`` holds ``-0.0`` where
+    ``U < 0``); the tilt only adds, scales by ``Q0 >= 0``, subtracts a maximum
+    and exponentiates, so a zero of either sign gives the same rule bits.
+    """
+    tasks = []
+    for i, cp in enumerate(path.checkpoints):
+        tag = _ztag(cp.zeta)
+        stages: dict[bytes, list[int]] = {}
+        for k in range(path.horizon):
+            stages.setdefault((cp.W[k] + 0.0).tobytes(), []).append(k)
+        tasks += [(i, ks[0], [f"fh_policy_zeta_{tag}_k_{k}.csv" for k in ks]) for ks in stages.values()]
+    return tasks
+
+
+def _policy_task(i: int, k: int, names: list[str]) -> float:
+    """Write checkpoint ``i``'s stage-``k`` policy under each of ``names``; returns the seconds its tilt took.
+
+    The policy is derived and formatted once; the other names are copies of the first file.
+    """
+    checkpoints, out = _inherited
+    t0 = time.perf_counter()
+    rule = checkpoints[i].policy(k).entries
+    tilt_s = time.perf_counter() - t0
+    _write_policy_csv(out, names[0], rule)
+    for name in names[1:]:
+        shutil.copyfile(out.out_dir / names[0], out.out_dir / name)
+    return tilt_s
 
 
 def _write_manifest(
@@ -386,21 +448,21 @@ def cmd_solve_fh(args) -> int:
         path = solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode)
         timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        d = loaded.kernel.space.d
-        stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
-        tilt_s = 0.0
-        for cp in path.checkpoints:
-            tag = _ztag(cp.zeta)
-            _write_table(out, f"fh_values_zeta_{tag}.csv", "k,state_index,W", stage, state, cp.W.ravel())
-            for k in range(path.horizon):
-                t1 = time.perf_counter()
-                rule = cp.policy(k).entries
-                tilt_s += time.perf_counter() - t1
-                _write_policy_csv(out, f"fh_policy_zeta_{tag}_k_{k}.csv", rule)
-                del rule  # freed before the next stage's policy is derived
-        timings["tilt"] = tilt_s
+        tasks = _policy_tasks(path)
+        with _fork_pool(len(tasks), (path.checkpoints, out)) as (pool, workers):
+            tilts = []
+            for i, k, names in tasks:
+                for name in names:
+                    out.claim(name)  # before a worker can write it, so a failure removes it
+                tilts.append(pool.submit(_policy_task, i, k, names))
+            d = loaded.kernel.space.d
+            stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
+            for cp in path.checkpoints:
+                tag = _ztag(cp.zeta)
+                _write_table(out, f"fh_values_zeta_{tag}.csv", "k,state_index,W", stage, state, cp.W.ravel())
+            timings["tilt"] = sum(future.result() for future in tilts)
         timings["write"] = time.perf_counter() - t0
-        _write_manifest(out, loaded, timings, path.snapped)
+        _write_manifest(out, loaded, timings, path.snapped, {"policy_workers": workers})
     except Exception as exc:
         out.cleanup()
         print(f"error: {exc}", file=sys.stderr)
@@ -458,11 +520,11 @@ def cmd_validate(args) -> int:
 
         if pf_rows:
             P0 = induced_transition(loaded.kernel)
-            pf, twisted = perron_frobenius_baseline(P0, loaded.utility, zf, loaded.basepoint)
+            pf, twisted = perron_frobenius_baseline(P0, loaded.utility, cp.zeta, loaded.basepoint)
             controlled = induced_transition(FactoredKernel(loaded.kernel.space, rule, loaded.kernel.Q0))
             gap = float(np.max(np.abs(twisted.entries - controlled.entries)))
-            rows.append((f"pf twisted matrix vs ode @ zeta={_ztag(zf)}", gap, 1e-6))
-            rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(zf)}", abs(cp.eta - np.log(pf.lam)), 1e-6))
+            rows.append((f"pf twisted matrix vs ode @ zeta={_ztag(cp.zeta)}", gap, 1e-6))
+            rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(cp.zeta)}", abs(cp.eta - np.log(pf.lam)), 1e-6))
 
         if rollout_rows:
             sc = loaded.scenario

@@ -21,6 +21,8 @@ from klmdp.cli import (
     _OutputTracker,
     _apply_overrides,
     _csv_rows,
+    _policy_task,
+    _policy_tasks,
     _write_policy_csv,
     default_uav_config,
     load_config,
@@ -377,14 +379,15 @@ class TestSolveAr:
         assert "eigenvalues did not converge" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
-    def test_buffered_output_is_written_once(self, tmp_path):
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]], ids=["solve-ar", "solve-fh"])
+    def test_buffered_output_is_written_once(self, tmp_path, verb):
         # a forked worker flushes its copy of each stream buffer when it exits,
         # so text still buffered at the fork would be written twice
         cfg_path = write_config(tmp_path, small_uav_config())
+        argv = verb + ["--config", cfg_path, "--out", str(tmp_path / "run")]
         code = (
             "import sys; from klmdp.cli import main; sys.stdout.write('before'); "
-            f"sys.stderr.write('before'); sys.exit(main(['solve-ar', '--config', {cfg_path!r}, "
-            f"'--out', {str(tmp_path / 'run')!r}]))"
+            f"sys.stderr.write('before'); sys.exit(main({argv!r}))"
         )
         src = str(Path(klmdp.cli.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -395,12 +398,13 @@ class TestSolveAr:
         assert done.stdout == "before"
         assert done.stderr == "before"
 
-    def test_workers_fork_without_a_deprecation_warning(self, tmp_path):
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]], ids=["solve-ar", "solve-fh"])
+    def test_workers_fork_without_a_deprecation_warning(self, tmp_path, verb):
         # Python 3.12+ warns when a process with more than one thread forks
         cfg_path = write_config(tmp_path, small_uav_config())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["solve-ar", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+            assert main(verb + ["--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
         assert multiprocessing.active_children() == []
 
@@ -556,6 +560,101 @@ class TestSolveFh:
         assert len(list((tmp_path / "run").glob("fh_policy_zeta_*_k_*.csv"))) == 18
         assert peak < 6 * rule_bytes
 
+    def test_worker_count_does_not_change_a_byte(self, tmp_path, monkeypatch):
+        # UAV 8x8x3 (d = 192), horizon 3, checkpoints 0, 1, 2: 7 stage tasks,
+        # one at zeta = 0 and three at each other checkpoint; on every CPU and on one
+        cfg = small_uav_config(zeta_max=2.0, checkpoints=(0.0, 1.0, 2.0))
+        cfg["model"].update(d_a=8, d_o=8, d_N=3, target=[8, 8])
+        cfg_path = write_config(tmp_path, cfg)
+        out_all, out_one = tmp_path / "all", tmp_path / "one"
+        argv = ["solve-fh", "--config", cfg_path, "--horizon", "3", "--out"]
+        assert main(argv + [str(out_all)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert main(argv + [str(out_one)]) == 0
+        workers = [json.loads((out / "manifest.json").read_text())["trace"]["policy_workers"]
+                   for out in (out_all, out_one)]
+        assert workers == [min(7, len(os.sched_getaffinity(0))), 1]
+        names = sorted(p.name for p in out_all.glob("*.csv"))
+        assert len(names) == 12 and names == sorted(p.name for p in out_one.glob("*.csv"))
+        for name in names:
+            assert (out_all / name).read_bytes() == (out_one / name).read_bytes()
+        # each stage file holds the policy its checkpoint derives for that stage
+        loaded = load_config(cfg_path)
+        fh = solve_finite_horizon(loaded.kernel, loaded.utility, 3, loaded.ode)
+        for cp in fh.checkpoints:
+            for k in range(3):
+                name = f"fh_policy_zeta_{cp.zeta:g}_k_{k}.csv"
+                _write_policy_csv(_OutputTracker(tmp_path), name, cp.policy(k).entries)
+                assert (out_all / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_policy_failure_leaves_no_file_and_no_worker(self, tmp_path, monkeypatch, capsys):
+        def fail_on_one_stage(out, name, rule):
+            if name == "fh_policy_zeta_0.5_k_1.csv":
+                raise OSError("disk full")
+            write(out, name, rule)
+
+        write = _write_policy_csv
+        cfg_path = write_config(tmp_path, small_uav_config())
+        out = tmp_path / "run"
+        # the forked workers inherit the patched module global
+        monkeypatch.setattr(klmdp.cli, "_write_policy_csv", fail_on_one_stage)
+        assert main(["solve-fh", "--config", cfg_path, "--out", str(out), "--horizon", "3"]) == 1
+        assert list(out.iterdir()) == []
+        assert "error: disk full" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_equal_stages_are_one_task_per_checkpoint(self, tmp_path):
+        # the gen-scenario default 15x15x5 model, horizon 6, checkpoints 0, 1, 2:
+        # at zeta = 0, W = 0 (W[0] = 0 U holds -0.0), so its 6 stages are one task
+        loaded = load_config(write_config(tmp_path, default_uav_config()))
+        fh = solve_finite_horizon(loaded.kernel, loaded.utility, 6, loaded.ode)
+        assert np.signbit(fh.checkpoints[0].W[0]).any() and not np.signbit(fh.checkpoints[0].W[1:]).any()
+        tasks = _policy_tasks(fh)
+        assert len(tasks) == 13
+        assert tasks[0] == (0, 0, [f"fh_policy_zeta_0_k_{k}.csv" for k in range(6)])
+        assert tasks[1:] == [(i, k, [f"fh_policy_zeta_{i}_k_{k}.csv"]) for i in (1, 2) for k in range(6)]
+
+        out = tmp_path / "run"
+        assert main(["solve-fh", "--config", write_config(tmp_path, default_uav_config()),
+                     "--out", str(out), "--horizon", "6"]) == 0
+        first = (out / "fh_policy_zeta_0_k_0.csv").read_bytes()
+        assert all((out / f"fh_policy_zeta_0_k_{k}.csv").read_bytes() == first for k in range(1, 6))
+        assert len(list(out.glob("*.csv"))) == 21
+
+    def test_stages_are_grouped_within_a_checkpoint_only(self, tmp_path):
+        # with zero utility, W = 0 at every zeta: one task per checkpoint, each
+        # naming only its own checkpoint's files
+        cfg = explicit_config(checkpoints=[0.0, 0.5, 1.0])
+        cfg["model"]["utility"] = [0.0] * 4
+        loaded = load_config(write_config(tmp_path, cfg))
+        fh = solve_finite_horizon(loaded.kernel, loaded.utility, 2, loaded.ode)
+        assert _policy_tasks(fh) == [
+            (i, 0, [f"fh_policy_zeta_{tag}_k_0.csv", f"fh_policy_zeta_{tag}_k_1.csv"])
+            for i, tag in enumerate(("0", "0.5", "1"))
+        ]
+
+    def test_worker_holds_one_rule_at_a_time(self, tmp_path, monkeypatch):
+        # one worker task run in this process: the gen-scenario default 15x15x5
+        # model (d = 1125, d_u = 225), stage 0 at zeta = 2
+        loaded = load_config(write_config(tmp_path, default_uav_config()))
+        fh = solve_finite_horizon(
+            loaded.kernel, loaded.utility, 6, OdeConfig(zeta_max=2.0, step=0.01, checkpoints=(2.0,))
+        )
+        monkeypatch.setattr(klmdp.cli, "_inherited", (fh.checkpoints, _OutputTracker(tmp_path)))
+        rule_bytes = 1125 * 225 * 8
+        tracemalloc.start()
+        try:
+            _policy_task(0, 0, ["policy.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text_bytes = (tmp_path / "policy.csv").stat().st_size
+        assert rule_bytes < text_bytes < 1.1 * rule_bytes
+        # the rule, and its text twice while the blocks are joined: 3.1 rules;
+        # a second rule alive would put it above 4
+        assert peak < 3.5 * rule_bytes
+
     def test_horizon_zero_is_scaled_utility(self, tmp_path):
         cfg_path = write_config(tmp_path, explicit_config())
         out = tmp_path / "run"
@@ -575,7 +674,10 @@ class TestValidate:
         assert lines and all(l.startswith("PASS") for l in lines)
         assert any("rollout vs cost-to-go" in l for l in lines)
 
-    def test_explicit_model_includes_pf_checks(self, tmp_path, capsys):
+    @pytest.mark.parametrize("checkpoint", [1.0, 0.5])
+    def test_explicit_model_includes_pf_checks(self, tmp_path, capsys, checkpoint):
+        # the Perron-Frobenius rows compare at the last checkpoint's zeta, as
+        # the rollout row does, also where it is below zeta_max
         cfg = {
             "model": {
                 "kind": "explicit",
@@ -584,13 +686,13 @@ class TestValidate:
                 "utility": [0.0, 1.0],
                 "basepoint": 0,
             },
-            "solver": {"zeta_max": 1.0, "step": 0.005, "checkpoints": [1.0]},
+            "solver": {"zeta_max": 1.0, "step": 0.005, "checkpoints": [checkpoint]},
         }
         code = main(["validate", "--config", write_config(tmp_path, cfg)])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "pf twisted matrix vs ode" in out
-        assert "eta vs log pf eigenvalue" in out
+        assert any(l.startswith(f"PASS  pf twisted matrix vs ode @ zeta={checkpoint:g} ") for l in lines)
+        assert any(l.startswith(f"PASS  eta vs log pf eigenvalue @ zeta={checkpoint:g} ") for l in lines)
 
     def test_structured_failure_on_periodic_chain(self, tmp_path, capsys):
         cfg = explicit_config()
