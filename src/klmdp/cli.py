@@ -13,11 +13,13 @@ one table writer (``_csv_rows``): floats are written as ``%.17g``, each
 distinct bit pattern formatted once and gathered back, ints from a ``str``
 lookup table, and policies a block of rule rows at a time.
 
-``solve-ar``'s spectra and ``solve-fh``'s stage policies run in one kind of
-pool (``_fork_pool``): ``fork``-started workers, at most one per CPU and one
-per task, that inherit the frozen checkpoints, so a task carries only indices
-and file names.  Each task's result is the same on any worker, so the bytes do
-not depend on the worker count.
+In ``solve-ar`` and ``solve-fh``, workers write every file that needs a rule,
+and the main process writes the value tables, ``eta.csv`` and the manifest.
+The workers (``_fork_pool``) are ``fork``-started, at most one per CPU and one
+per task, and inherit the frozen checkpoints, which hold only values.  A task
+derives its rule once: a checkpoint's for its eigenvalue, policy and velocity
+files, or a stage policy for each stage file equal to it.  Each task writes
+the same bytes on any worker, so no file depends on the worker count.
 """
 
 from __future__ import annotations
@@ -239,22 +241,21 @@ POLICY_BLOCK_ROWS = 32
 
 
 def _write_policy_csv(out: _OutputTracker, name: str, rule: np.ndarray) -> None:
-    # sparse triplets; entries below 1e-12 dropped, rows renormalized
-    parts = ["state_index,next_u_index,probability\n"]
-    for start in range(0, rule.shape[0], POLICY_BLOCK_ROWS):
-        block = rule[start : start + POLICY_BLOCK_ROWS]
-        trimmed = np.where(block >= 1e-12, block, 0.0)
-        trimmed /= trimmed.sum(axis=1, keepdims=True)
-        x, u = np.nonzero(trimmed)
-        parts.append(_csv_rows(x + start, u, trimmed[x, u]))
-    text = "".join(parts)
-    del parts  # freed before write_text makes the file's encoded copy
-    out.write_text(name, text)
+    # sparse triplets; entries below 1e-12 dropped, rows renormalized; each
+    # block's text is written as soon as it is formatted
+    with open(out.claim(name), "w") as f:
+        f.write("state_index,next_u_index,probability\n")
+        for start in range(0, rule.shape[0], POLICY_BLOCK_ROWS):
+            block = rule[start : start + POLICY_BLOCK_ROWS]
+            trimmed = np.where(block >= 1e-12, block, 0.0)
+            trimmed /= trimmed.sum(axis=1, keepdims=True)
+            x, u = np.nonzero(trimmed)
+            f.write(_csv_rows(x + start, u, trimmed[x, u]))
 
 
 # The state a pool's workers share, set in each worker by the pool's
 # initializer; the fork hands it over by inheritance, with no pickling, so a
-# task carries only indices and names.
+# task carries only indices, file names and the few-KB scenario.
 _inherited = None
 
 
@@ -284,68 +285,34 @@ def _fork_pool(tasks: int, state):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _spectrum_task(i: int) -> tuple[np.ndarray, float]:
-    """Checkpoint ``i``'s ``controlled_spectrum``, and the seconds its rule and spectrum took."""
-    t0 = time.perf_counter()
-    cp = _inherited[i]
-    eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
-    return eig, time.perf_counter() - t0
+def _checkpoint_tasks(loaded: LoadedModel, path: ZetaSolutionPath) -> list[tuple]:
+    """``(checkpoint index, scenario, file names)`` per checkpoint: eigenvalues, policy and (UAV) velocities."""
+    kinds = ["eigenvalues", "policy"] + ["velocity"] * (loaded.scenario is not None)
+    return [
+        (i, loaded.scenario, [f"{kind}_zeta_{_ztag(cp.zeta)}.csv" for kind in kinds])
+        for i, cp in enumerate(path.checkpoints)
+    ]
 
 
-def _write_ar_outputs(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> tuple[float, dict]:
-    """Write every ``solve-ar`` CSV; returns the seconds spent waiting for the spectra, and their trace.
+def _checkpoint_task(i: int, scenario: UavScenario | None, names: list[str]) -> float:
+    """Write checkpoint ``i``'s files under ``names``; returns the seconds its rule and spectrum took.
 
-    The checkpoints' spectra run in a ``_fork_pool``, one task per checkpoint,
-    while this process writes the values, policy and velocity CSVs and
-    ``eta.csv``.  Each checkpoint's rule is derived from its ``h`` once here,
-    for its policy and velocity files, and dropped.  The workers inherit the
-    checkpoints, which hold only values, so a task carries only a checkpoint
-    index; a worker derives the rule itself, and a result carries only the
-    eigenvalues and the seconds the rule and ``controlled_spectrum`` took.
-    The eigenvalue files are written last, in checkpoint order.  The returned
-    wait is the time between this process's last own CSV and the last result.
+    The rule is derived once, for the spectrum, the policy and the velocities.
     """
-    checkpoints = path.checkpoints
-    with _fork_pool(len(checkpoints), checkpoints) as (pool, workers):
-        spectra = [pool.submit(_spectrum_task, i) for i in range(len(checkpoints))]
-
-        x = np.arange(loaded.kernel.space.d)
-        xu, xn = np.divmod(x, loaded.kernel.space.d_n)
-        for cp in checkpoints:
-            tag = _ztag(cp.zeta)
-            header = "state_index,x_u,x_n,h,cost_to_go"
-            _write_table(out, f"values_zeta_{tag}.csv", header, x, xu, xn, cp.h.values, cost_to_go(cp))
-
-            rule = cp.policy()
-            _write_policy_csv(out, f"policy_zeta_{tag}.csv", rule.entries)
-
-            if loaded.scenario is not None:
-                sc = loaded.scenario
-                v = velocity_field(rule, sc).reshape(sc.d_L * sc.d_N, 2)
-                l, n = np.divmod(np.arange(sc.d_L * sc.d_N), sc.d_N)
-                i, j = np.divmod(l, sc.d_o)
-                header = "i,j,n,v_lat,v_lon"
-                _write_table(out, f"velocity_zeta_{tag}.csv", header, i + 1, j + 1, n + 1, v[:, 0], v[:, 1])
-            del rule  # freed before the next checkpoint's rule is derived
-
-        header = "zeta,eta,aroe_residual_sup"
-        _write_table(out, "eta.csv", header, path.grid, path.eta_trace, path.residual_trace)
-
-        t0 = time.perf_counter()
-        results = [future.result() for future in spectra]
-        wait_s = time.perf_counter() - t0
-
-    for cp, (eig, _) in zip(checkpoints, results):
-        _write_table(out, f"eigenvalues_zeta_{_ztag(cp.zeta)}.csv", "real,imag", np.real(eig), np.imag(eig))
-    trace = {
-        "spectrum_workers": workers,
-        # one entry per checkpoint, in the order of the solve's checkpoints
-        "per_checkpoint": {
-            "zeta": [cp.zeta for cp in checkpoints],
-            "spectrum_s": [seconds for _, seconds in results],
-        },
-    }
-    return wait_s, trace
+    checkpoints, out = _inherited
+    cp = checkpoints[i]
+    t0 = time.perf_counter()
+    rule = cp.policy()
+    eig = controlled_spectrum(rule.entries, cp.kernel.Q0.entries)
+    seconds = time.perf_counter() - t0
+    _write_table(out, names[0], "real,imag", np.real(eig), np.imag(eig))
+    _write_policy_csv(out, names[1], rule.entries)
+    if scenario is not None:
+        v = velocity_field(rule, scenario).reshape(-1, 2)
+        l, n = np.divmod(np.arange(len(v)), scenario.d_N)
+        row, col = np.divmod(l, scenario.d_o)
+        _write_table(out, names[2], "i,j,n,v_lat,v_lon", row + 1, col + 1, n + 1, v[:, 0], v[:, 1])
+    return seconds
 
 
 def _policy_tasks(path: FiniteHorizonPath) -> list[tuple[int, int, list[str]]]:
@@ -383,9 +350,7 @@ def _policy_task(i: int, k: int, names: list[str]) -> float:
     return tilt_s
 
 
-def _write_manifest(
-    out: _OutputTracker, loaded: LoadedModel, timings: dict, snaps, trace: dict | None = None
-) -> None:
+def _write_manifest(out: _OutputTracker, loaded: LoadedModel, timings: dict, snaps, trace: dict) -> None:
     manifest = {
         "config": loaded.config,
         "version": __version__,
@@ -398,37 +363,43 @@ def _write_manifest(
         "timings_seconds": timings,
         "checkpoint_snaps": [{"requested": a, "snapped": b} for a, b in snaps],
         "warnings": [f"checkpoint zeta={a:g} is not a grid node; reported at zeta={b:g}" for a, b in snaps],
+        "trace": trace,
     }
-    if trace is not None:
-        manifest["trace"] = trace
     out.write_text("manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_solve_ar(args) -> int:
+def _solve_verb(args, solve, task, tasks, write_tables, report) -> int:
+    """The envelope of ``solve-ar`` and ``solve-fh``; returns the exit code.
+
+    ``tasks(loaded, path)`` lists ``task``'s argument tuples, each ending with
+    the names of the files the task writes; each name is claimed before its
+    task is submitted, so a failed run removes it.  While the workers run,
+    this process writes ``write_tables(out, loaded, path)``.  ``report(path,
+    results, wait_s, workers)`` gives the manifest's worker timings and trace.
+    On an error the pool joins its workers before the claimed files are removed.
+    """
     out = _OutputTracker(Path(args.out))
-    timings: dict[str, float] = {}
     try:
         loaded = _apply_overrides(load_config(args.config), args)
         _check_tags(loaded.ode)
         out.out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
-        timings["solve"] = time.perf_counter() - t0
+        path = solve(loaded)
+        timings = {"solve": time.perf_counter() - t0}
         t0 = time.perf_counter()
-        timings["spectrum"], spectrum_trace = _write_ar_outputs(out, loaded, path)
-        timings["write"] = time.perf_counter() - t0
-        trace = {
-            "newton_steps_total": int(path.newton_steps.sum()),
-            "factorizations": int(path.factorizations.sum()),
-            # one entry per grid node, in the order of eta.csv's rows
-            "per_node": {
-                "newton_steps": path.newton_steps.tolist(),
-                "factorizations": path.factorizations.tolist(),
-                "predictor_residual": path.predictor_residual.tolist(),
-                "predictor_nodes": path.predictor_nodes.tolist(),
-            },
-            **spectrum_trace,
-        }
+        work = tasks(loaded, path)
+        with _fork_pool(len(work), (path.checkpoints, out)) as (pool, workers):
+            futures = []
+            for arguments in work:
+                for name in arguments[-1]:
+                    out.claim(name)  # before a worker can write it, so a failure removes it
+                futures.append(pool.submit(task, *arguments))
+            write_tables(out, loaded, path)
+            t1 = time.perf_counter()
+            results = [future.result() for future in futures]
+            wait_s = time.perf_counter() - t1
+        worker_timings, trace = report(path, results, wait_s, workers)
+        timings.update(worker_timings, write=time.perf_counter() - t0)
         _write_manifest(out, loaded, timings, path.snapped, trace)
     except Exception as exc:
         out.cleanup()
@@ -437,37 +408,61 @@ def cmd_solve_ar(args) -> int:
     return 0
 
 
+def _write_ar_tables(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutionPath) -> None:
+    x = np.arange(loaded.kernel.space.d)
+    xu, xn = np.divmod(x, loaded.kernel.space.d_n)
+    for cp in path.checkpoints:
+        header = "state_index,x_u,x_n,h,cost_to_go"
+        _write_table(out, f"values_zeta_{_ztag(cp.zeta)}.csv", header, x, xu, xn, cp.h.values, cost_to_go(cp))
+    _write_table(out, "eta.csv", "zeta,eta,aroe_residual_sup", path.grid, path.eta_trace, path.residual_trace)
+
+
+def _ar_report(path: ZetaSolutionPath, spectrum_s: list[float], wait_s: float, workers: int) -> tuple[dict, dict]:
+    """``timings_seconds.spectrum``, the wait for the workers after this process's tables, and the trace."""
+    trace = {
+        "newton_steps_total": int(path.newton_steps.sum()),
+        "factorizations": int(path.factorizations.sum()),
+        # one entry per grid node, in the order of eta.csv's rows
+        "per_node": {
+            "newton_steps": path.newton_steps.tolist(),
+            "factorizations": path.factorizations.tolist(),
+            "predictor_residual": path.predictor_residual.tolist(),
+            "predictor_nodes": path.predictor_nodes.tolist(),
+        },
+        "spectrum_workers": workers,
+        # one entry per checkpoint, in the order of the solve's checkpoints
+        "per_checkpoint": {"zeta": [cp.zeta for cp in path.checkpoints], "spectrum_s": spectrum_s},
+    }
+    return {"spectrum": wait_s}, trace
+
+
+def cmd_solve_ar(args) -> int:
+    return _solve_verb(
+        args,
+        lambda loaded: solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint),
+        _checkpoint_task,
+        _checkpoint_tasks,
+        _write_ar_tables,
+        _ar_report,
+    )
+
+
+def _write_fh_tables(out: _OutputTracker, loaded: LoadedModel, path: FiniteHorizonPath) -> None:
+    d = loaded.kernel.space.d
+    stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
+    for cp in path.checkpoints:
+        _write_table(out, f"fh_values_zeta_{_ztag(cp.zeta)}.csv", "k,state_index,W", stage, state, cp.W.ravel())
+
+
 def cmd_solve_fh(args) -> int:
-    out = _OutputTracker(Path(args.out))
-    timings: dict[str, float] = {}
-    try:
-        loaded = _apply_overrides(load_config(args.config), args)
-        _check_tags(loaded.ode)
-        out.out_dir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        path = solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode)
-        timings["solve"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        tasks = _policy_tasks(path)
-        with _fork_pool(len(tasks), (path.checkpoints, out)) as (pool, workers):
-            tilts = []
-            for i, k, names in tasks:
-                for name in names:
-                    out.claim(name)  # before a worker can write it, so a failure removes it
-                tilts.append(pool.submit(_policy_task, i, k, names))
-            d = loaded.kernel.space.d
-            stage, state = np.divmod(np.arange((path.horizon + 1) * d), d)
-            for cp in path.checkpoints:
-                tag = _ztag(cp.zeta)
-                _write_table(out, f"fh_values_zeta_{tag}.csv", "k,state_index,W", stage, state, cp.W.ravel())
-            timings["tilt"] = sum(future.result() for future in tilts)
-        timings["write"] = time.perf_counter() - t0
-        _write_manifest(out, loaded, timings, path.snapped, {"policy_workers": workers})
-    except Exception as exc:
-        out.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _solve_verb(
+        args,
+        lambda loaded: solve_finite_horizon(loaded.kernel, loaded.utility, args.horizon, loaded.ode),
+        _policy_task,
+        lambda loaded, path: _policy_tasks(path),
+        _write_fh_tables,
+        lambda path, tilt_s, wait_s, workers: ({"tilt": sum(tilt_s)}, {"policy_workers": workers}),
+    )
 
 
 def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
