@@ -105,14 +105,15 @@ class BorderedLU:
     slot ``x0`` of a solution carries the mean ``eta``.  Entries below
     ``FLUSH_BELOW`` in magnitude are zeroed before factoring: subnormals slow
     the factorization many times over, while the flushed LU still solves
-    the exact system to rounding.  ``matvec(y)``, the product ``P y`` from
-    the exact factors, certifies the first solve: its Poisson residual
-    ``sup |P H - H + rhs - eta|`` must be within ``POISSON_TOL``, which also
-    settles that the factorization is sound.  Later solves reuse the factors
-    unchecked; no dense ``P`` is kept.
+    the exact system to rounding.  The first solve is certified against the
+    exact factors: ``P y = sum_u R(x, u) sum_n Q0(x, n) y(u, n)`` gives its
+    Poisson residual ``sup |P H - H + rhs - eta|``, which must be within
+    ``POISSON_TOL`` and so also settles that the factorization is sound.
+    ``R`` and ``Q0`` are held until then and dropped; later solves reuse
+    the LU unchecked, and no dense ``P`` is kept.
     """
 
-    def __init__(self, R: np.ndarray, Q0: np.ndarray, x0: int, matvec):
+    def __init__(self, R: np.ndarray, Q0: np.ndarray, x0: int):
         (d, d_u), d_n = R.shape, Q0.shape[1]
         M = np.empty((d, d), order="F")  # Fortran order: LAPACK factors it in place
         # M.T is C-ordered, so its (d_u, d_n, d) view is M[x, (u, n)] at [u, n, x]
@@ -134,18 +135,20 @@ class BorderedLU:
                 # not unichain with x0 recurrent, e.g. after an underflowed tilt
                 raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
         self._x0 = x0
-        self._matvec = matvec
+        self._factors = (R, Q0)  # for the certificate of the first solve
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
         y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
         eta = float(y[self._x0])
         y[self._x0] = 0.0
-        if self._matvec is not None:
-            residual = np.max(np.abs(self._matvec(y) - y + rhs - eta))
+        if self._factors is not None:
+            R, Q0 = self._factors
+            Py = np.einsum("xu,xu->x", R, Q0 @ y.reshape(R.shape[1], Q0.shape[1]).T)
+            residual = np.max(np.abs(Py - y + rhs - eta))
             if not residual <= POISSON_TOL:
                 raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
-            self._matvec = None
+            self._factors = None
         return y, eta
 
 

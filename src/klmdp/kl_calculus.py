@@ -25,25 +25,20 @@ from .errors import AbsoluteContinuityError
 from .state_space import FactoredKernel, StochasticMatrix
 
 
-def conditional_expectation_values(
-    values: np.ndarray, kernel: FactoredKernel, by_class: bool = False
-) -> np.ndarray:
-    """Average ``values`` over the exogenous next coordinate.
+def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -> np.ndarray:
+    """Average ``values`` over the exogenous next coordinate, once per row class.
 
-    Returns the ``(d, d_u)`` matrix with entry ``(x, x_u')`` equal to
-    ``sum_{x_n'} Q0(x, x_n') values(x_u', x_n')``, or with ``by_class`` its
-    ``(K, d_u)`` rows of the ``K`` row classes.  Each class row is computed
-    once and gathered to its states, so states of one class get equal rows;
-    BLAS would not promise that of one product over all ``d`` rows, whose
-    edge tiles round differently.
+    Returns the ``(K, d_u)`` matrix of the ``K`` row classes with entry
+    ``(c, x_u')`` equal to ``sum_{x_n'} Q0(c, x_n') values(x_u', x_n')``;
+    row ``row_class[x]`` is state ``x``'s.  Gathering the class rows gives
+    states of one class equal rows, which BLAS would not promise of one
+    product over all ``d`` rows, whose edge tiles round differently.
     """
     space = kernel.space
     if values.size != space.d:
         raise ValueError(f"value vector has length {values.size}, expected {space.d}")
     # out(c, x_u') = sum_n Q0(c, n) * values[(x_u', n)]
-    H = values.reshape(space.d_u, space.d_n)
-    g = kernel.class_Q0 @ H.T
-    return g if by_class else g[kernel.row_class]
+    return kernel.class_Q0 @ values.reshape(space.d_u, space.d_n).T
 
 
 def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +55,7 @@ def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray
     gathered to the states; the weighting by ``R0`` and the row sums are per
     state.  :func:`_normalize_rule` turns the weights into the rule.
     """
-    g = conditional_expectation_values(values, kernel, by_class=True)
+    g = conditional_expectation_values(values, kernel)
     support = kernel.class_support
     m = np.max(g, axis=1, where=support, initial=-np.inf)
     g -= m[:, None]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
-from .kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values, tilted_rule
+from .kl_calculus import _normalize_rule, _tilt_values, tilted_rule
 from .state_space import FactoredKernel, StochasticMatrix, ValueFunction
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
@@ -256,7 +256,10 @@ def solve_average_reward(
     Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones on the same LU;
     the mixing history is cleared at each node, refactorization and undo.
     Each iterate is tilted once, on the kernel's row classes, and each
-    correction is one triangular solve.  A step needs only the log-normalizer
+    correction is one triangular solve; each LU certifies its first solve
+    from the rule and ``Q0`` it was built from.  A singular LU, a failed
+    certificate or a non-finite residual raises :class:`ConvergenceError`
+    naming its grid node.  A step needs only the log-normalizer
     ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only for each
     factorization; a checkpoint keeps ``h`` and derives its rule from it
     (:meth:`PathCheckpoint.policy`).  Where a correction
@@ -282,23 +285,6 @@ def solve_average_reward(
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
 
-    def factor(rule: np.ndarray, zeta: float) -> BorderedLU:
-        # the first solve is certified with P_h y from the factors of P_h
-        def matvec(y):
-            return (rule * conditional_expectation_values(y, model)).sum(axis=1)
-
-        try:
-            return BorderedLU(rule, model.Q0.entries, basepoint, matvec)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
-
-    def solve(lu: BorderedLU, rhs: np.ndarray, zeta: float) -> np.ndarray:
-        try:
-            H, eta = lu.solve(rhs)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
-        return np.append(H, eta)
-
     x = np.zeros(d + 1)  # the iterate (h, eta)
     eta_trace = np.zeros(grid.size)
     residual_trace = np.zeros(grid.size)
@@ -323,29 +309,32 @@ def solve_average_reward(
         # the LU was factored there.
         start, start_res, start_factored = None, np.inf, True
         mixing: list[tuple[np.ndarray, np.ndarray]] = []
-        for it in range(NEWTON_MAX_ITER + 1):
-            h, eta = x[:d], float(x[d])
-            weights, lam = _tilt_values(h, model)
-            defect = zeta * U + lam - h - eta
-            res = float(np.max(np.abs(defect)))
-            if not np.isfinite(res):
-                raise ConvergenceError(f"non-finite optimality-equation residual at zeta={zeta:g}")
-            if it == 0:
-                predictor_residual[i] = res
-            if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
-                break
-            refactor = lu is None or res > CHORD_RHO * start_res
-            if refactor and res >= start_res and not start_factored:
-                (x, weights, defect), res = start, start_res  # undo a chord step that did not help
-            if refactor:
-                lu = None  # at most one factorization alive
-                # in place: an undo never returns to an iterate that was factored
-                lu = factor(_normalize_rule(weights), zeta)
-                factorizations[i] += 1
-                mixing.clear()
-            start, start_res, start_factored = (x, weights, defect), res, refactor
-            x = _anderson_step(mixing, x, solve(lu, defect, zeta))
-            newton_steps[i] += 1
+        try:
+            for it in range(NEWTON_MAX_ITER + 1):
+                h, eta = x[:d], float(x[d])
+                weights, lam = _tilt_values(h, model)
+                defect = zeta * U + lam - h - eta
+                res = float(np.max(np.abs(defect)))
+                if not np.isfinite(res):
+                    raise ConvergenceError("non-finite optimality-equation residual")
+                if it == 0:
+                    predictor_residual[i] = res
+                if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
+                    break
+                refactor = lu is None or res > CHORD_RHO * start_res
+                if refactor and res >= start_res and not start_factored:
+                    (x, weights, defect), res = start, start_res  # undo a chord step that did not help
+                if refactor:
+                    lu = None  # at most one factorization alive
+                    # in place: an undo never returns to an iterate that was factored
+                    lu = BorderedLU(_normalize_rule(weights), model.Q0.entries, basepoint)
+                    factorizations[i] += 1
+                    mixing.clear()
+                start, start_res, start_factored = (x, weights, defect), res, refactor
+                x = _anderson_step(mixing, x, np.append(*lu.solve(defect)))
+                newton_steps[i] += 1
+        except ConvergenceError as exc:  # a singular LU, a failed certificate or a non-finite residual
+            raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
         if not res <= cfg.residual_tol:
             raise ResidualToleranceError(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "

@@ -141,17 +141,8 @@ class ValueFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def d(self) -> int:
-        return self.values.size
-
 
 def induced_transition(kernel: FactoredKernel) -> StochasticMatrix:
     """Full transition matrix ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``."""
-    return StochasticMatrix(induced_transition_values(kernel.R.entries, kernel.Q0.entries))
-
-
-def induced_transition_values(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
-    """Same outer product on raw arrays, without the row-sum validation."""
-    d = R.shape[0]
-    return np.einsum("xu,xn->xun", R, Q0).reshape(d, d)
+    d = kernel.space.d
+    return StochasticMatrix(np.einsum("xu,xn->xun", kernel.R.entries, kernel.Q0.entries).reshape(d, d))

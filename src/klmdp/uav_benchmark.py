@@ -128,21 +128,18 @@ def build_nominal_rule(scenario: UavScenario) -> StochasticMatrix:
     position (clamped to the grid), truncated to the grid and renormalized;
     target rows are a point mass at the target (absorbing).
     """
-    coords = scenario.location_coords()
-    d_L, d_N = scenario.d_L, scenario.d_N
-    R = np.zeros((d_L * d_N, d_L))
-    inv_two_sigma2 = 1.0 / (2.0 * scenario.sigma_u2)
-    for l in range(d_L):
-        for n in range(d_N):
-            x = l * d_N + n
-            if l == scenario.target_index:
-                R[x, scenario.target_index] = 1.0
-                continue
-            ci = np.clip(coords[l, 0] + scenario.wind.table[l, n, 0], 0, scenario.d_a - 1)
-            cj = np.clip(coords[l, 1] + scenario.wind.table[l, n, 1], 0, scenario.d_o - 1)
-            dist2 = (coords[:, 0] - ci) ** 2 + (coords[:, 1] - cj) ** 2
-            row = np.exp(-inv_two_sigma2 * dist2)
-            R[x] = row / row.sum()
+    coords = scenario.location_coords().astype(float)  # small integers: exact until the exp
+    centers = np.clip(coords[:, None, :] + scenario.wind.table, 0, [scenario.d_a - 1, scenario.d_o - 1])
+    # squared distance of each location to each wind-shifted center, (d_L, d_N, d_L); then in place
+    rows = (coords[:, 0] - centers[:, :, 0, None]) ** 2
+    rows += (coords[:, 1] - centers[:, :, 1, None]) ** 2
+    rows *= -1.0 / (2.0 * scenario.sigma_u2)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=2, keepdims=True)
+    R = rows.reshape(-1, scenario.d_L)
+    target = slice(scenario.target_index * scenario.d_N, (scenario.target_index + 1) * scenario.d_N)
+    R[target] = 0.0
+    R[target, scenario.target_index] = 1.0
     return StochasticMatrix(R)
 
 

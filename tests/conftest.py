@@ -37,8 +37,8 @@ def dense_chain_kernel(P):
 
 
 def dense_bordered_lu(P, x0):
-    """The bordered LU of a dense chain, certified against ``P @ y``."""
-    return BorderedLU(*dense_kernel(P), x0, P.__matmul__)
+    """The bordered LU of a dense chain, which certifies its first solve from ``P`` itself."""
+    return BorderedLU(*dense_kernel(P), x0)
 
 
 def controlled_chain(cp):

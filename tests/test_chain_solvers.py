@@ -23,7 +23,6 @@ from conftest import (
     balance_pmf,
     dense_bordered_lu,
     dense_chain_kernel,
-    dense_kernel,
     random_factored_model,
     random_utility,
 )
@@ -199,7 +198,7 @@ class TestBorderedLU:
             d = P.shape[0]
             x0 = int(rng.integers(d))
             U = random_utility(rng, d)
-            H, eta = BorderedLU(kernel.R.entries, kernel.Q0.entries, x0, P.__matmul__).solve(U)
+            H, eta = BorderedLU(kernel.R.entries, kernel.Q0.entries, x0).solve(U)
             M = np.eye(d) - P
             M[:, x0] = 1.0
             y = scipy.linalg.solve(M, U)
@@ -219,7 +218,7 @@ class TestBorderedLU:
         Pd = induced_transition(kernel).entries
         assert 0 < np.min(Pd[Pd > 0]) < FLUSH_BELOW
         U = random_utility(rng, 12)
-        H, eta = BorderedLU(R, Q0, 5, Pd.__matmul__).solve(U)
+        H, eta = BorderedLU(R, Q0, 5).solve(U)
         M = np.eye(12) - Pd
         M[:, 5] = 1.0
         y = scipy.linalg.solve(M, U)
@@ -262,10 +261,13 @@ class TestBorderedLU:
             assert abs(eta - expected_eta) <= 1e-13
 
     def test_first_solve_on_a_factorization_is_certified(self, rng):
+        # the certificate recomputes P y from the factors the LU was built
+        # from, so an LU that no longer factors that matrix fails it
         P = StochasticMatrix(rng.dirichlet(np.ones(4), size=4)).entries
-        wrong = rng.dirichlet(np.ones(4), size=4)  # certify against another chain
+        lu = dense_bordered_lu(P, 0)
+        lu._lu[0][2, 1] += 1e-3  # one entry of the kept LU factors
         with pytest.raises(ConvergenceError, match="Poisson residual"):
-            BorderedLU(*dense_kernel(P), 0, wrong.__matmul__).solve(random_utility(rng, 4))
+            lu.solve(random_utility(rng, 4))
 
     def test_two_state_hand_check(self):
         A = two_state().entries

@@ -16,6 +16,11 @@ from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind
 from conftest import random_factored_model, random_utility
 
 
+def direct_conditional_expectation(values, kernel):
+    """``g(x, x_u') = sum_n Q0(x, n) values(x_u', n)`` per state, in one product over all rows."""
+    return kernel.Q0.entries @ values.reshape(kernel.space.d_u, kernel.space.d_n).T
+
+
 def simple_kernel():
     sp = ProductStateSpace(2, 2)
     R = StochasticMatrix(np.array([[0.5, 0.5]] * 4))
@@ -27,11 +32,12 @@ class TestConditionalExpectation:
     def test_zero(self):
         kernel = simple_kernel()
         out = conditional_expectation_values(np.zeros(4), kernel)
-        np.testing.assert_array_equal(out, np.zeros((4, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))  # the four states form one class
 
     def test_constant(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         out = conditional_expectation_values(np.full(6, 2.5), kernel)
+        assert out.shape == (6, 3)  # a Dirichlet Q0: one class per state
         np.testing.assert_allclose(out, 2.5, atol=1e-14)
 
     def test_hand_value(self):
@@ -40,16 +46,14 @@ class TestConditionalExpectation:
         np.testing.assert_allclose(out[0], [0.3 * 1 + 0.7 * 2, 0.3 * 3 + 0.7 * 4])
 
     def test_rows_gathered_from_the_classes(self, rng):
-        # one product over the class rows; each state gets its class's row
+        # one product over the class rows; gathered, each state gets its own row
         scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
         kernel, _ = build_scenario_model(scenario)
         values = 10.0 * rng.standard_normal(kernel.space.d)
-        by_class = conditional_expectation_values(values, kernel, by_class=True)
+        by_class = conditional_expectation_values(values, kernel)
         assert by_class.shape == (6, kernel.space.d_u)
-        out = conditional_expectation_values(values, kernel)
-        np.testing.assert_array_equal(out, by_class[kernel.row_class])
-        direct = kernel.Q0.entries @ values.reshape(kernel.space.d_u, kernel.space.d_n).T
-        np.testing.assert_allclose(out, direct, rtol=1e-14, atol=1e-14)
+        direct = direct_conditional_expectation(values, kernel)
+        np.testing.assert_allclose(by_class[kernel.row_class], direct, rtol=1e-14, atol=1e-14)
 
 
 def tiled_kernel(rng, d_u, d_n, distinct_rows):
@@ -190,15 +194,21 @@ class TestTilt:
             h = 3.0 * random_utility(rng, 12)
             rule = tilted_rule(h, kernel)
             lam = _tilt_values(h, kernel)[1]
-            g = conditional_expectation_values(h, kernel)
+            g = direct_conditional_expectation(h, kernel)
             kl = kl_step_cost(rule, kernel.R)
             expected = (rule.entries * g).sum(axis=1) - lam
             np.testing.assert_allclose(kl, expected, atol=1e-10)
 
 
 def reference_tilt(values, kernel):
-    """The tilt with masked copies and one exp over the whole array: the reference."""
-    g = conditional_expectation_values(values, kernel)
+    """The tilt with masked copies and one exp over the whole array: the reference.
+
+    Its ``g`` is one product over the class rows, gathered to the states:
+    the product over all ``d`` rows rounds some entries differently, which
+    a bit-for-bit comparison would report.  ``test_rows_gathered_from_the_classes``
+    ties those rows to that direct product.
+    """
+    g = (kernel.class_Q0 @ values.reshape(kernel.space.d_u, kernel.space.d_n).T)[kernel.row_class]
     R0 = kernel.R.entries
     support = R0 > 0
     m = np.max(np.where(support, g, -np.inf), axis=1)
@@ -285,7 +295,7 @@ class TestOptimalRule:
         # no feasible rule beats the tilted one on reward plus continuation
         kernel = random_factored_model(rng, 3, 2)
         W = 2.0 * random_utility(rng, 6)
-        g = conditional_expectation_values(W, kernel)
+        g = direct_conditional_expectation(W, kernel)
         best = tilted_rule(W, kernel)
         lam = _tilt_values(W, kernel)[1]
         best_value = (best.entries * g).sum(axis=1) - kl_step_cost(best, kernel.R)

@@ -24,7 +24,7 @@ from klmdp import (
     solve_finite_horizon,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import conditional_expectation_values, kl_step_cost, tilted_rule
+from klmdp.kl_calculus import kl_step_cost, tilted_rule
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
     PREDICTOR_MAX_NODES,
@@ -46,8 +46,7 @@ def ar_vector_field(h, model, utility, basepoint):
     basepoint, and that chain's mean utility, from one dense Poisson solve.
     """
     rule = tilted_rule(h, model)
-    P_h = induced_transition(FactoredKernel(model.space, rule, model.Q0)).entries
-    return BorderedLU(rule.entries, model.Q0.entries, basepoint, P_h.__matmul__).solve(utility)
+    return BorderedLU(rule.entries, model.Q0.entries, basepoint).solve(utility)
 
 
 def unconstrained_two_state():
@@ -200,6 +199,48 @@ class TestSolveAverageReward:
         # is zeta U plus the log of R0's row sums, which are 1 to rounding
         assert path.predictor_nodes[1] == 1
         assert path.predictor_residual[1] <= path.grid[1] * np.max(np.abs(U)) + 1e-15
+
+    @pytest.mark.parametrize("failure, message, nth", [
+        ("singular", "singular", 5),
+        ("certificate", "Poisson residual", 5),
+        ("non-finite", "non-finite optimality-equation residual", 100),
+    ])
+    def test_a_failure_names_its_grid_node_once(self, monkeypatch, failure, message, nth):
+        # a singular LU, a failed certificate and a non-finite residual each
+        # raise from the corrector with the grid node they arose at, named once
+        import klmdp.ode_engine as ode_engine
+
+        scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=0.5, step=0.01)
+        clean = solve_average_reward(kernel, U, cfg, scenario.basepoint)
+        # the nth factorization, or the nth tilt (one per correction, plus the last), fails
+        if failure == "non-finite":
+            module, name, per_node = ode_engine, "_tilt_values", clean.newton_steps + 1
+        else:
+            module, name, per_node = scipy.linalg, "lu_factor", clean.factorizations
+        node = clean.grid[np.searchsorted(np.cumsum(per_node), nth)]
+        assert node > clean.grid[1]
+        original = getattr(module, name)
+        calls = [0]
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            out = original(*args, **kwargs)
+            if calls[0] == nth:
+                if failure == "singular":
+                    raise scipy.linalg.LinAlgWarning("exactly singular")
+                if failure == "certificate":
+                    out[0][1, 1] += 1e-3  # one entry of the LU factors
+                if failure == "non-finite":
+                    out = out[0], out[1] + np.nan
+            return out
+
+        monkeypatch.setattr(module, name, failing)
+        with pytest.raises(ConvergenceError, match=message) as info:
+            solve_average_reward(kernel, U, cfg, scenario.basepoint)
+        assert str(info.value).endswith(f" at zeta={node:g}")
+        assert str(info.value).count("zeta=") == 1
 
     def test_rules_normalized_only_where_used(self, monkeypatch):
         # Newton steps need only the log-normalizer: the rule is normalized for
@@ -519,7 +560,7 @@ def assert_stage_policies_are_gibbs_maximizers(kernel, U, cp):
     tol = 1e-10 * (1.0 + np.max(np.abs(cp.W)))
     for k in range(cp.W.shape[0] - 1):
         rule = cp.policy(k)
-        g = conditional_expectation_values(cp.W[k], kernel)
+        g = kernel.Q0.entries @ cp.W[k].reshape(kernel.space.d_u, kernel.space.d_n).T
         achieved = (rule.entries * g).sum(axis=1) - kl_step_cost(rule, kernel.R)
         assert np.max(np.abs(cp.W[k + 1] - cp.zeta * U - achieved)) <= tol
 

@@ -23,7 +23,6 @@ from klmdp import (
 )
 from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import tilted_rule
-from klmdp.state_space import induced_transition_values
 
 from conftest import controlled_chain, dense_kernel
 
@@ -138,6 +137,30 @@ class TestNominalRule:
         off_target = [x for x in range(R.shape[0]) if x // sc.d_N != sc.target_index]
         assert np.all(R[off_target] > 0)
 
+    @pytest.mark.parametrize("d_a, d_o, d_N, seed, target, sigma_u2", [
+        (8, 8, 3, 0, None, 0.5),
+        (15, 15, 5, 0, None, 0.5),
+        (6, 9, 2, 3, (2, 1), 1.3),
+    ])
+    def test_matches_the_per_state_loop_bit_for_bit(self, d_a, d_o, d_N, seed, target, sigma_u2):
+        # the broadcast rule does the loop's arithmetic element by element, so
+        # the scenario files it feeds keep their bytes
+        sc = small_scenario(d_a, d_o, d_N, seed, target=target, sigma_u2=sigma_u2)
+        coords = sc.location_coords()
+        expected = np.zeros((sc.d_L * sc.d_N, sc.d_L))
+        for l in range(sc.d_L):
+            for n in range(sc.d_N):
+                x = l * sc.d_N + n
+                if l == sc.target_index:
+                    expected[x, sc.target_index] = 1.0
+                    continue
+                ci = np.clip(coords[l, 0] + sc.wind.table[l, n, 0], 0, sc.d_a - 1)
+                cj = np.clip(coords[l, 1] + sc.wind.table[l, n, 1], 0, sc.d_o - 1)
+                dist2 = (coords[:, 0] - ci) ** 2 + (coords[:, 1] - cj) ** 2
+                row = np.exp(-1.0 / (2.0 * sc.sigma_u2) * dist2)
+                expected[x] = row / row.sum()
+        np.testing.assert_array_equal(build_nominal_rule(sc).entries.view(np.int64), expected.view(np.int64))
+
 
 class TestModelStructure:
     def test_utility_is_off_target_indicator(self):
@@ -197,7 +220,8 @@ class TestControlledSpectrum:
         Q0[7] = Q0[1]  # state 7 shares only its Q0 row: a group of its own
         eig = controlled_spectrum(R, Q0)
         assert eig.size == 12
-        assert multiset_gap(eig, np.linalg.eigvals(induced_transition_values(R, Q0))) < 1e-12
+        P = np.einsum("xu,xn->xun", R, Q0).reshape(12, 12)  # P(x, (u, n)) = R(x, u) Q0(x, n)
+        assert multiset_gap(eig, np.linalg.eigvals(P)) < 1e-12
         assert np.count_nonzero(eig == 0) == 2
 
     def test_distinct_rows_match_dense(self):
@@ -282,7 +306,7 @@ class TestNoDenseChain:
     def test_bordered_lu(self, uav15):
         sc, model = uav15
         d = model.space.d
-        peak = peak_bytes(lambda: BorderedLU(model.R.entries, model.Q0.entries, sc.basepoint, None))
+        peak = peak_bytes(lambda: BorderedLU(model.R.entries, model.Q0.entries, sc.basepoint))
         assert 8 * d**2 <= peak < 9 * d**2
 
 
