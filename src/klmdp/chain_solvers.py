@@ -37,10 +37,15 @@ class PerronFrobeniusPair:
 def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
     """Indices of the unique recurrent class of the unichain aperiodic chain ``R ⊗ Q0``.
 
-    The chain is ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``, so row ``x``
-    of its support is ``supp R(x) × supp Q0(x)``: it is formed once per row
-    class of the kernel, whose states share both supports, and the support
-    graph is built in CSR form from those rows, with no dense ``P``.  A chain
+    The chain is ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``, so the
+    successors of ``x`` are ``supp R(x) × supp Q0(x)``, shared by the states
+    of its row class.  The support graph is routed through the ``K`` row
+    classes, with no dense ``P``: of its ``d + K`` nodes, state ``x`` has one
+    edge, to the node ``d + c`` of its class ``c``, and that node has an edge
+    to each state of ``supp R(c) × supp Q0(c)``.  A path of ``n`` steps of
+    the chain is a path of ``2 n`` edges, so each closed class of the graph
+    holds a recurrent class of the chain and the class nodes of its states,
+    and the chain is aperiodic exactly when that class has period 2.  A chain
     held as a dense ``P`` is the kernel ``FactoredKernel(ProductStateSpace(d,
     1), P, ones((d, 1)))``.
 
@@ -49,46 +54,37 @@ def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
     class is periodic.
     """
     d, d_n = kernel.space.d, kernel.space.d_n
-    columns = [  # int32 column indices of each class's support row
-        (np.flatnonzero(r)[:, None] * d_n + np.flatnonzero(q)).ravel().astype(np.int32)
-        for r, q in zip(kernel.class_support, kernel.class_Q0 > 0)
-    ]
-    row_class = kernel.row_class
-    indptr = np.zeros(d + 1, dtype=np.int32)
-    np.cumsum([columns[k].size for k in row_class], out=indptr[1:])
-    indices = np.concatenate([columns[k] for k in row_class])
-    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(d, d))
+    support, wind = kernel.class_support, kernel.class_Q0 > 0
+    n = d + support.shape[0]
+    counts = np.concatenate([np.ones(d, dtype=np.int32), support.sum(axis=1) * wind.sum(axis=1)])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = np.concatenate([
+        d + kernel.row_class.astype(np.int32),  # each state's class node
+        *(  # each class's successor states
+            (np.flatnonzero(r)[:, None] * d_n + np.flatnonzero(q)).ravel().astype(np.int32)
+            for r, q in zip(support, wind)
+        ),
+    ])
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    # a state stays in its class when the least and the greatest class of its
-    # successors are its own; a class is closed when all its states stay
-    least = np.array([labels[c].min() for c in columns])[row_class]
-    greatest = np.array([labels[c].max() for c in columns])[row_class]
+    # a node stays in its component when the least and the greatest component
+    # of its successors are its own; a component is closed when all its nodes stay
+    least = np.minimum.reduceat(labels[indices], indptr[:-1])
+    greatest = np.maximum.reduceat(labels[indices], indptr[:-1])
     leaving = labels[(least != labels) | (greatest != labels)]
     closed = np.setdiff1d(np.arange(n_comp), leaving)
     if closed.size != 1:
         raise NotUnichainError(f"found {closed.size} recurrent classes, expected exactly 1")
-    members = np.flatnonzero(labels == closed[0])
-    if not _is_aperiodic(graph, members):
+    inside = labels == closed[0]
+    members = np.flatnonzero(inside[:d])
+    # gcd of (level(u) + 1 - level(v)) over the closed class's edges, with BFS
+    # levels from a member, is the class's period: twice the chain's.  Its
+    # edges are its nodes' CSR rows, in order, so each source repeats over its row
+    level = shortest_path(graph, unweighted=True, indices=members[0])
+    gaps = np.repeat(level[inside] + 1, counts[inside]) - level[indices[np.repeat(inside, counts)]]
+    if int(np.gcd.reduce(gaps.astype(np.intp))) != 2:
         raise NotAperiodicError("the recurrent class is periodic")
     return members
-
-
-def _is_aperiodic(graph: sp.csr_matrix, members: np.ndarray) -> bool:
-    """Whether the closed communicating class ``members`` of ``graph`` is aperiodic."""
-    # the class is closed, so its states' successors are its states: its edges
-    # are renumbered with numpy alone (scipy's sparse indexing pages in about
-    # 0.4 MB more of compiled code, a visible share of a small run's RSS)
-    position = np.empty(graph.shape[0], dtype=np.intp)
-    position[members] = np.arange(members.size)
-    rows = [graph.indices[graph.indptr[x] : graph.indptr[x + 1]] for x in members]
-    dst = position[np.concatenate(rows)]
-    counts = [row.size for row in rows]
-    src = np.repeat(np.arange(members.size), counts)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    sub = sp.csr_matrix((np.ones(dst.size), dst, indptr), shape=(members.size,) * 2)
-    level = shortest_path(sub, unweighted=True, indices=0).astype(np.intp)  # BFS levels
-    # gcd of (level(u) + 1 - level(v)) over the edges equals the chain period
-    return int(np.gcd.reduce(level[src] + 1 - level[dst])) == 1
 
 
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))

@@ -56,7 +56,6 @@ from .ode_engine import (
 from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix, induced_transition
 from .uav_benchmark import (
     UavScenario,
-    WindField,
     build_scenario_model,
     controlled_spectrum,
     cost_to_go,
@@ -120,8 +119,6 @@ def load_config(path: str | Path) -> LoadedModel:
         wind_cfg = model_cfg.get("wind", {"kind": "seeded", "seed": 0})
         if wind_cfg["kind"] == "seeded":
             wind = generate_wind_field(d_a, d_o, d_N, int(wind_cfg.get("seed", 0)))
-        elif wind_cfg["kind"] == "explicit":
-            wind = WindField(np.asarray(wind_cfg["table"], dtype=int))
         else:
             raise ValueError(f"unknown wind kind {wind_cfg['kind']!r}")
         target = model_cfg.get("target")
@@ -553,7 +550,11 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_scenario(args) -> int:
     config = default_uav_config(seed=args.seed)
-    Path(args.out).write_text(json.dumps(config, indent=2) + "\n")
+    try:
+        Path(args.out).write_text(json.dumps(config, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.out}")
     return 0
 

@@ -114,6 +114,14 @@ class TestRecurrentClass:
         with pytest.raises(NotAperiodicError):
             recurrent_class(dense_chain_kernel(P))
 
+    def test_row_class_with_recurrent_and_transient_states(self):
+        # states 0 and 2 share their R row into {0, 1}, so they are one row
+        # class; 1 goes to 0, and nothing enters 2
+        R = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        kernel = dense_chain_kernel(R)
+        np.testing.assert_array_equal(kernel.row_class, [0, 1, 0])
+        np.testing.assert_array_equal(recurrent_class(kernel), [0, 1])
+
     def test_factored_matches_dense_reference(self, rng):
         outcomes = {"members": 0, NotUnichainError: 0, NotAperiodicError: 0}
         for _ in range(300):

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -138,13 +139,14 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]])
-    @pytest.mark.parametrize("key, value, message", [
+    @pytest.mark.parametrize("config, key, value, message", [
         # Python's json reads NaN
-        ("R0", [[float("nan"), 1.0]] + [[0.5, 0.5]] * 3, "non-finite entry nan at (0, 0)"),
-        ("utility", [1.0], "utility has length 1, expected 4"),
-    ], ids=["nan-in-R0", "short-utility"])
-    def test_invalid_model_is_a_clean_error(self, tmp_path, capsys, verb, key, value, message):
-        cfg = explicit_config()
+        (explicit_config, "R0", [[float("nan"), 1.0]] + [[0.5, 0.5]] * 3, "non-finite entry nan at (0, 0)"),
+        (explicit_config, "utility", [1.0], "utility has length 1, expected 4"),
+        (small_uav_config, "wind", {"kind": "explicit", "table": [[0] * 4] * 4}, "unknown wind kind 'explicit'"),
+    ], ids=["nan-in-R0", "short-utility", "explicit-wind"])
+    def test_invalid_model_is_a_clean_error(self, tmp_path, capsys, verb, config, key, value, message):
+        cfg = config()
         cfg["model"][key] = value
         out = tmp_path / "run"
         assert main(verb + ["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
@@ -173,6 +175,14 @@ class TestGenScenario:
         assert cfg == default_uav_config(seed=3)
         loaded = load_config(out)
         assert loaded.kernel.space.d == 15 * 15 * 5
+
+    def test_missing_directory_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "scenario.json"
+        assert main(["gen-scenario", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.parent.exists()
 
 
 class TestSolveAr:
@@ -437,13 +447,23 @@ class TestSolveAr:
         assert done.stderr == "before"
 
     @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]], ids=["solve-ar", "solve-fh"])
-    def test_workers_fork_without_a_deprecation_warning(self, tmp_path, verb):
-        # Python 3.12+ warns when a process with more than one thread forks
+    def test_workers_fork_without_a_deprecation_warning(self, tmp_path, monkeypatch, verb):
+        # Python 3.12+ warns when a process with more than one thread forks;
+        # the threads alive at each fork are counted on any version
+        threads_at_fork = []
+        fork = os.fork
+
+        def counting_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         cfg_path = write_config(tmp_path, small_uav_config())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(verb + ["--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        assert threads_at_fork and set(threads_at_fork) == {1}
         assert multiprocessing.active_children() == []
 
     def test_overrides(self, tmp_path):

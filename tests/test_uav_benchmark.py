@@ -285,8 +285,9 @@ def peak_bytes(f) -> int:
 
 class TestNoDenseChain:
     """A dense d x d float array is 8 d^2 bytes.  At the gen-scenario default
-    15x15x5 (d = 1125), the structure check and the spectrum peak below one,
-    and the bordered LU holds its own matrix and not the chain beside it."""
+    15x15x5 (d = 1125), the spectrum peaks below one, the structure check
+    below one (d, d_u) rule (8 d d_u bytes, 2.0 MB), and the bordered LU
+    holds its own matrix and not the chain beside it."""
 
     @pytest.fixture(scope="class")
     def uav15(self):
@@ -296,7 +297,7 @@ class TestNoDenseChain:
     def test_structure_check(self, uav15):
         _, model = uav15
         d = model.space.d
-        assert peak_bytes(lambda: recurrent_class(model)) < 8 * d**2
+        assert peak_bytes(lambda: recurrent_class(model)) < 8 * d * model.space.d_u
 
     def test_spectrum(self, uav15):
         _, model = uav15
