@@ -9,11 +9,7 @@ included for validation.
 
 __version__ = "0.1.0"
 
-from .chain_solvers import (
-    PerronFrobeniusPair,
-    perron_frobenius_baseline,
-    recurrent_class,
-)
+from .chain_solvers import perron_frobenius_baseline, recurrent_class
 from .errors import (
     AbsoluteContinuityError,
     ConvergenceError,
@@ -32,13 +28,7 @@ from .ode_engine import (
     solve_average_reward,
     solve_finite_horizon,
 )
-from .state_space import (
-    FactoredKernel,
-    ProductStateSpace,
-    StochasticMatrix,
-    ValueFunction,
-    induced_transition,
-)
+from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix
 from .uav_benchmark import (
     RolloutResult,
     UavScenario,

@@ -13,7 +13,6 @@ explicit residual check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,14 +23,6 @@ from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
 from .state_space import FactoredKernel, StochasticMatrix
 
 POISSON_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PerronFrobeniusPair:
-    """Principal eigenvalue and positive eigenvector, normalized at the basepoint."""
-
-    lam: float
-    v: np.ndarray
 
 
 def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
@@ -155,11 +146,12 @@ def perron_frobenius_baseline(
     x0: int,
     max_iter: int = 100_000,
     tol: float = 1e-12,
-) -> tuple[PerronFrobeniusPair, StochasticMatrix]:
+) -> tuple[float, np.ndarray, StochasticMatrix]:
     """Principal eigenpair of ``exp(zeta U(x)) P0(x, x')`` and its twisted matrix.
 
-    Power iteration with the eigenvector normalized to 1 at the basepoint;
-    the twisted matrix ``(1/lam) v(x')/v(x) W(x, x')`` is the optimally
+    Power iteration with the eigenvector normalized to 1 at the basepoint.
+    Returns ``(lam, v, twisted)``: the Perron root, the positive eigenvector
+    and the twisted matrix ``(1/lam) v(x')/v(x) W(x, x')``, the optimally
     controlled chain of the unconstrained model.
     """
     U = np.asarray(utility, dtype=float)
@@ -180,4 +172,4 @@ def perron_frobenius_baseline(
         raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")
     twisted = W * v[None, :] / (lam * v[:, None])
     twisted /= twisted.sum(axis=1, keepdims=True)
-    return PerronFrobeniusPair(lam=float(lam), v=v), StochasticMatrix(twisted)
+    return float(lam), v, StochasticMatrix(twisted)

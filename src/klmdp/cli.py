@@ -53,7 +53,7 @@ from .ode_engine import (
     solve_average_reward,
     solve_finite_horizon,
 )
-from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix, induced_transition
+from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix
 from .uav_benchmark import (
     UavScenario,
     build_scenario_model,
@@ -410,7 +410,7 @@ def _write_ar_tables(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutio
     xu, xn = np.divmod(x, loaded.kernel.space.d_n)
     for cp in path.checkpoints:
         header = "state_index,x_u,x_n,h,cost_to_go"
-        _write_table(out, f"values_zeta_{_ztag(cp.zeta)}.csv", header, x, xu, xn, cp.h.values, cost_to_go(cp))
+        _write_table(out, f"values_zeta_{_ztag(cp.zeta)}.csv", header, x, xu, xn, cp.h, cost_to_go(cp))
     _write_table(out, "eta.csv", "zeta,eta,aroe_residual_sup", path.grid, path.eta_trace, path.residual_trace)
 
 
@@ -485,7 +485,7 @@ def cmd_validate(args) -> int:
             h, eta = aroe_fixed_point_oracle(
                 loaded.kernel, loaded.utility, cp.zeta, loaded.basepoint
             )
-            gap = max(float(np.max(np.abs(h.values - cp.h.values))), abs(eta - cp.eta))
+            gap = max(float(np.max(np.abs(h - cp.h))), abs(eta - cp.eta))
             return (f"ar-ode vs fixed-point @ zeta={_ztag(cp.zeta)}", gap, 1e-6)
 
         with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
@@ -511,12 +511,13 @@ def cmd_validate(args) -> int:
             rule = cp.policy()  # one rule for the Perron-Frobenius and rollout rows
 
         if pf_rows:
-            P0 = induced_transition(loaded.kernel)
-            pf, twisted = perron_frobenius_baseline(P0, loaded.utility, cp.zeta, loaded.basepoint)
-            controlled = induced_transition(FactoredKernel(loaded.kernel.space, rule, loaded.kernel.Q0))
-            gap = float(np.max(np.abs(twisted.entries - controlled.entries)))
+            # d_n = 1: P(x, x') = R(x, x') Q0(x, 0), a (d, d) by (d, 1) broadcast
+            Q0 = loaded.kernel.Q0.entries
+            P0 = StochasticMatrix(loaded.kernel.R.entries * Q0)
+            lam, _, twisted = perron_frobenius_baseline(P0, loaded.utility, cp.zeta, loaded.basepoint)
+            gap = float(np.max(np.abs(twisted.entries - rule.entries * Q0)))
             rows.append((f"pf twisted matrix vs ode @ zeta={_ztag(cp.zeta)}", gap, 1e-6))
-            rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(cp.zeta)}", abs(cp.eta - np.log(pf.lam)), 1e-6))
+            rows.append((f"eta vs log pf eigenvalue @ zeta={_ztag(cp.zeta)}", abs(cp.eta - np.log(lam)), 1e-6))
 
         if rollout_rows:
             sc = loaded.scenario
@@ -525,7 +526,7 @@ def cmd_validate(args) -> int:
                 loaded.kernel, rule, sc, cp.zeta, start,
                 trials=args.trials, horizon_cap=args.horizon_cap, seed=args.seed,
             )
-            gap = abs(result.mean - (-cp.h.values[start]))
+            gap = abs(result.mean - (-cp.h[start]))
             rows.append((
                 f"rollout vs cost-to-go @ zeta={_ztag(cp.zeta)}",
                 gap,

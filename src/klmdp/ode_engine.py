@@ -31,7 +31,7 @@ import numpy as np
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
 from .kl_calculus import _normalize_rule, _tilt_values, tilted_rule
-from .state_space import FactoredKernel, StochasticMatrix, ValueFunction
+from .state_space import FactoredKernel, StochasticMatrix
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
 # next correction, is at rounding level relative to ``1 + |h| + |zeta U|``; the
@@ -79,20 +79,22 @@ class OdeConfig:
 class PathCheckpoint:
     """Average-reward solution at one value of the weight: ``h``, ``eta`` and the residual.
 
-    The optimal rule is the tilt of the nominal rule by ``h`` (Gibbs form), so
-    ``h`` determines it and no rule is stored: :meth:`policy` derives it, and
-    the controlled chain is that rule with the kernel's ``Q0``.
+    ``h`` is a read-only copy of the solved relative values, with
+    ``h[basepoint] == 0`` as the bordered solve pins it.  The optimal rule is
+    the tilt of the nominal rule by ``h`` (Gibbs form), so ``h`` determines it
+    and no rule is stored: :meth:`policy` derives it, and the controlled chain
+    is that rule with the kernel's ``Q0``.
     """
 
     zeta: float
-    h: ValueFunction
+    h: np.ndarray
     eta: float
     aroe_residual_sup: float
     kernel: FactoredKernel
 
     def policy(self) -> StochasticMatrix:
         """The optimal rule ``R_h``: the nominal rule tilted by ``h``."""
-        return tilted_rule(self.h.values, self.kernel)
+        return tilted_rule(self.h, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,8 @@ def solve_average_reward(
     certificate or a non-finite residual raises :class:`ConvergenceError`
     naming its grid node.  A step needs only the log-normalizer
     ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only for each
-    factorization; a checkpoint keeps ``h`` and derives its rule from it
-    (:meth:`PathCheckpoint.policy`).  Where a correction
+    factorization; a checkpoint keeps a read-only copy of ``h`` and derives
+    its rule from it (:meth:`PathCheckpoint.policy`).  Where a correction
     does not cut the residual by ``CHORD_RHO``, the matrix is refactored at
     the current iterate, so that step is a full Newton step (Shamanskii);
     where a chord step does not lower the residual at all, it is undone and
@@ -344,7 +346,9 @@ def solve_average_reward(
         residual_trace[i] = res
         converged = [*converged[-PREDICTOR_MAX_NODES:], (zeta, x)]
         if i in cp_nodes:
-            checkpoints.append(PathCheckpoint(zeta, ValueFunction(h, basepoint), eta, res, model))
+            h = h.copy()  # x stays in the predictor's history
+            h.setflags(write=False)  # the rule comes only from the values solved
+            checkpoints.append(PathCheckpoint(zeta, h, eta, res, model))
 
     return ZetaSolutionPath(
         checkpoints=checkpoints,
@@ -427,15 +431,19 @@ def aroe_fixed_point_oracle(
     tol: float = 1e-10,
     max_iter: int = 1_000_000,
     damping: float = 1.0,
-) -> tuple[ValueFunction, float]:
+) -> tuple[np.ndarray, float]:
     """Solve the average-reward optimality equation at a fixed weight directly.
 
     Relative value iteration on ``h <- zeta U + Lambda_h``, re-pinned at the
-    basepoint each sweep; independent of the ODE path.  The log-normalizer
-    ``Lambda_h = log sum_u R0 e + max g`` comes from the class exponent of
-    ``h`` and the row sums of ``R0`` against it, with no tilt of the
-    solvers.  Returns ``(h, eta)``.
+    basepoint each sweep by subtracting its value there; independent of the
+    ODE path.  The log-normalizer ``Lambda_h = log sum_u R0 e + max g`` comes
+    from the class exponent of ``h`` and the row sums of ``R0`` against it,
+    with no tilt of the solvers.  Returns ``(h, eta)``, with ``h`` read-only
+    and ``h[basepoint] == 0``.  A basepoint outside ``[0, d)`` raises
+    ``ValueError``.
     """
+    if not 0 <= basepoint < model.space.d:
+        raise ValueError(f"basepoint {basepoint} outside [0, {model.space.d})")
     U = np.asarray(utility, dtype=float)
     blocks = _ClassBlocks(model)
     h = np.zeros(model.space.d)
@@ -449,7 +457,8 @@ def aroe_fixed_point_oracle(
         change = np.max(np.abs(h_new - h))
         h = h_new
         if change <= tol:
-            return ValueFunction(h, basepoint), float(eta)
+            h.setflags(write=False)
+            return h, float(eta)
     raise ConvergenceError(f"relative value iteration did not converge in {max_iter} sweeps")
 
 

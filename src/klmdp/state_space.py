@@ -119,30 +119,3 @@ class FactoredKernel:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class ValueFunction:
-    """Real vector over the state space pinned to zero at a basepoint.
-
-    Construction re-normalizes, so ``values[basepoint] == 0`` holds exactly.
-    """
-
-    values: np.ndarray
-    basepoint: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a vector, got shape {v.shape}")
-        if not 0 <= self.basepoint < v.size:
-            raise ValueError(f"basepoint {self.basepoint} outside [0, {v.size})")
-        v = v - v[self.basepoint]
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-def induced_transition(kernel: FactoredKernel) -> StochasticMatrix:
-    """Full transition matrix ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``."""
-    d = kernel.space.d
-    return StochasticMatrix(np.einsum("xu,xn->xun", kernel.R.entries, kernel.Q0.entries).reshape(d, d))

@@ -155,7 +155,7 @@ def build_scenario_model(scenario: UavScenario) -> tuple[FactoredKernel, np.ndar
 
 def cost_to_go(checkpoint) -> np.ndarray:
     """Expected accumulated cost until hitting the target: the negative of ``h``."""
-    return -checkpoint.h.values
+    return -checkpoint.h
 
 
 def velocity_field(rule: StochasticMatrix, scenario: UavScenario) -> np.ndarray:

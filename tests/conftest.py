@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix, induced_transition
+from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 from klmdp.chain_solvers import BorderedLU
 
 
@@ -14,6 +14,12 @@ def random_factored_model(rng, d_u, d_n, min_mass=0.05):
     R = (R + min_mass) / (1.0 + min_mass * d_u)
     Q0 = (Q0 + min_mass) / (1.0 + min_mass * d_n)
     return FactoredKernel(space, StochasticMatrix(R), StochasticMatrix(Q0))
+
+
+def induced_transition(kernel):
+    """Dense reference chain of a kernel: ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``."""
+    d = kernel.space.d
+    return StochasticMatrix(np.einsum("xu,xn->xun", kernel.R.entries, kernel.Q0.entries).reshape(d, d))
 
 
 def balance_pmf(P):

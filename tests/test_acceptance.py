@@ -19,14 +19,19 @@ from klmdp import (
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     generate_wind_field,
-    induced_transition,
     perron_frobenius_baseline,
     rollout_oracle,
     solve_average_reward,
     solve_finite_horizon,
     velocity_field,
 )
-from conftest import controlled_chain, dense_bordered_lu, random_factored_model, random_utility
+from conftest import (
+    controlled_chain,
+    dense_bordered_lu,
+    induced_transition,
+    random_factored_model,
+    random_utility,
+)
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:
@@ -87,7 +92,7 @@ def test_criterion_3_ode_vs_fixed_point_oracle():
         path = solve_average_reward(kernel, U, cfg)
         for cp in path.checkpoints:
             h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta)
-            worst = max(worst, float(np.max(np.abs(h.values - cp.h.values))), abs(eta - cp.eta))
+            worst = max(worst, float(np.max(np.abs(h - cp.h))), abs(eta - cp.eta))
     ok = worst <= 1e-6
     _report(
         "criterion 3: continuation ODE matches fixed-point oracle on 20 random models within 1e-6",
@@ -105,9 +110,9 @@ def test_criterion_4_perron_frobenius_equivalence():
         kernel = random_factored_model(rng, d_u, 1)
         U = random_utility(rng, d_u)
         cp = solve_average_reward(kernel, U, cfg).checkpoints[-1]
-        pf, twisted = perron_frobenius_baseline(induced_transition(kernel), U, 1.0, x0=0)
+        lam, _, twisted = perron_frobenius_baseline(induced_transition(kernel), U, 1.0, x0=0)
         worst_P = max(worst_P, float(np.max(np.abs(twisted.entries - controlled_chain(cp)))))
-        worst_eta = max(worst_eta, abs(cp.eta - np.log(pf.lam)))
+        worst_eta = max(worst_eta, abs(cp.eta - np.log(lam)))
     ok = worst_P <= 1e-6 and worst_eta <= 1e-8
     _report(
         "criterion 4: unconstrained case matches the eigenvector baseline "
@@ -210,7 +215,7 @@ def test_criterion_9_boundary_exactness(uav_sweep):
     assert cp.zeta == 0.0
     P0 = induced_transition(model).entries
     ok = (
-        bool(np.all(cp.h.values == 0.0))
+        bool(np.all(cp.h == 0.0))
         and cp.eta == 0.0
         and float(np.max(np.abs(controlled_chain(cp) - P0))) <= 1e-14
     )

@@ -11,7 +11,6 @@ from klmdp import (
     NotUnichainError,
     ProductStateSpace,
     StochasticMatrix,
-    induced_transition,
     perron_frobenius_baseline,
     recurrent_class,
 )
@@ -23,6 +22,7 @@ from conftest import (
     balance_pmf,
     dense_bordered_lu,
     dense_chain_kernel,
+    induced_transition,
     random_factored_model,
     random_utility,
 )
@@ -318,30 +318,30 @@ class TestBorderedLU:
 class TestPerronFrobeniusBaseline:
     def test_zeta_zero(self, rng):
         P0 = StochasticMatrix(rng.dirichlet(np.ones(4), size=4))
-        pf, twisted = perron_frobenius_baseline(P0, random_utility(rng, 4), 0.0, x0=0)
-        assert pf.lam == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(pf.v, 1.0, atol=1e-10)
+        lam, v, twisted = perron_frobenius_baseline(P0, random_utility(rng, 4), 0.0, x0=0)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(v, 1.0, atol=1e-10)
         np.testing.assert_allclose(twisted.entries, P0.entries, atol=1e-10)
 
     def test_constant_utility(self, rng):
         P0 = StochasticMatrix(rng.dirichlet(np.ones(3), size=3))
-        pf, twisted = perron_frobenius_baseline(P0, np.full(3, 2.0), 1.5, x0=0)
-        assert pf.lam == pytest.approx(np.exp(3.0), rel=1e-10)
+        lam, _, twisted = perron_frobenius_baseline(P0, np.full(3, 2.0), 1.5, x0=0)
+        assert lam == pytest.approx(np.exp(3.0), rel=1e-10)
         np.testing.assert_allclose(twisted.entries, P0.entries, atol=1e-10)
 
     def test_two_state_closed_form(self):
         P0 = StochasticMatrix(np.full((2, 2), 0.5))
-        pf, twisted = perron_frobenius_baseline(P0, np.array([0.0, 1.0]), 1.0, x0=0)
+        lam, _, twisted = perron_frobenius_baseline(P0, np.array([0.0, 1.0]), 1.0, x0=0)
         e = np.e
-        assert pf.lam == pytest.approx((1 + e) / 2, rel=1e-12)
+        assert lam == pytest.approx((1 + e) / 2, rel=1e-12)
         np.testing.assert_allclose(twisted.entries, [[1 / (1 + e), e / (1 + e)]] * 2, atol=1e-12)
 
     def test_eigen_identity_and_rows(self, rng):
         P0 = StochasticMatrix(rng.dirichlet(np.ones(7), size=7))
         U = random_utility(rng, 7)
-        pf, twisted = perron_frobenius_baseline(P0, U, 0.8, x0=2)
+        lam, v, twisted = perron_frobenius_baseline(P0, U, 0.8, x0=2)
         W = np.exp(0.8 * U)[:, None] * P0.entries
-        np.testing.assert_allclose(W @ pf.v, pf.lam * pf.v, atol=1e-10 * pf.lam)
-        assert pf.v[2] == pytest.approx(1.0)
-        assert np.all(pf.v > 0)
+        np.testing.assert_allclose(W @ v, lam * v, atol=1e-10 * lam)
+        assert v[2] == pytest.approx(1.0)
+        assert np.all(v > 0)
         np.testing.assert_allclose(twisted.entries.sum(axis=1), 1.0, atol=1e-10)

@@ -6,14 +6,12 @@ from klmdp import (
     FactoredKernel,
     ProductStateSpace,
     StochasticMatrix,
-    ValueFunction,
-    induced_transition,
     kl_step_cost,
 )
 from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values, tilted_rule
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
-from conftest import random_factored_model, random_utility
+from conftest import induced_transition, random_factored_model, random_utility
 
 
 def direct_conditional_expectation(values, kernel):

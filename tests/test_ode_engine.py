@@ -19,7 +19,6 @@ from klmdp import (
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     generate_wind_field,
-    induced_transition,
     solve_average_reward,
     solve_finite_horizon,
 )
@@ -35,7 +34,13 @@ from klmdp.ode_engine import (
 )
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
-from conftest import controlled_chain, dense_bordered_lu, random_factored_model, random_utility
+from conftest import (
+    controlled_chain,
+    dense_bordered_lu,
+    induced_transition,
+    random_factored_model,
+    random_utility,
+)
 
 
 def ar_vector_field(h, model, utility, basepoint):
@@ -90,7 +95,7 @@ class TestSolveAverageReward:
         assert len(path.checkpoints) == 1
         cp = path.checkpoints[0]
         assert cp.zeta == 0.0 and cp.eta == 0.0
-        np.testing.assert_array_equal(cp.h.values, 0.0)
+        np.testing.assert_array_equal(cp.h, 0.0)
         # kept as its factors: no dense chain is stored or built
         assert not hasattr(cp, "controlled_P")
         np.testing.assert_allclose(controlled_chain(cp), induced_transition(kernel).entries, atol=1e-15)
@@ -100,7 +105,7 @@ class TestSolveAverageReward:
         cfg = OdeConfig(zeta_max=1.0, step=0.05, checkpoints=(1.0,))
         path = solve_average_reward(kernel, np.full(6, -0.7), cfg)
         cp = path.checkpoints[-1]
-        np.testing.assert_allclose(cp.h.values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(cp.h, 0.0, atol=1e-10)
         assert cp.eta == pytest.approx(-0.7, abs=1e-10)
 
     def test_matches_perron_frobenius(self):
@@ -138,7 +143,7 @@ class TestSolveAverageReward:
         cp = solve_average_reward(kernel, U, cfg).checkpoints[-1]
         h, eta = aroe_fixed_point_oracle(kernel, U, 2.0)
         assert cp.zeta == 2.0
-        assert np.max(np.abs(h.values - cp.h.values)) <= 1e-6
+        assert np.max(np.abs(h - cp.h)) <= 1e-6
         assert abs(eta - cp.eta) <= 1e-6
 
     @pytest.mark.parametrize("solve", [
@@ -164,7 +169,7 @@ class TestSolveAverageReward:
         for basepoint in (3, 5, -1):
             with pytest.raises(ValueError, match=rf"^basepoint {basepoint} outside \[0, 3\)$"):
                 solve_average_reward(kernel, U, cfg, basepoint=basepoint)
-        assert solve_average_reward(kernel, U, cfg, basepoint=1).checkpoints[-1].h.values[1] == 0.0
+        assert solve_average_reward(kernel, U, cfg, basepoint=1).checkpoints[-1].h[1] == 0.0
 
     def test_trace_counts_every_factorization_and_solve(self, monkeypatch):
         # the LU is kept across Newton steps and nodes: each correction is one
@@ -285,7 +290,7 @@ class TestSolveAverageReward:
         assert held < 8 * kernel.space.d * kernel.space.d_u
         for cp in path.checkpoints:
             rule = cp.policy().entries
-            np.testing.assert_array_equal(rule, tilted_rule(cp.h.values, kernel).entries)
+            np.testing.assert_array_equal(rule, tilted_rule(cp.h, kernel).entries)
             assert rule.shape == (kernel.space.d, kernel.space.d_u)
 
     def test_chord_safeguard_matches_fixed_point_oracle(self):
@@ -296,7 +301,7 @@ class TestSolveAverageReward:
         cfg = OdeConfig(zeta_max=0.05, step=0.01, checkpoints=(0.01, 0.02, 0.03, 0.04, 0.05))
         for cp in solve_average_reward(kernel, U, cfg, scenario.basepoint).checkpoints:
             h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, scenario.basepoint, tol=1e-13)
-            assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+            assert np.max(np.abs(h - cp.h)) <= 1e-10
             assert abs(eta - cp.eta) <= 1e-10
 
     def test_step_counts_on_the_full_uav8_sweep(self):
@@ -312,7 +317,7 @@ class TestSolveAverageReward:
         assert path.predictor_nodes.max() > 2
         for cp in path.checkpoints:
             h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, scenario.basepoint, tol=1e-13)
-            assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+            assert np.max(np.abs(h - cp.h)) <= 1e-10
             assert abs(eta - cp.eta) <= 1e-10
 
     def test_derivative_consistency(self, rng):
@@ -323,8 +328,8 @@ class TestSolveAverageReward:
         zetas = (0.5 - step, 0.5, 0.5 + step)
         cfg = OdeConfig(zeta_max=0.6, step=step, checkpoints=zetas)
         cps = solve_average_reward(kernel, U, cfg).checkpoints
-        fd = (cps[2].h.values - cps[0].h.values) / (2 * step)
-        vf, _ = ar_vector_field(cps[1].h.values, kernel, U, 0)
+        fd = (cps[2].h - cps[0].h) / (2 * step)
+        vf, _ = ar_vector_field(cps[1].h, kernel, U, 0)
         assert np.max(np.abs(fd - vf)) <= 50 * step**2
 
     def test_eta_convex_and_monotone_for_nonpositive_utility(self, rng):
@@ -340,8 +345,8 @@ class TestSolveAverageReward:
         U = random_utility(rng, 6)
         cfg = OdeConfig(zeta_max=0.8, step=0.02, checkpoints=(0.2, 0.8))
         for cp in solve_average_reward(kernel, U, cfg, basepoint=4).checkpoints:
-            assert cp.h.values[4] == 0.0
-            H, _ = ar_vector_field(cp.h.values, kernel, U, 4)
+            assert cp.h[4] == 0.0
+            H, _ = ar_vector_field(cp.h, kernel, U, 4)
             assert H[4] == 0.0
 
     def test_poisson_residual_at_checkpoints(self, rng):
@@ -349,7 +354,7 @@ class TestSolveAverageReward:
         U = random_utility(rng, 6)
         cfg = OdeConfig(zeta_max=1.0, step=0.02, checkpoints=(0.5, 1.0))
         for cp in solve_average_reward(kernel, U, cfg).checkpoints:
-            H, eta = ar_vector_field(cp.h.values, kernel, U, 0)
+            H, eta = ar_vector_field(cp.h, kernel, U, 0)
             residual = controlled_chain(cp) @ H - H + U - eta
             assert np.max(np.abs(residual)) <= 1e-6
 
@@ -420,13 +425,13 @@ class TestAroeFixedPointOracle:
     def test_zero_weight(self, rng):
         kernel = random_factored_model(rng, 3, 2)
         h, eta = aroe_fixed_point_oracle(kernel, random_utility(rng, 6), 0.0)
-        np.testing.assert_allclose(h.values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(h, 0.0, atol=1e-10)
         assert eta == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_utility(self, rng):
         kernel = random_factored_model(rng, 2, 2)
         h, eta = aroe_fixed_point_oracle(kernel, np.full(4, 1.3), 0.6)
-        np.testing.assert_allclose(h.values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(h, 0.0, atol=1e-10)
         assert eta == pytest.approx(0.78, abs=1e-9)
 
     def test_agrees_with_ode_path(self, rng):
@@ -435,8 +440,34 @@ class TestAroeFixedPointOracle:
         cfg = OdeConfig(zeta_max=0.7, step=0.005, checkpoints=(0.7,))
         cp = solve_average_reward(kernel, U, cfg).checkpoints[-1]
         h, eta = aroe_fixed_point_oracle(kernel, U, 0.7)
-        assert np.max(np.abs(h.values - cp.h.values)) <= 1e-6
+        assert np.max(np.abs(h - cp.h)) <= 1e-6
         assert abs(eta - cp.eta) <= 1e-6
+
+    @pytest.mark.parametrize("basepoint", [6, -1])
+    def test_basepoint_outside_the_states_rejected(self, rng, basepoint):
+        kernel = random_factored_model(rng, 3, 2)
+        with pytest.raises(ValueError, match=rf"^basepoint {basepoint} outside \[0, 6\)$"):
+            # no sweep is allowed: the basepoint is checked before the first
+            aroe_fixed_point_oracle(kernel, random_utility(rng, 6), 0.5, basepoint=basepoint, max_iter=0)
+
+
+@pytest.mark.parametrize("model", ["random", "uav-8x8x3"])
+def test_solved_values_are_pinned_and_frozen(rng, model):
+    # every checkpoint's h and every RVI h reads +0.0 at the basepoint and is read-only
+    if model == "random":
+        kernel, x0 = random_factored_model(rng, 3, 4), 5
+        U = random_utility(rng, kernel.space.d)
+    else:
+        sc = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+        (kernel, U), x0 = build_scenario_model(sc), sc.basepoint
+    cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.0, 0.25, 0.5))
+    cps = solve_average_reward(kernel, U, cfg, basepoint=x0).checkpoints
+    solved = [cp.h for cp in cps] + [aroe_fixed_point_oracle(kernel, U, cp.zeta, x0)[0] for cp in cps]
+    for h in solved:
+        assert h[x0] == 0.0 and not np.signbit(h[x0])
+        assert not h.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h[x0] = 1.0
 
 
 class TestFiniteHorizon:
@@ -666,7 +697,7 @@ def test_oracles_do_not_call_the_solvers_tilt(monkeypatch):
     monkeypatch.setattr(ode_engine, "_tilt_values", tilt)
     np.testing.assert_array_equal(fh_block_ode_oracle(kernel, U, 4, 0.5, 0.05), W)
     h_again, eta_again = aroe_fixed_point_oracle(kernel, U, 1.0, scenario.basepoint)
-    np.testing.assert_array_equal(h_again.values, h.values)
+    np.testing.assert_array_equal(h_again, h)
     assert eta_again == eta
 
 
@@ -722,5 +753,5 @@ def test_average_reward_matches_relative_value_iteration_on_random_models(case):
             aroe_fixed_point_oracle(kernel, U, failed_at, max_iter=20_000, **rvi)
         return
     h, eta = aroe_fixed_point_oracle(kernel, U, cp.zeta, **rvi)
-    assert np.max(np.abs(h.values - cp.h.values)) <= 1e-10
+    assert np.max(np.abs(h - cp.h)) <= 1e-10
     assert abs(eta - cp.eta) <= 1e-10

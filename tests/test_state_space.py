@@ -3,15 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from klmdp import (
-    FactoredKernel,
-    ProductStateSpace,
-    StochasticMatrix,
-    ValueFunction,
-    induced_transition,
-)
+from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 
-from conftest import random_factored_model
+from conftest import induced_transition, random_factored_model
 
 
 def test_degenerate_space():
@@ -35,14 +29,6 @@ def test_stochastic_matrix_rejects_non_finite_entries(bad):
     a[1, 0] = bad
     with pytest.raises(ValueError, match=re.escape(f"non-finite entry {bad} at (1, 0)")):
         StochasticMatrix(a)
-
-
-def test_value_function_pinned():
-    v = ValueFunction(np.array([3.0, 5.0, 2.0]), basepoint=1)
-    assert v.values[1] == 0.0
-    np.testing.assert_allclose(v.values, [-2.0, 0.0, -3.0])
-    with pytest.raises(ValueError):
-        ValueFunction(np.zeros(3), basepoint=3)
 
 
 def test_induced_transition_deterministic_factor():

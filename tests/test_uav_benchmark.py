@@ -15,7 +15,6 @@ from klmdp import (
     controlled_spectrum,
     cost_to_go,
     generate_wind_field,
-    induced_transition,
     recurrent_class,
     rollout_oracle,
     solve_average_reward,
@@ -24,7 +23,7 @@ from klmdp import (
 from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import tilted_rule
 
-from conftest import controlled_chain, dense_kernel
+from conftest import controlled_chain, dense_kernel, induced_transition
 
 
 def small_scenario(d_a=4, d_o=4, d_N=2, seed=0, **kw):
