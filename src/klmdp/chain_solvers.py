@@ -8,6 +8,15 @@ Admissibility is unichain aperiodic: one recurrent class, possibly with
 transient states.  The bordered Poisson system stays nonsingular in that
 generality, and the first solve on every factorization is certified by an
 explicit residual check.
+
+scipy is imported inside the functions that call it (``recurrent_class``,
+``BorderedLU``), so importing this module loads no scipy submodule: the
+finite-horizon recursion solves no linear system and never loads one.
+``scipy.linalg`` is the costly import: scipy's array-API shim loads
+``numpy.f2py`` and ``numpy.testing`` with it.  The ``solve-ar`` and
+``validate`` verbs import both before they solve.
+LAPACK is called through ``scipy.linalg.<name>`` attribute lookups, so a
+wrapper installed on ``scipy.linalg`` sees every call.
 """
 
 from __future__ import annotations
@@ -15,9 +24,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
 from .state_space import FactoredKernel, StochasticMatrix
@@ -44,6 +50,9 @@ def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
     closed communicating class, and :class:`NotAperiodicError` if the single
     class is periodic.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     d, d_n = kernel.space.d, kernel.space.d_n
     support, wind = kernel.class_support, kernel.class_Q0 > 0
     n = d + support.shape[0]
@@ -101,6 +110,8 @@ class BorderedLU:
     """
 
     def __init__(self, R: np.ndarray, Q0: np.ndarray, x0: int):
+        import scipy.linalg
+
         (d, d_u), d_n = R.shape, Q0.shape[1]
         M = np.empty((d, d), order="F")  # Fortran order: LAPACK factors it in place
         # M.T is C-ordered, so its (d_u, d_n, d) view is M[x, (u, n)] at [u, n, x]
@@ -126,6 +137,8 @@ class BorderedLU:
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
+        import scipy.linalg
+
         y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
         eta = float(y[self._x0])
         y[self._x0] = 0.0

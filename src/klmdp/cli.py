@@ -117,13 +117,20 @@ def load_config(path: str | Path) -> LoadedModel:
     if kind == "uav":
         d_a, d_o, d_N = int(model_cfg["d_a"]), int(model_cfg["d_o"]), int(model_cfg["d_N"])
         wind_cfg = model_cfg.get("wind", {"kind": "seeded", "seed": 0})
-        if wind_cfg["kind"] == "seeded":
-            wind = generate_wind_field(d_a, d_o, d_N, int(wind_cfg.get("seed", 0)))
-        else:
+        if wind_cfg["kind"] != "seeded":
             raise ValueError(f"unknown wind kind {wind_cfg['kind']!r}")
+        seed = int(wind_cfg.get("seed", 0))
+        if seed < 0:
+            raise ValueError(f"wind seed must be non-negative, got {seed}")
+        wind = generate_wind_field(d_a, d_o, d_N, seed)
         target = model_cfg.get("target")
-        # config coordinates are 1-based, matching the grid description
-        target0 = (int(target[0]) - 1, int(target[1]) - 1) if target is not None else None
+        target0 = None
+        if target is not None:
+            # config coordinates are 1-based, matching the grid description
+            ti, tj = int(target[0]), int(target[1])
+            if not (1 <= ti <= d_a and 1 <= tj <= d_o):
+                raise ValueError(f"target ({ti}, {tj}) outside the {d_a} x {d_o} grid")
+            target0 = (ti - 1, tj - 1)
         scenario = UavScenario(
             d_a=d_a,
             d_o=d_o,
@@ -433,7 +440,20 @@ def _ar_report(path: ZetaSolutionPath, spectrum_s: list[float], wait_s: float, w
     return {"spectrum": wait_s}, trace
 
 
+def _import_linear_algebra() -> None:
+    """Load the scipy submodules that ``solve-ar`` and ``validate`` call.
+
+    The library imports them where it calls them, so ``solve-fh`` and
+    ``gen-scenario`` never load them.  These verbs load them first, before
+    ``load_config``: the import is then part of set-up, not of the solve,
+    and the forked spectrum workers inherit it instead of importing it.
+    """
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
+
+
 def cmd_solve_ar(args) -> int:
+    _import_linear_algebra()
     return _solve_verb(
         args,
         lambda loaded: solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint),
@@ -475,6 +495,7 @@ def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
 
 
 def cmd_validate(args) -> int:
+    _import_linear_algebra()
     rows: list[tuple[str, float, float]] = []
     try:
         loaded = _apply_overrides(load_config(args.config), args)
@@ -550,6 +571,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
+    if args.seed < 0:  # every other verb would reject the config
+        print(f"error: wind seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 1
     config = default_uav_config(seed=args.seed)
     try:
         Path(args.out).write_text(json.dumps(config, indent=2) + "\n")

@@ -10,6 +10,9 @@ the target is hit.
 Locations are 0-based pairs ``(i, j)`` flattened row-major; the full state
 ``(location, wind)`` uses the product-space layout with the wind index as the
 fast axis.
+
+``controlled_spectrum`` imports ``scipy.linalg`` where it calls it, so
+building the scenario and writing its stage policies load no scipy submodule.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .kl_calculus import kl_step_cost
 from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix
@@ -194,6 +196,8 @@ def controlled_spectrum(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
     tilted rows.  A chain held as a dense ``P`` is the kernel ``R = P``,
     ``Q0 = ones((d, 1))``.
     """
+    import scipy.linalg
+
     d, d_n = Q0.shape
     # a dict keyed by row hash groups states in one pass (keyed by the row
     # bytes it would keep a copy of every distinct row pair); the rows under

@@ -144,13 +144,18 @@ class TestConfigErrors:
         (explicit_config, "R0", [[float("nan"), 1.0]] + [[0.5, 0.5]] * 3, "non-finite entry nan at (0, 0)"),
         (explicit_config, "utility", [1.0], "utility has length 1, expected 4"),
         (small_uav_config, "wind", {"kind": "explicit", "table": [[0] * 4] * 4}, "unknown wind kind 'explicit'"),
-    ], ids=["nan-in-R0", "short-utility", "explicit-wind"])
+        (small_uav_config, "wind", {"kind": "seeded", "seed": -1}, "wind seed must be non-negative, got -1"),
+        # the config's own 1-based pair, on the 4 x 4 grid
+        (small_uav_config, "target", [5, 4], "target (5, 4) outside the 4 x 4 grid"),
+        (small_uav_config, "target", [1, 0], "target (1, 0) outside the 4 x 4 grid"),
+    ], ids=["nan-in-R0", "short-utility", "explicit-wind", "negative-wind-seed", "target-past-the-grid", "target-0"])
     def test_invalid_model_is_a_clean_error(self, tmp_path, capsys, verb, config, key, value, message):
         cfg = config()
         cfg["model"][key] = value
         out = tmp_path / "run"
         assert main(verb + ["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())  # no files written
 
     @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
@@ -183,6 +188,15 @@ class TestGenScenario:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_negative_seed_is_a_clean_error(self, tmp_path, capsys):
+        # the wind field's generator rejects a negative seed, so every other verb would
+        out = tmp_path / "scenario.json"
+        assert main(["gen-scenario", "--out", str(out), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: wind seed must be non-negative, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSolveAr:
@@ -762,3 +776,92 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("FAIL structure:")
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ``klmdp``; returns its stdout."""
+    src = str(Path(klmdp.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# In the child, ``loaded()`` lists which of the scipy submodules the solvers call are in ``sys.modules``
+LOADED = """
+import json, os, sys
+import klmdp.cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph") if m in sys.modules]
+"""
+
+
+class TestScipyImports:
+    """Only ``solve-ar`` and ``validate`` load scipy's linear algebra, and they load it before the solve."""
+
+    @pytest.mark.parametrize("statement", ["import klmdp", "import klmdp.cli"])
+    def test_import_loads_no_scipy_solver(self, statement):
+        # a bare `import scipy` stays, for the manifest's scipy version; scipy.linalg
+        # would bring in numpy.f2py through scipy's array-API shim
+        code = f"import sys; {statement}; print([m for m in ('scipy.linalg', 'scipy.sparse', 'numpy.f2py') if m in sys.modules])"
+        assert run_python(code) == "[]\n"
+
+    @pytest.mark.parametrize("verb", [["gen-scenario"], ["solve-fh", "--horizon", "2"]], ids=["gen-scenario", "solve-fh"])
+    def test_verb_loads_no_scipy_solver(self, tmp_path, verb):
+        # each forked policy worker records what it holds after writing its policy
+        code = LOADED + """
+policy_task = klmdp.cli._policy_task
+
+def recorded_policy_task(*args):
+    seconds = policy_task(*args)
+    with open(sys.argv[2], "a") as f:
+        f.write(json.dumps(loaded()) + "\\n")
+    return seconds
+
+klmdp.cli._policy_task = recorded_policy_task
+print(json.dumps([klmdp.cli.main(json.loads(sys.argv[1])), loaded()]))
+"""
+        workers = tmp_path / "workers"
+        if verb == ["gen-scenario"]:
+            argv = verb + ["--out", str(tmp_path / "scenario.json")]
+        else:
+            argv = verb + ["--config", write_config(tmp_path, small_uav_config()), "--out", str(tmp_path / "run")]
+        rc, modules = json.loads(run_python(code, json.dumps(argv), str(workers)).splitlines()[-1])
+        assert (rc, modules) == (0, [])
+        if verb == ["gen-scenario"]:
+            assert not workers.exists()
+        else:
+            model = load_config(argv[4])
+            tasks = _policy_tasks(solve_finite_horizon(model.kernel, model.utility, 2, model.ode))
+            assert [json.loads(line) for line in workers.read_text().splitlines()] == [[]] * len(tasks)
+
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["validate", "--trials", "0"]], ids=["solve-ar", "validate"])
+    def test_verb_loads_scipy_before_the_solve(self, tmp_path, verb):
+        # the solver clock of bench/child.py rebinds klmdp.cli.solve_average_reward:
+        # set-up ends at its first call, so the import must come before it, and
+        # before each fork, so that the spectrum workers inherit it
+        code = LOADED + """
+seen = []
+os.register_at_fork(before=lambda: seen.append(["fork", loaded()]))
+solve = klmdp.cli.solve_average_reward
+
+def recorded_solve(*args, **kwargs):
+    seen.append(["solve", loaded()])
+    return solve(*args, **kwargs)
+
+klmdp.cli.solve_average_reward = recorded_solve
+rc = klmdp.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([rc, seen]))
+"""
+        argv = verb + ["--config", write_config(tmp_path, small_uav_config())]
+        if verb == ["solve-ar"]:
+            argv += ["--out", str(tmp_path / "run")]
+        rc, seen = json.loads(run_python(code, json.dumps(argv)).splitlines()[-1])
+        assert rc == 0
+        assert seen[0][0] == "solve"
+        # solve-ar forks one spectrum worker per checkpoint and CPU; validate runs in threads
+        forks = min(2, len(os.sched_getaffinity(0))) if verb == ["solve-ar"] else 0
+        assert [event for event, _ in seen[1:]] == ["fork"] * forks
+        everything = ["scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph"]
+        assert all(modules == everything for _, modules in seen)
