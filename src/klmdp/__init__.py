@@ -37,7 +37,6 @@ from .uav_benchmark import (
     build_scenario_model,
     build_wind_chain,
     controlled_spectrum,
-    cost_to_go,
     generate_wind_field,
     rollout_oracle,
     velocity_field,

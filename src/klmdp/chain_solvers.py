@@ -9,14 +9,10 @@ transient states.  The bordered Poisson system stays nonsingular in that
 generality, and the first solve on every factorization is certified by an
 explicit residual check.
 
-scipy is imported inside the functions that call it (``recurrent_class``,
-``BorderedLU``), so importing this module loads no scipy submodule: the
-finite-horizon recursion solves no linear system and never loads one.
-``scipy.linalg`` is the costly import: scipy's array-API shim loads
-``numpy.f2py`` and ``numpy.testing`` with it.  The ``solve-ar`` and
-``validate`` verbs import both before they solve.
-LAPACK is called through ``scipy.linalg.<name>`` attribute lookups, so a
-wrapper installed on ``scipy.linalg`` sees every call.
+scipy is imported inside the functions that call it, so the finite-horizon
+recursion, which solves no linear system, never loads ``scipy.linalg`` (with
+``numpy.f2py`` and ``numpy.testing``).  LAPACK is called through
+``scipy.linalg.<name>`` lookups, so a wrapper installed there sees every call.
 """
 
 from __future__ import annotations
@@ -34,21 +30,16 @@ POISSON_TOL = 1e-8
 def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
     """Indices of the unique recurrent class of the unichain aperiodic chain ``R ⊗ Q0``.
 
-    The chain is ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``, so the
-    successors of ``x`` are ``supp R(x) × supp Q0(x)``, shared by the states
-    of its row class.  The support graph is routed through the ``K`` row
-    classes, with no dense ``P``: of its ``d + K`` nodes, state ``x`` has one
-    edge, to the node ``d + c`` of its class ``c``, and that node has an edge
-    to each state of ``supp R(c) × supp Q0(c)``.  A path of ``n`` steps of
-    the chain is a path of ``2 n`` edges, so each closed class of the graph
-    holds a recurrent class of the chain and the class nodes of its states,
-    and the chain is aperiodic exactly when that class has period 2.  A chain
-    held as a dense ``P`` is the kernel ``FactoredKernel(ProductStateSpace(d,
-    1), P, ones((d, 1)))``.
-
-    Raises :class:`NotUnichainError` if the support graph has more than one
-    closed communicating class, and :class:`NotAperiodicError` if the single
-    class is periodic.
+    The successors of ``x`` are ``supp R(x) × supp Q0(x)``, shared by its
+    row class, so the support graph is routed through the ``K`` row classes,
+    with no dense ``P``: of its ``d + K`` nodes, state ``x`` has one edge, to
+    the node ``d + c`` of its class ``c``, and that node has an edge to each
+    state of ``supp R(c) × supp Q0(c)``.  A path of ``n`` steps of the chain
+    is a path of ``2 n`` edges, so each closed class of the graph holds a
+    recurrent class of the chain and its states' class nodes, and the chain
+    is aperiodic exactly when that class has period 2.  Raises
+    :class:`NotUnichainError` for more than one closed class and
+    :class:`NotAperiodicError` for a periodic one.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components, shortest_path
@@ -91,40 +82,41 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 class BorderedLU:
-    """LU factorization of the bordered Poisson matrix ``[I - P | 1]`` of a chain ``P = R ⊗ Q0``.
+    """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
-    ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')`` is written negated
-    straight into the Fortran-ordered buffer that LAPACK factors in place, so
-    that buffer is the only ``d x d`` array; a chain held as a dense ``P`` is
-    the kernel ``R = P``, ``Q0 = ones((d, 1))``.  Column ``x0`` of ``I - P``,
-    which would multiply the pinned ``H(x0) = 0``, is replaced by ones, so
-    slot ``x0`` of a solution carries the mean ``eta``.  Entries below
-    ``FLUSH_BELOW`` in magnitude are zeroed before factoring: subnormals slow
-    the factorization many times over, while the flushed LU still solves
-    the exact system to rounding.  The first solve is certified against the
-    exact factors: ``P y = sum_u R(x, u) sum_n Q0(x, n) y(u, n)`` gives its
-    Poisson residual ``sup |P H - H + rhs - eta|``, which must be within
-    ``POISSON_TOL`` and so also settles that the factorization is sound.
-    ``R`` and ``Q0`` are held until then and dropped; later solves reuse
-    the LU unchecked, and no dense ``P`` is kept.
+    For a tilt ``R`` of the kernel's rule, ``P(x, (x_u', x_n')) = R(x, x_u')
+    Q0(x, x_n')`` is ``S C`` (:meth:`FactoredKernel.lumped`), and ``x0``
+    represents its own group.  So ``H = w[group] + delta``, with ``delta(y) =
+    rhs(y) - rhs(rep(y))``, and ``(w, eta)`` solves ``(I - C S) w + eta 1 =
+    rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``: column ``g(x0)``
+    is replaced by ones, so slot ``g(x0)`` carries ``eta``.  LAPACK factors
+    ``C S`` in place, and only ``C[:, others]`` is kept beside it; with ``r =
+    d`` this is the full system.  Entries below ``FLUSH_BELOW`` are zeroed
+    first: subnormals slow the LU many times over, and the flushed LU still
+    solves the exact system to rounding.  The first solve is certified on
+    the full ``H``: its residual ``sup |P H - H + rhs - eta|``, from ``P y =
+    sum_u R(x, u) sum_n Q0(x, n) y(u, n)``, must be within ``POISSON_TOL``,
+    so a bad LU, or an ``R`` unequal within a group, fails.  ``R`` is then
+    dropped, and later solves reuse the LU unchecked.
     """
 
-    def __init__(self, R: np.ndarray, Q0: np.ndarray, x0: int):
+    def __init__(self, kernel: FactoredKernel, R: np.ndarray, x0: int):
         import scipy.linalg
 
-        (d, d_u), d_n = R.shape, Q0.shape[1]
-        M = np.empty((d, d), order="F")  # Fortran order: LAPACK factors it in place
-        # M.T is C-ordered, so its (d_u, d_n, d) view is M[x, (u, n)] at [u, n, x]
-        np.einsum("xu,xn->unx", R, Q0, out=M.T.reshape(d_u, d_n, d))
-        # negate and flush in place, by contiguous column blocks of about 2^16
-        # entries: no d x d temporary
-        width = max(1, 2**16 // d)
-        for j in range(0, d, width):
+        group, reps, _ = kernel.lumping
+        reps = reps.copy()
+        reps[group[x0]] = x0
+        others = np.setdiff1d(np.arange(group.size), reps)
+        M, self._block = kernel.lumped(R, others)
+        r = reps.size
+        # negate and flush in place, by column blocks of about 2^16 entries: no r x r temporary
+        width = max(1, 2**16 // r)
+        for j in range(0, r, width):
             block = M[:, j : j + width]
             np.negative(block, out=block)
             block[np.abs(block) < FLUSH_BELOW] = 0.0
-        M.flat[:: d + 1] += 1.0
-        M[:, x0] = 1.0
+        M.flat[:: r + 1] += 1.0
+        M[:, group[x0]] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             try:
@@ -132,16 +124,23 @@ class BorderedLU:
             except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
                 # not unichain with x0 recurrent, e.g. after an underflowed tilt
                 raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
-        self._x0 = x0
-        self._factors = (R, Q0)  # for the certificate of the first solve
+        self._lumping = (group, reps, others, reps[group[others]], group[x0])
+        self._factors = (R, kernel.Q0.entries)  # for the certificate of the first solve
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
         import scipy.linalg
 
-        y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-        eta = float(y[self._x0])
-        y[self._x0] = 0.0
+        group, reps, others, their_reps, g0 = self._lumping
+        delta = rhs[others] - rhs[their_reps]
+        b = rhs[reps]
+        if others.size:  # adding an empty product would turn each -0.0 into +0.0
+            b += self._block @ delta
+        w = scipy.linalg.lu_solve(self._lu, b, overwrite_b=True, check_finite=False)
+        eta = float(w[g0])
+        w[g0] = 0.0
+        y = w[group]
+        y[others] += delta
         if self._factors is not None:
             R, Q0 = self._factors
             Py = np.einsum("xu,xu->x", R, Q0 @ y.reshape(R.shape[1], Q0.shape[1]).T)

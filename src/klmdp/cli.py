@@ -58,7 +58,6 @@ from .uav_benchmark import (
     UavScenario,
     build_scenario_model,
     controlled_spectrum,
-    cost_to_go,
     generate_wind_field,
     rollout_oracle,
     velocity_field,
@@ -307,7 +306,7 @@ def _checkpoint_task(i: int, scenario: UavScenario | None, names: list[str]) -> 
     cp = checkpoints[i]
     t0 = time.perf_counter()
     rule = cp.policy()
-    eig = controlled_spectrum(rule.entries, cp.kernel.Q0.entries)
+    eig = controlled_spectrum(cp.kernel, rule.entries)
     seconds = time.perf_counter() - t0
     _write_table(out, names[0], "real,imag", np.real(eig), np.imag(eig))
     _write_policy_csv(out, names[1], rule.entries)
@@ -417,7 +416,7 @@ def _write_ar_tables(out: _OutputTracker, loaded: LoadedModel, path: ZetaSolutio
     xu, xn = np.divmod(x, loaded.kernel.space.d_n)
     for cp in path.checkpoints:
         header = "state_index,x_u,x_n,h,cost_to_go"
-        _write_table(out, f"values_zeta_{_ztag(cp.zeta)}.csv", header, x, xu, xn, cp.h, cost_to_go(cp))
+        _write_table(out, f"values_zeta_{_ztag(cp.zeta)}.csv", header, x, xu, xn, cp.h, -cp.h)
     _write_table(out, "eta.csv", "zeta,eta,aroe_residual_sup", path.grid, path.eta_trace, path.residual_trace)
 
 
@@ -441,12 +440,10 @@ def _ar_report(path: ZetaSolutionPath, spectrum_s: list[float], wait_s: float, w
 
 
 def _import_linear_algebra() -> None:
-    """Load the scipy submodules that ``solve-ar`` and ``validate`` call.
+    """Load the scipy submodules that ``solve-ar`` and ``validate`` call, before ``load_config``.
 
-    The library imports them where it calls them, so ``solve-fh`` and
-    ``gen-scenario`` never load them.  These verbs load them first, before
-    ``load_config``: the import is then part of set-up, not of the solve,
-    and the forked spectrum workers inherit it instead of importing it.
+    The import is then part of set-up, not of the solve, and the forked
+    spectrum workers inherit it; ``solve-fh`` and ``gen-scenario`` never load them.
     """
     import scipy.linalg  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401
@@ -496,9 +493,13 @@ def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
 
 def cmd_validate(args) -> int:
     _import_linear_algebra()
+    try:  # a config error is an error line, as in the other verbs; failed checks are rows
+        loaded = _apply_overrides(load_config(args.config), args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows: list[tuple[str, float, float]] = []
     try:
-        loaded = _apply_overrides(load_config(args.config), args)
         # the solver checks the chain's structure before its first step
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
 
@@ -519,11 +520,8 @@ def cmd_validate(args) -> int:
                 loaded.kernel, loaded.utility, T, OdeConfig(zeta_max=zf, step=step, checkpoints=(zf,))
             )
             oracle = fh_block_ode_oracle(loaded.kernel, loaded.utility, T, fh.checkpoints[-1].zeta, step)
-            rows.append((
-                f"fh dp vs block ode @ zeta={_ztag(zf)}",
-                float(np.max(np.abs(fh.checkpoints[-1].W - oracle))),
-                1e-5,
-            ))
+            gap = float(np.max(np.abs(fh.checkpoints[-1].W - oracle)))
+            rows.append((f"fh dp vs block ode @ zeta={_ztag(zf)}", gap, 1e-5))
 
         pf_rows = loaded.kernel.space.d_n == 1 and zf > 0
         rollout_rows = loaded.scenario is not None and zf > 0 and args.trials > 0
@@ -547,12 +545,8 @@ def cmd_validate(args) -> int:
                 loaded.kernel, rule, sc, cp.zeta, start,
                 trials=args.trials, horizon_cap=args.horizon_cap, seed=args.seed,
             )
-            gap = abs(result.mean - (-cp.h[start]))
-            rows.append((
-                f"rollout vs cost-to-go @ zeta={_ztag(cp.zeta)}",
-                gap,
-                3.0 * result.half_width_95 + 1e-9,
-            ))
+            gap, tol = abs(result.mean - (-cp.h[start])), 3.0 * result.half_width_95 + 1e-9
+            rows.append((f"rollout vs cost-to-go @ zeta={_ztag(cp.zeta)}", gap, tol))
             if result.censored_fraction > 0.01:
                 print(f"warning: {result.censored_fraction:.1%} of rollouts censored (estimate biased low)")
     except (NotUnichainError, NotAperiodicError) as exc:

@@ -8,13 +8,10 @@ log-normalizer.  That tilted rule is exactly the maximizer of the one-step
 reward plus continuation value (Gibbs form), and the log-normalizer is the
 achieved maximum up to the utility term.
 
-The exogenous coordinate is not controlled, so a state enters the
-conditional expectation only through its ``Q0`` row: it is formed once per
-row class of the kernel (see :class:`FactoredKernel`), as are the shift and
-the exponential, and gathered to the states for the weighting by ``R0``.
-The tilt returns the unnormalized weights with the log-normalizer, which is
-all a Newton step or a backward recursion needs; :func:`tilted_rule` turns
-a value vector into its normalized, validated rule where a policy is used.
+The tilt is formed once per row class of the kernel (see
+:class:`FactoredKernel`) and returns the unnormalized weights with the
+log-normalizer, all that a Newton step or a backward recursion needs;
+:func:`tilted_rule` gives the normalized, validated rule of a policy.
 """
 
 from __future__ import annotations

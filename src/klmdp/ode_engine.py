@@ -7,14 +7,12 @@ by tilting the nominal rule with ``h``; ``eta`` rides along with derivative
 ``pi(U)``.  The bordered matrix behind ``V`` is also the Jacobian of the
 optimality equation, and it moves little along the path, so one LU of it is
 kept across Newton steps and grid nodes: each node is predicted by
-polynomial extrapolation through as many of the last converged nodes as
-predicted the previous node best, and corrected by Anderson-accelerated
-chord steps on the kept LU, refactored only where the residual stops
-contracting (Shamanskii).  Finite horizon: each member of the family is
-explicit, so each checkpoint is computed exactly by the backward recursion.
-A checkpoint of either family keeps only its values: each policy is the tilt
-of the nominal rule by the values it is optimal for, derived when it is
-asked for.
+polynomial extrapolation and corrected by Anderson-accelerated chord steps
+on the kept LU, refactored only where the residual stops contracting
+(Shamanskii).  Finite horizon: each member of the family is explicit, so
+each checkpoint is computed exactly by the backward recursion.  A checkpoint
+of either family keeps only its values; each policy is the tilt of the
+nominal rule by them, derived when it is asked for.
 
 Each route ships with an independent oracle, so every result is checkable:
 relative value iteration for average reward, and for finite horizon the block
@@ -248,30 +246,26 @@ def solve_average_reward(
 
     Predictor-corrector continuation on ``x = (h, eta)``.  The predictor
     extrapolates through up to ``PREDICTOR_MAX_NODES`` of the last converged
-    nodes, as many as best predicted the node converged last (see
-    :func:`_extrapolate`); the first node past ``zeta = 0`` starts from the
-    exact solution there, the constant predictor.  The corrector is Newton on
-    ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), with the bordered
-    matrix ``[I - P_h | 1]`` factored at the first correction and kept as one
-    :class:`BorderedLU` across steps and nodes (chord method).  The chord
-    correction is the residual of a fixed-point map, and its steps are
-    Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones on the same LU;
-    the mixing history is cleared at each node, refactorization and undo.
-    Each iterate is tilted once, on the kernel's row classes, and each
-    correction is one triangular solve; each LU certifies its first solve
-    from the rule and ``Q0`` it was built from.  A singular LU, a failed
-    certificate or a non-finite residual raises :class:`ConvergenceError`
-    naming its grid node.  A step needs only the log-normalizer
-    ``Lambda_h`` of the tilt, so the rule ``R_h`` is normalized only for each
-    factorization; a checkpoint keeps a read-only copy of ``h`` and derives
-    its rule from it (:meth:`PathCheckpoint.policy`).  Where a correction
-    does not cut the residual by ``CHORD_RHO``, the matrix is refactored at
-    the current iterate, so that step is a full Newton step (Shamanskii);
-    where a chord step does not lower the residual at all, it is undone and
-    the full Newton step is taken from where it started.  A stale LU changes
-    only the iteration path: the residual
-    ``sup_x |zeta U + Lambda_h - h - eta|`` comes from the exact tilt, and is
-    recorded and enforced at every grid node.
+    nodes, as many as best predicted the node converged last
+    (:func:`_extrapolate`); the first node past ``zeta = 0`` starts from the
+    exact solution there.  The corrector is Newton on ``zeta U + Lambda_h - h
+    - eta = 0`` (policy iteration), with the bordered matrix ``[I - P_h | 1]``
+    factored at the first correction and kept as one :class:`BorderedLU`,
+    lumped on the kernel's groups, across steps and nodes (chord method).
+    Chord steps are Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones
+    on the same LU, a history cleared at each node, refactorization and undo.
+    Each iterate is tilted once, on the row classes; a step needs only
+    ``Lambda_h``, so ``R_h`` is normalized only for a factorization, and each
+    correction is one triangular solve.  Each LU certifies its first solve;
+    a singular LU, a failed certificate or a non-finite residual raises
+    :class:`ConvergenceError` naming its grid node.  Where a correction does
+    not cut the residual by ``CHORD_RHO``, the matrix is refactored at the
+    current iterate (Shamanskii); a chord step that does not lower it at all
+    is undone, and the full Newton step is taken from where it started.  A
+    stale LU changes only the iteration path: the residual ``sup_x |zeta U +
+    Lambda_h - h - eta|`` comes from the exact tilt, and is recorded and
+    enforced at every grid node.  A checkpoint keeps a read-only copy of
+    ``h`` and derives its rule from it (:meth:`PathCheckpoint.policy`).
     """
     U = _checked_utility(utility, model)
     d = model.space.d
@@ -329,7 +323,7 @@ def solve_average_reward(
                 if refactor:
                     lu = None  # at most one factorization alive
                     # in place: an undo never returns to an iterate that was factored
-                    lu = BorderedLU(_normalize_rule(weights), model.Q0.entries, basepoint)
+                    lu = BorderedLU(model, _normalize_rule(weights), basepoint)
                     factorizations[i] += 1
                     mixing.clear()
                 start, start_res, start_factored = (x, weights, defect), res, refactor

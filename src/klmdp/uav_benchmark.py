@@ -155,79 +155,34 @@ def build_scenario_model(scenario: UavScenario) -> tuple[FactoredKernel, np.ndar
     return FactoredKernel(space, R, StochasticMatrix(Q0)), utility
 
 
-def cost_to_go(checkpoint) -> np.ndarray:
-    """Expected accumulated cost until hitting the target: the negative of ``h``."""
-    return -checkpoint.h
-
-
 def velocity_field(rule: StochasticMatrix, scenario: UavScenario) -> np.ndarray:
     """Mean one-step displacement per (location, wind state), shape (d_L, d_N, 2)."""
     coords = scenario.location_coords().astype(float)
-    d_L, d_N = scenario.d_L, scenario.d_N
-    v = np.zeros((d_L, d_N, 2))
-    for l in range(d_L):
-        for n in range(d_N):
-            x = l * d_N + n
-            v[l, n] = rule.entries[x] @ coords - coords[l]
-    return v
+    return rule.entries.reshape(scenario.d_L, scenario.d_N, scenario.d_L) @ coords - coords[:, None, :]
 
 
-def controlled_spectrum(R: np.ndarray, Q0: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the controlled chain ``P = R ⊗ Q0``, sorted by modulus descending.
+def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the chain ``P = rule ⊗ Q0`` of a tilt of the kernel's rule, by modulus descending.
 
-    ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')`` is never formed.  States
-    whose ``R`` and ``Q0`` rows are both identical have identical rows of
-    ``P`` and form a group; ``first`` holds the first state of each of the
-    ``r`` groups.  Then ``P = S C`` with ``C = P[first]`` (r x d) and ``S``
-    the d x r 0/1 group map, and Sylvester's identity
-    ``det(lam I_d - S C) = lam^(d-r) det(lam I_r - C S)`` makes the spectrum
-    ``eig(C S)`` plus ``d - r`` exact zeros.  Column ``y`` of ``C`` is
-    ``R[first, u] Q0[first, n]`` for ``y = (u, n)``, and ``M = C S`` sums the
-    columns of each group into one: its first state's, then the others' by
-    increasing ``y``.  ``M`` is built as the transpose of a C-ordered array,
-    so it is Fortran-ordered and LAPACK reduces it in place with no copy.
-    LAPACK gets ``M`` itself, as dense ``eigvals`` gets ``P``: ``M^T`` has
-    the same eigenvalues, but on the tilted UAV chain LAPACK finds them less
-    accurately (leading ten off by 1.6e-11 against 6e-15 at 8x8x3, zeta 1).
-    The finiteness check is skipped: the factors are the entries of
-    :class:`StochasticMatrix` objects, which reject non-finite entries.  The
-    UAV chain keeps 928 of 1125 states at 15x15x5, as many as it has
-    distinct rows of ``P``: states sharing their nominal and wind rows share
-    tilted rows.  A chain held as a dense ``P`` is the kernel ``R = P``,
-    ``Q0 = ones((d, 1))``.
+    A tilt has equal rows on each of the kernel's ``r`` groups, so ``P = S
+    C`` (:meth:`FactoredKernel.lumped`), and Sylvester's identity ``det(lam
+    I_d - S C) = lam^(d-r) det(lam I_r - C S)`` makes the spectrum ``eig(C
+    S)`` plus ``d - r`` exact zeros.  A rule unequal within a group raises
+    ``ValueError``.  LAPACK reduces ``C S`` itself, in place: its transpose
+    has the same eigenvalues, but LAPACK finds them less accurately on the
+    tilted UAV chain (leading ten off by 1.6e-11 against 6e-15 at 8x8x3,
+    zeta 1).  The finiteness check is skipped: :class:`StochasticMatrix`
+    rejects non-finite entries.  A chain held as a dense ``P`` is the kernel
+    ``R = P``, ``Q0 = ones((d, 1))``.
     """
     import scipy.linalg
 
-    d, d_n = Q0.shape
-    # a dict keyed by row hash groups states in one pass (keyed by the row
-    # bytes it would keep a copy of every distinct row pair); the rows under
-    # one hash are compared in full, so a hash collision cannot merge two groups
-    by_hash: dict[int, list[int]] = {}  # hash of the row pair -> its groups
-    first: list[int] = []  # group -> its first state
-    group = np.empty(d, dtype=np.intp)  # state -> its group
-    for x, (r, q) in enumerate(zip(R, Q0)):
-        groups = by_hash.setdefault(hash(r.tobytes() + q.tobytes()), [])
-        g = next(
-            (g for g in groups if np.array_equal(r, R[first[g]]) and np.array_equal(q, Q0[first[g]])),
-            len(first),
-        )
-        if g == len(first):
-            first.append(x)
-            groups.append(g)
-        group[x] = g
-    first = np.array(first)
-    Mt = np.empty((first.size, first.size))  # C-ordered, so Mt.T is M in Fortran order
-    for y in range(d):
-        u, n = divmod(y, d_n)
-        column = R[first, u] * Q0[first, n]  # column y of C
-        if first[group[y]] == y:
-            Mt[group[y]] = column
-        else:
-            Mt[group[y]] += column
-    lumped = scipy.linalg.eigvals(Mt.T, overwrite_a=True, check_finite=False)
-    eig = np.concatenate([lumped, np.zeros(d - first.size, dtype=lumped.dtype)])
-    order = np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))
-    return eig[order]
+    _, reps, layers = kernel.lumping
+    if not all(np.array_equal(rule[states], rule[reps[groups]]) for states, groups in layers):
+        raise ValueError("the rule's rows differ within a group of equal nominal rows: not a tilt of the kernel's rule")
+    lumped = scipy.linalg.eigvals(kernel.lumped(rule)[0], overwrite_a=True, check_finite=False)
+    eig = np.concatenate([lumped, np.zeros(kernel.space.d - reps.size, dtype=lumped.dtype)])
+    return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,15 @@ def random_factored_model(rng, d_u, d_n, min_mass=0.05):
     return FactoredKernel(space, StochasticMatrix(R), StochasticMatrix(Q0))
 
 
+def repeated_rows_model(rng, d_u, d_n, pairs):
+    """The random model above with each state's ``(R0, Q0)`` row pair drawn
+    from ``pairs < d`` of its pairs, so states share both rows: fewer groups than states."""
+    kernel = random_factored_model(rng, d_u, d_n)
+    pick = rng.integers(pairs, size=kernel.space.d)
+    R, Q0 = kernel.R.entries[pick], kernel.Q0.entries[pick]
+    return FactoredKernel(kernel.space, StochasticMatrix(R), StochasticMatrix(Q0))
+
+
 def induced_transition(kernel):
     """Dense reference chain of a kernel: ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``."""
     d = kernel.space.d
@@ -31,11 +40,6 @@ def balance_pmf(P):
     return np.linalg.solve(M, np.eye(d)[-1])
 
 
-def dense_kernel(P):
-    """A chain held as a dense ``P`` as factors: the rule ``P`` and ``Q0 = ones((d, 1))``."""
-    return P, np.ones((P.shape[0], 1))
-
-
 def dense_chain_kernel(P):
     """A stochastic dense ``P`` as a kernel: the rule ``P`` over ``d`` controlled states, ``d_n = 1``."""
     d = P.shape[0]
@@ -44,7 +48,7 @@ def dense_chain_kernel(P):
 
 def dense_bordered_lu(P, x0):
     """The bordered LU of a dense chain, which certifies its first solve from ``P`` itself."""
-    return BorderedLU(*dense_kernel(P), x0)
+    return BorderedLU(dense_chain_kernel(P), P, x0)
 
 
 def controlled_chain(cp):

@@ -15,7 +15,6 @@ from klmdp import (
     build_scenario_model,
     build_wind_chain,
     controlled_spectrum,
-    cost_to_go,
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     generate_wind_field,
@@ -67,7 +66,7 @@ def test_criterion_2_spectrum_lines_invariant(uav_sweep):
     wind_eig = np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries)
     worst = 0.0
     for cp in path.checkpoints:
-        spectrum = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+        spectrum = controlled_spectrum(cp.kernel, cp.policy().entries)
         for lam in wind_eig:
             worst = max(worst, float(np.min(np.abs(spectrum - lam))))
     ok = worst <= 1e-3 and elapsed < 120.0
@@ -199,7 +198,7 @@ def test_criterion_8_rollout_validation():
     start = 0  # corner location (1, 1), first wind state
     result = rollout_oracle(model, cp.policy(), sc, 1.0, start=start,
                             trials=10_000, horizon_cap=10_000, seed=0)
-    gap = abs(result.mean - cost_to_go(cp)[start])
+    gap = abs(result.mean - -cp.h[start])
     ok = result.censored == 0 and gap <= 3.0 * result.half_width_95
     _report(
         "criterion 8: Monte Carlo accumulated cost from the corner matches the solver "
@@ -238,7 +237,7 @@ def test_figure_structure_substitutes(uav_sweep):
     for cp in path.checkpoints:
         v = velocity_field(cp.policy(), sc)
         ok = ok and bool(np.all(np.abs(v[sc.target_index]) <= 1e-12))
-    J = np.stack([cost_to_go(cp) for cp in path.checkpoints])
+    J = np.stack([-cp.h for cp in path.checkpoints])
     ok = ok and bool(np.all(np.diff(J, axis=0) >= -1e-9))
     _report(
         "figure substitutes: nominal drift matches wind in the interior, target is at rest, "

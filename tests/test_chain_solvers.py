@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from klmdp import (
@@ -16,6 +18,7 @@ from klmdp import (
 )
 
 from klmdp.chain_solvers import FLUSH_BELOW, BorderedLU
+from klmdp.kl_calculus import tilted_rule
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import (
@@ -25,6 +28,7 @@ from conftest import (
     induced_transition,
     random_factored_model,
     random_utility,
+    repeated_rows_model,
 )
 
 
@@ -206,7 +210,7 @@ class TestBorderedLU:
             d = P.shape[0]
             x0 = int(rng.integers(d))
             U = random_utility(rng, d)
-            H, eta = BorderedLU(kernel.R.entries, kernel.Q0.entries, x0).solve(U)
+            H, eta = BorderedLU(kernel, kernel.R.entries, x0).solve(U)
             M = np.eye(d) - P
             M[:, x0] = 1.0
             y = scipy.linalg.solve(M, U)
@@ -226,7 +230,7 @@ class TestBorderedLU:
         Pd = induced_transition(kernel).entries
         assert 0 < np.min(Pd[Pd > 0]) < FLUSH_BELOW
         U = random_utility(rng, 12)
-        H, eta = BorderedLU(R, Q0, 5).solve(U)
+        H, eta = BorderedLU(kernel, R, 5).solve(U)
         M = np.eye(12) - Pd
         M[:, 5] = 1.0
         y = scipy.linalg.solve(M, U)
@@ -313,6 +317,66 @@ class TestBorderedLU:
         H, eta = dense_bordered_lu(P, 1).solve(U)
         assert np.max(np.abs(P @ H - H + U - eta)) <= 1e-8
         assert abs(eta - balance_pmf(P) @ U) <= 1e-12
+
+
+@st.composite
+def lumped_cases(draw, repeated):
+    """A random strictly positive kernel, with ``(R0, Q0)`` row pairs repeated
+    (fewer groups than states) or Dirichlet (one group per state), a random
+    ``h`` to tilt it by, a right-hand side and a basepoint: the last state of
+    a random group, so that with repeated rows it is rarely its group's first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_u, d_n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    if repeated:
+        kernel = repeated_rows_model(rng, d_u, d_n, pairs=int(rng.integers(1, d_u * d_n)))
+    else:
+        kernel = random_factored_model(rng, d_u, d_n)
+    group = kernel.lumping[0]
+    x0 = int(np.flatnonzero(group == rng.integers(group.max() + 1))[-1])
+    d = kernel.space.d
+    return kernel, rng.uniform(-3.0, 3.0, size=d), random_utility(rng, d), x0
+
+
+class TestLumpedBorderedLU:
+    """The bordered LU solves on the kernel's groups of equal ``(R0, Q0)`` row
+    pairs, and the certificate of its first solve checks the full system."""
+
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "dirichlet"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_bordered_solve(self, repeated, data):
+        kernel, h, rhs, x0 = data.draw(lumped_cases(repeated))
+        rule = tilted_rule(h, kernel).entries
+        d = kernel.space.d
+        assert (kernel.lumping[1].size < d) == repeated
+        H, eta = BorderedLU(kernel, rule, x0).solve(rhs)
+        M = np.eye(d) - np.einsum("xu,xn->xun", rule, kernel.Q0.entries).reshape(d, d)
+        M[:, x0] = 1.0
+        y = np.linalg.solve(M, rhs)
+        assert abs(eta - y[x0]) <= 1e-12
+        y[x0] = 0.0
+        assert H[x0] == 0.0 and np.max(np.abs(H - y)) <= 1e-12
+
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "dirichlet"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tilted_rows_are_bit_identical_within_a_group(self, repeated, data):
+        kernel, h, _, _ = data.draw(lumped_cases(repeated))
+        group, reps, _ = kernel.lumping
+        rule = tilted_rule(h, kernel).entries
+        np.testing.assert_array_equal(rule.view(np.int64), rule[reps[group]].view(np.int64))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_rule_that_splits_a_group_fails_the_certificate(self, data):
+        kernel, h, rhs, x0 = data.draw(lumped_cases(repeated=True))
+        group, reps, layers = kernel.lumping
+        rule = tilted_rule(h, kernel).entries.copy()
+        y = int(layers[0][0][-1])  # a state that is not its group's first: its row is not factored
+        rule[y] = np.roll(rule[y], 1)
+        lu = BorderedLU(kernel, rule, x0)
+        with pytest.raises(ConvergenceError, match="Poisson residual"):
+            lu.solve(rhs)
 
 
 class TestPerronFrobeniusBaseline:

@@ -391,14 +391,14 @@ class TestSolveAr:
         path = solve_average_reward(loaded.kernel, loaded.utility, loaded.ode, loaded.basepoint)
         assert [cp.zeta for cp in path.checkpoints] == [0.0, 1.0, 2.0]
         for cp in path.checkpoints:
-            eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+            eig = controlled_spectrum(cp.kernel, cp.policy().entries)
             assert np.count_nonzero(eig == 0) > 0  # the lumped zeros are written too
             expected = "real,imag\n" + _csv_rows(np.real(eig), np.imag(eig))
             assert (out_all / f"eigenvalues_zeta_{cp.zeta:g}.csv").read_text() == expected
 
     @pytest.mark.parametrize("failing", ["controlled_spectrum", "_write_policy_csv"])
     def test_spectrum_failure_leaves_no_file_and_no_worker(self, tmp_path, monkeypatch, capsys, failing):
-        def fail_spectrum(R, Q0):
+        def fail_spectrum(kernel, rule):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
         def fail_on_one_policy(out, name, rule):
@@ -767,6 +767,28 @@ class TestValidate:
         assert code == 0
         assert any(l.startswith(f"PASS  pf twisted matrix vs ode @ zeta={checkpoint:g} ") for l in lines)
         assert any(l.startswith(f"PASS  eta vs log pf eigenvalue @ zeta={checkpoint:g} ") for l in lines)
+
+    @pytest.mark.parametrize("case", ["missing-config", "target-past-the-grid", "unknown-solver-key"])
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, case):
+        # as in solve-ar, solve-fh and gen-scenario: nothing on stdout, where
+        # the rows of failed checks go, one error line on stderr and exit 1
+        uav, explicit = small_uav_config(), explicit_config(max_move=0.05)
+        uav["model"]["target"] = [5, 4]
+        cfg_path, message = {
+            "missing-config": (str(tmp_path / "missing.json"), "No such file or directory"),
+            "target-past-the-grid": (write_config(tmp_path, uav, "uav.json"), "target (5, 4) outside the 4 x 4 grid"),
+            "unknown-solver-key": (write_config(tmp_path, explicit, "explicit.json"), "unknown solver key(s) 'max_move'"),
+        }[case]
+        assert main(["validate", "--config", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1
+
+    def test_checkpoint_override_error_is_one_error_line(self, tmp_path, capsys):
+        argv = ["validate", "--config", write_config(tmp_path, small_uav_config()), "--checkpoints", "0.7"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: checkpoint 0.7 outside [0, 0.5]\n"
 
     def test_structured_failure_on_periodic_chain(self, tmp_path, capsys):
         cfg = explicit_config()

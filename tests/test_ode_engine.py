@@ -51,7 +51,7 @@ def ar_vector_field(h, model, utility, basepoint):
     basepoint, and that chain's mean utility, from one dense Poisson solve.
     """
     rule = tilted_rule(h, model)
-    return BorderedLU(rule.entries, model.Q0.entries, basepoint).solve(utility)
+    return BorderedLU(model, rule.entries, basepoint).solve(utility)
 
 
 def unconstrained_two_state():
@@ -207,12 +207,11 @@ class TestSolveAverageReward:
 
     @pytest.mark.parametrize("failure, message, nth", [
         ("singular", "singular", 5),
-        ("certificate", "Poisson residual", 5),
         ("non-finite", "non-finite optimality-equation residual", 100),
     ])
     def test_a_failure_names_its_grid_node_once(self, monkeypatch, failure, message, nth):
-        # a singular LU, a failed certificate and a non-finite residual each
-        # raise from the corrector with the grid node they arose at, named once
+        # a singular LU and a non-finite residual each raise from the corrector
+        # with the grid node they arose at, named once
         import klmdp.ode_engine as ode_engine
 
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
@@ -235,8 +234,6 @@ class TestSolveAverageReward:
             if calls[0] == nth:
                 if failure == "singular":
                     raise scipy.linalg.LinAlgWarning("exactly singular")
-                if failure == "certificate":
-                    out[0][1, 1] += 1e-3  # one entry of the LU factors
                 if failure == "non-finite":
                     out = out[0], out[1] + np.nan
             return out
@@ -245,6 +242,47 @@ class TestSolveAverageReward:
         with pytest.raises(ConvergenceError, match=message) as info:
             solve_average_reward(kernel, U, cfg, scenario.basepoint)
         assert str(info.value).endswith(f" at zeta={node:g}")
+        assert str(info.value).count("zeta=") == 1
+
+    def test_a_failed_certificate_names_its_grid_node_once(self, monkeypatch):
+        # the corrupted LU is chosen by its first right-hand side, not by its
+        # place in the refactor schedule: the first LU factored past node 1
+        # whose first right-hand side reaches 1e-3, so that an error of 1e-3 in
+        # one entry of its factors leaves a residual far above POISSON_TOL
+        scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        cfg = OdeConfig(zeta_max=0.5, step=0.01)
+        lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+        first_rhs = []  # the sup-norm of each factorization's first right-hand side
+
+        def factor(*args, **kwargs):
+            first_rhs.append(None)
+            return lu_factor(*args, **kwargs)
+
+        def solve(lu, b, **kwargs):
+            if first_rhs[-1] is None:
+                first_rhs[-1] = float(np.max(np.abs(b)))
+            return lu_solve(lu, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", solve)
+        clean = solve_average_reward(kernel, U, cfg, scenario.basepoint)
+        nodes = clean.grid[np.searchsorted(np.cumsum(clean.factorizations), np.arange(1, len(first_rhs) + 1))]
+        nth = next(i for i, (z, b) in enumerate(zip(nodes, first_rhs), 1) if z > clean.grid[1] and b >= 1e-3)
+        calls = [0]
+
+        def corrupting(*args, **kwargs):
+            calls[0] += 1
+            out = lu_factor(*args, **kwargs)
+            if calls[0] == nth:
+                out[0][1, 1] += 1e-3  # one entry of the LU factors
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", corrupting)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", lu_solve)
+        with pytest.raises(ConvergenceError, match="Poisson residual") as info:
+            solve_average_reward(kernel, U, cfg, scenario.basepoint)
+        assert str(info.value).endswith(f" at zeta={nodes[nth - 1]:g}")
         assert str(info.value).count("zeta=") == 1
 
     def test_rules_normalized_only_where_used(self, monkeypatch):
@@ -468,6 +506,18 @@ def test_solved_values_are_pinned_and_frozen(rng, model):
         assert not h.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             h[x0] = 1.0
+
+
+def test_groups_are_found_only_by_the_average_reward_solve():
+    # the finite-horizon recursion solves no linear system, so it never pays
+    # for the kernel's groups; the first bordered LU finds them once
+    scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+    kernel, U = build_scenario_model(scenario)
+    cfg = OdeConfig(zeta_max=0.1, step=0.01, checkpoints=(0.1,))
+    solve_finite_horizon(kernel, U, 3, cfg).checkpoints[-1].policy(0)
+    assert "lumping" not in vars(kernel)
+    solve_average_reward(kernel, U, cfg, scenario.basepoint)
+    assert "lumping" in vars(kernel)
 
 
 class TestFiniteHorizon:

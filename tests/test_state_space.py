@@ -5,7 +5,7 @@ import pytest
 
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 
-from conftest import induced_transition, random_factored_model
+from conftest import induced_transition, random_factored_model, repeated_rows_model
 
 
 def test_degenerate_space():
@@ -68,3 +68,34 @@ def test_induced_rows_sum_to_one(rng):
         kernel = random_factored_model(rng, rng.integers(1, 5), rng.integers(1, 5))
         P = induced_transition(kernel)
         np.testing.assert_allclose(P.entries.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_lumping_groups_equal_row_pairs():
+    # states 0, 2 and 3 share both rows; 1 shares only its R row with them
+    sp = ProductStateSpace(2, 2)
+    R = StochasticMatrix(np.array([[0.3, 0.7]] * 4))
+    Q0 = StochasticMatrix(np.array([[0.4, 0.6], [0.5, 0.5], [0.4, 0.6], [0.4, 0.6]]))
+    group, reps, layers = FactoredKernel(sp, R, Q0).lumping
+    np.testing.assert_array_equal(group, [0, 1, 0, 0])
+    np.testing.assert_array_equal(reps, [0, 1])
+    assert [(s.tolist(), g.tolist()) for s, g in layers] == [([2], [0]), ([3], [0])]
+    assert not any(a.flags.writeable for a in (group, reps, *layers[0]))
+
+
+@pytest.mark.parametrize("pairs", [3, None], ids=["repeated-rows", "dirichlet"])
+def test_lumping_layers_hold_each_non_first_state_once(rng, pairs):
+    for _ in range(20):
+        if pairs is None:
+            kernel = random_factored_model(rng, 3, 2)
+        else:
+            kernel = repeated_rows_model(rng, 3, 2, pairs)
+        R, Q0 = kernel.R.entries, kernel.Q0.entries
+        group, reps, layers = kernel.lumping
+        assert np.all(reps == np.sort(reps)) and np.all(group[reps] == np.arange(reps.size))
+        assert np.array_equal(R[reps[group]], R) and np.array_equal(Q0[reps[group]], Q0)
+        states = np.concatenate([np.empty(0, dtype=np.intp), *(s for s, _ in layers)])
+        np.testing.assert_array_equal(np.sort(np.concatenate([reps, states])), np.arange(kernel.space.d))
+        for k, (s, g) in enumerate(layers):  # each state follows k + 1 earlier states of its group
+            np.testing.assert_array_equal(group[s], g)
+            assert all(np.count_nonzero(group[:x] == group[x]) == k + 1 for x in s)
+        assert (reps.size < kernel.space.d) == (pairs is not None)

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from klmdp import (
+    FactoredKernel,
     OdeConfig,
+    ProductStateSpace,
     StochasticMatrix,
     UavScenario,
     WindField,
@@ -13,7 +16,6 @@ from klmdp import (
     build_scenario_model,
     build_wind_chain,
     controlled_spectrum,
-    cost_to_go,
     generate_wind_field,
     recurrent_class,
     rollout_oracle,
@@ -23,7 +25,7 @@ from klmdp import (
 from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import tilted_rule
 
-from conftest import controlled_chain, dense_kernel, induced_transition
+from conftest import controlled_chain, dense_chain_kernel, induced_transition
 
 
 def small_scenario(d_a=4, d_o=4, d_N=2, seed=0, **kw):
@@ -179,7 +181,7 @@ class TestModelStructure:
     def test_nominal_eigenvalues_contain_wind_spectrum(self):
         sc = small_scenario(d_N=3)
         model, _ = build_scenario_model(sc)
-        eig = controlled_spectrum(model.R.entries, model.Q0.entries)
+        eig = controlled_spectrum(model, model.R.entries)
         wind_eig = np.linalg.eigvalsh(build_wind_chain(3, sc.delta_n).entries)
         for lam in wind_eig:
             assert np.min(np.abs(eig - lam)) < 1e-10
@@ -201,11 +203,43 @@ def random_chain(seed, d):
     return np.random.default_rng(seed).dirichlet(np.ones(d), size=d)
 
 
+def per_call_lumped_spectrum(R, Q0):
+    """The spectrum as ``controlled_spectrum`` computed it while it grouped
+    the states itself: groups of equal rows of the rule and ``Q0`` found by a
+    hash loop on each call, and ``C S`` summed one column of ``C`` at a time."""
+    d, d_n = Q0.shape
+    by_hash, first, group = {}, [], np.empty(d, dtype=np.intp)
+    for x, (r, q) in enumerate(zip(R, Q0)):
+        groups = by_hash.setdefault(hash(r.tobytes() + q.tobytes()), [])
+        g = next((g for g in groups if np.array_equal(r, R[first[g]]) and np.array_equal(q, Q0[first[g]])), len(first))
+        if g == len(first):
+            first.append(x)
+            groups.append(g)
+        group[x] = g
+    first = np.array(first)
+    Mt = np.empty((first.size, first.size))
+    for y in range(d):
+        u, n = divmod(y, d_n)
+        column = R[first, u] * Q0[first, n]
+        if first[group[y]] == y:
+            Mt[group[y]] = column
+        else:
+            Mt[group[y]] += column
+    lumped = scipy.linalg.eigvals(Mt.T, overwrite_a=True, check_finite=False)
+    eig = np.concatenate([lumped, np.zeros(d - first.size, dtype=lumped.dtype)])
+    return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]
+
+
+def dense_spectrum(P):
+    """The spectrum of a chain held as a dense ``P``: the kernel ``R = P``, ``Q0 = ones((d, 1))``, and its own rule."""
+    return controlled_spectrum(dense_chain_kernel(P), P)
+
+
 class TestControlledSpectrum:
     def test_duplicate_rows_give_exact_zeros(self):
         a = random_chain(7, 12)
         a[[3, 5, 8, 10, 11]] = a[[0, 0, 1, 4, 9]]  # 7 distinct rows
-        eig = controlled_spectrum(*dense_kernel(a))
+        eig = dense_spectrum(a)
         assert eig.size == 12
         assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
         assert np.count_nonzero(eig == 0) == 12 - 7
@@ -217,7 +251,8 @@ class TestControlledSpectrum:
         R[[5, 9]] = R[2]
         Q0[[5, 9]] = Q0[2]  # states 2, 5 and 9 share both rows
         Q0[7] = Q0[1]  # state 7 shares only its Q0 row: a group of its own
-        eig = controlled_spectrum(R, Q0)
+        kernel = FactoredKernel(ProductStateSpace(4, 3), StochasticMatrix(R), StochasticMatrix(Q0))
+        eig = controlled_spectrum(kernel, R)
         assert eig.size == 12
         P = np.einsum("xu,xn->xun", R, Q0).reshape(12, 12)  # P(x, (u, n)) = R(x, u) Q0(x, n)
         assert multiset_gap(eig, np.linalg.eigvals(P)) < 1e-12
@@ -225,16 +260,16 @@ class TestControlledSpectrum:
 
     def test_distinct_rows_match_dense(self):
         a = random_chain(8, 9)
-        eig = controlled_spectrum(*dense_kernel(a))
+        eig = dense_spectrum(a)
         assert multiset_gap(eig, np.linalg.eigvals(a)) < 1e-12
 
     def test_read_only_input_unchanged(self):
         a = random_chain(9, 6)
         a[4] = a[1]
         P = StochasticMatrix(a)
-        Q0 = StochasticMatrix(np.ones((6, 1)))
+        kernel = FactoredKernel(ProductStateSpace(6, 1), P, StochasticMatrix(np.ones((6, 1))))
         before = P.entries.copy()
-        controlled_spectrum(P.entries, Q0.entries)
+        controlled_spectrum(kernel, P.entries)
         assert not P.entries.flags.writeable
         np.testing.assert_array_equal(P.entries, before)
 
@@ -242,7 +277,7 @@ class TestControlledSpectrum:
         sc = small_scenario()
         model, _ = build_scenario_model(sc)
         P = induced_transition(model)
-        eig = controlled_spectrum(model.R.entries, model.Q0.entries)
+        eig = controlled_spectrum(model, model.R.entries)
         assert abs(eig[0] - 1.0) < 1e-12
         for lam in np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries):
             assert np.min(np.abs(eig - lam)) < 1e-10
@@ -256,8 +291,26 @@ class TestControlledSpectrum:
         cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
         dense = np.linalg.eigvals(controlled_chain(cp))
         dense = dense[np.lexsort((-dense.imag, -dense.real, -np.abs(dense)))]
-        eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+        eig = controlled_spectrum(cp.kernel, cp.policy().entries)
         np.testing.assert_allclose(eig[:10], dense[:10], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [(8, 8, 3), (15, 15, 5)])
+    def test_kernel_groups_give_the_per_call_spectrum_bit_for_bit(self, grid):
+        # the kernel's groups of equal (R0, Q0) rows are the groups of equal
+        # rows of R0 and Q0, and M = C S is summed in the same order
+        model, _ = build_scenario_model(small_scenario(*grid))
+        eig = controlled_spectrum(model, model.R.entries)
+        expected = per_call_lumped_spectrum(model.R.entries, model.Q0.entries)
+        for part in ("real", "imag"):
+            np.testing.assert_array_equal(getattr(eig, part).view(np.int64), getattr(expected, part).view(np.int64))
+
+    def test_rule_that_splits_a_group_is_rejected(self):
+        model, _ = build_scenario_model(small_scenario())
+        x = model.lumping[2][0][0][0]  # the second state of its group
+        rule = model.R.entries.copy()
+        rule[x] = np.roll(rule[x], 1)
+        with pytest.raises(ValueError, match="not a tilt of the kernel's rule"):
+            controlled_spectrum(model, rule)
 
     def test_factors_lump_as_the_dense_chain_bit_for_bit(self):
         # equal factor rows group as equal rows of P, and each entry of the
@@ -267,8 +320,8 @@ class TestControlledSpectrum:
         cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,))
         cp = solve_average_reward(model, utility, cfg, basepoint=sc.basepoint).checkpoints[-1]
         np.testing.assert_array_equal(
-            controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries),
-            controlled_spectrum(*dense_kernel(controlled_chain(cp))),
+            controlled_spectrum(cp.kernel, cp.policy().entries),
+            dense_spectrum(controlled_chain(cp)),
         )
 
 
@@ -284,9 +337,10 @@ def peak_bytes(f) -> int:
 
 class TestNoDenseChain:
     """A dense d x d float array is 8 d^2 bytes.  At the gen-scenario default
-    15x15x5 (d = 1125), the spectrum peaks below one, the structure check
-    below one (d, d_u) rule (8 d d_u bytes, 2.0 MB), and the bordered LU
-    holds its own matrix and not the chain beside it."""
+    15x15x5 (d = 1125, r = 928 groups), the spectrum peaks below one, the
+    structure check below one (d, d_u) rule (8 d d_u bytes, 2.0 MB), and the
+    bordered LU holds its lumped r x r matrix and the r x (d - r) block it
+    keeps, 8 r d bytes, with no dense chain and no d x d matrix beside them."""
 
     @pytest.fixture(scope="class")
     def uav15(self):
@@ -301,13 +355,14 @@ class TestNoDenseChain:
     def test_spectrum(self, uav15):
         _, model = uav15
         d = model.space.d
-        assert peak_bytes(lambda: controlled_spectrum(model.R.entries, model.Q0.entries)) < 8 * d**2
+        assert peak_bytes(lambda: controlled_spectrum(model, model.R.entries)) < 8 * d**2
 
     def test_bordered_lu(self, uav15):
         sc, model = uav15
-        d = model.space.d
-        peak = peak_bytes(lambda: BorderedLU(model.R.entries, model.Q0.entries, sc.basepoint))
-        assert 8 * d**2 <= peak < 9 * d**2
+        d, r = model.space.d, model.lumping[1].size
+        assert r == 928
+        peak = peak_bytes(lambda: BorderedLU(model, model.R.entries, sc.basepoint))
+        assert 8 * r**2 <= peak < 8 * r * d + 2**20  # 1 MiB of scratch; 8 d^2 is 10.1 MB
 
 
 @pytest.fixture(scope="module")
@@ -323,21 +378,21 @@ class TestSolvedFamily:
     def test_cost_to_go_nonnegative_and_zero_at_target(self, solved):
         sc, _, path = solved
         for cp in path.checkpoints:
-            J = cost_to_go(cp)
+            J = -cp.h
             assert np.all(J >= -1e-12)
             for n in range(sc.d_N):
                 assert J[sc.target_index * sc.d_N + n] <= 1e-9
 
     def test_cost_to_go_nondecreasing_in_weight(self, solved):
         _, _, path = solved
-        J = np.stack([cost_to_go(cp) for cp in path.checkpoints])
+        J = np.stack([-cp.h for cp in path.checkpoints])
         assert np.all(np.diff(J, axis=0) >= -1e-9)
 
     def test_wind_spectrum_survives_control(self, solved):
         sc, _, path = solved
         wind_eig = np.linalg.eigvalsh(build_wind_chain(sc.d_N, sc.delta_n).entries)
         for cp in path.checkpoints:
-            eig = controlled_spectrum(cp.policy().entries, cp.kernel.Q0.entries)
+            eig = controlled_spectrum(cp.kernel, cp.policy().entries)
             assert eig[0] == pytest.approx(1.0, abs=1e-9)
             for lam in wind_eig:
                 assert np.min(np.abs(eig - lam)) < 1e-8
@@ -358,6 +413,19 @@ class TestSolvedFamily:
         v_nom = velocity_field(model.R, sc)
         towards = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert v_opt[0, 0] @ towards > v_nom[0, 0] @ towards
+
+
+class TestVelocityField:
+    @pytest.mark.parametrize("which", ["nominal", "checkpoint"])
+    def test_matches_the_per_row_mean_displacement(self, solved, which):
+        # v(l, n) = sum_l' rule((l, n), l') coords(l') - coords(l), one row at a time
+        sc, model, path = solved
+        rule = model.R if which == "nominal" else path.checkpoints[-1].policy()
+        coords = sc.location_coords().astype(float)
+        expected = np.array([
+            [rule.entries[l * sc.d_N + n] @ coords - coords[l] for n in range(sc.d_N)] for l in range(sc.d_L)
+        ])
+        np.testing.assert_allclose(velocity_field(rule, sc), expected, rtol=0, atol=1e-13)
 
 
 class TestVelocityAtZeroWeight:
@@ -414,5 +482,5 @@ class TestRolloutOracle:
         out = rollout_oracle(model, cp.policy(), sc, 1.0, start=start,
                              trials=3000, horizon_cap=10_000, seed=5)
         assert out.censored == 0
-        J = cost_to_go(cp)[start]
+        J = -cp.h[start]
         assert abs(out.mean - J) <= 3.0 * out.half_width_95
