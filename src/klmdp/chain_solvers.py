@@ -1,8 +1,7 @@
 """Linear-algebraic solvers for finite Markov chains.
 
-The recurrent class of a chain, the factored bordered Poisson system that
-the continuation keeps across Newton steps, and the Perron-Frobenius baseline
-for the unconstrained (exogenous-free) model.
+The recurrent class of a chain and the factored bordered Poisson system that
+the continuation keeps across Newton steps.
 
 Admissibility is unichain aperiodic: one recurrent class, possibly with
 transient states.  The bordered Poisson system stays nonsingular in that
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
-from .state_space import FactoredKernel, StochasticMatrix
+from .state_space import FactoredKernel
 
 POISSON_TOL = 1e-8
 
@@ -149,39 +148,3 @@ class BorderedLU:
                 raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
             self._factors = None
         return y, eta
-
-
-def perron_frobenius_baseline(
-    P0: StochasticMatrix,
-    utility: np.ndarray,
-    zeta: float,
-    x0: int,
-    max_iter: int = 100_000,
-    tol: float = 1e-12,
-) -> tuple[float, np.ndarray, StochasticMatrix]:
-    """Principal eigenpair of ``exp(zeta U(x)) P0(x, x')`` and its twisted matrix.
-
-    Power iteration with the eigenvector normalized to 1 at the basepoint.
-    Returns ``(lam, v, twisted)``: the Perron root, the positive eigenvector
-    and the twisted matrix ``(1/lam) v(x')/v(x) W(x, x')``, the optimally
-    controlled chain of the unconstrained model.
-    """
-    U = np.asarray(utility, dtype=float)
-    W = np.exp(zeta * U)[:, None] * P0.entries
-    v = np.ones(W.shape[0])
-    lam = 1.0
-    for _ in range(max_iter):
-        w = W @ v
-        lam = w[x0]
-        if lam <= 0:
-            raise ConvergenceError("power iteration hit a nonpositive normalization")
-        v_new = w / lam
-        if np.max(np.abs(W @ v_new - lam * v_new)) <= tol * lam * np.max(np.abs(v_new)):
-            v = v_new
-            break
-        v = v_new
-    else:
-        raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")
-    twisted = W * v[None, :] / (lam * v[:, None])
-    twisted /= twisted.sum(axis=1, keepdims=True)
-    return float(lam), v, StochasticMatrix(twisted)

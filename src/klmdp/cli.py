@@ -41,25 +41,22 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .chain_solvers import perron_frobenius_baseline
 from .errors import NotAperiodicError, NotUnichainError
 from .ode_engine import (
     FiniteHorizonPath,
     OdeConfig,
     ZetaSolutionPath,
-    aroe_fixed_point_oracle,
     checkpoint_weights,
-    fh_block_ode_oracle,
     solve_average_reward,
     solve_finite_horizon,
 )
+from .oracles import aroe_fixed_point_oracle, fh_block_ode_oracle, perron_frobenius_baseline, rollout_oracle
 from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix
 from .uav_benchmark import (
     UavScenario,
     build_scenario_model,
     controlled_spectrum,
     generate_wind_field,
-    rollout_oracle,
     velocity_field,
 )
 
@@ -493,8 +490,14 @@ def _apply_overrides(loaded: LoadedModel, args) -> LoadedModel:
 
 def cmd_validate(args) -> int:
     _import_linear_algebra()
-    try:  # a config error is an error line, as in the other verbs; failed checks are rows
+    try:  # a config or argument error is an error line, as in the other verbs; failed checks are rows
         loaded = _apply_overrides(load_config(args.config), args)
+        if args.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        if args.trials < 0 or args.trials == 1:  # one trial has no half-width to test against
+            raise ValueError(f"trials must be 0 (no rollout) or >= 2, got {args.trials}")
+        if args.horizon_cap < 1:
+            raise ValueError(f"horizon cap must be >= 1, got {args.horizon_cap}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
-"""Kullback-Leibler machinery: divergence costs, exponential tilting, and the
-closed-form optimal randomized decision rule.
+"""Kullback-Leibler machinery: exponential tilting and the closed-form optimal
+randomized decision rule.
 
 The central object is the tilt of a nominal rule ``R0`` by a value vector
 ``h``: each row is reweighted by ``exp`` of the conditional expectation of
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError
 from .state_space import FactoredKernel, StochasticMatrix
 
 
@@ -72,25 +71,3 @@ def _normalize_rule(weights: np.ndarray) -> np.ndarray:
 def tilted_rule(values: np.ndarray, kernel: FactoredKernel) -> StochasticMatrix:
     """The optimal rule for continuation values ``values``: the nominal rule tilted by them (Gibbs form)."""
     return StochasticMatrix(_normalize_rule(_tilt_values(values, kernel)[0]))
-
-
-def kl_step_cost(rule: StochasticMatrix, R0: StochasticMatrix) -> np.ndarray:
-    """Row-wise relative entropy ``D(rule(x,.) || R0(x,.))`` as a vector over states.
-
-    Raises :class:`AbsoluteContinuityError` if the rule puts mass where the
-    nominal rule has none.  Uses the convention ``0 log 0 = 0``.
-    """
-    r = rule.entries
-    r0 = R0.entries
-    if r.shape != r0.shape:
-        raise ValueError(f"shape mismatch: {r.shape} vs {r0.shape}")
-    bad = (r > 0) & (r0 == 0)
-    if np.any(bad):
-        x, xu = np.argwhere(bad)[0]
-        raise AbsoluteContinuityError(
-            f"rule({x}, {xu}) = {r[x, xu]:g} > 0 but nominal rule is zero there"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(r > 0, r * (np.log(np.where(r > 0, r, 1.0)) - np.log(np.where(r0 > 0, r0, 1.0))), 0.0)
-    return terms.sum(axis=1)
-

@@ -17,11 +17,10 @@ building the scenario and writing its stage policies load no scipy submodule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kl_calculus import kl_step_cost
 from .state_space import FactoredKernel, ProductStateSpace, StochasticMatrix
 
 
@@ -183,65 +182,3 @@ def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
     lumped = scipy.linalg.eigvals(kernel.lumped(rule)[0], overwrite_a=True, check_finite=False)
     eig = np.concatenate([lumped, np.zeros(kernel.space.d - reps.size, dtype=lumped.dtype)])
     return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]
-
-
-@dataclass(frozen=True)
-class RolloutResult:
-    mean: float
-    half_width_95: float
-    censored: int
-    trials: int
-
-    @property
-    def censored_fraction(self) -> float:
-        return self.censored / self.trials
-
-
-def rollout_oracle(
-    model: FactoredKernel,
-    tilted_rule: StochasticMatrix,
-    scenario: UavScenario,
-    zeta: float,
-    start: int,
-    trials: int,
-    horizon_cap: int,
-    seed: int,
-) -> RolloutResult:
-    """Monte Carlo estimate of the accumulated cost to the target.
-
-    Simulates the controlled chain from ``start``, accumulating the weighted
-    state cost plus the per-state KL cost of the rule until the location hits
-    the target (or the cap, in which case the path is censored).  Each trial
-    draws from its own generator keyed by (seed, trial), so results do not
-    depend on execution order.
-    """
-    d_N = scenario.d_N
-    target = scenario.target_index
-    Qw = build_wind_chain(d_N, scenario.delta_n).entries
-    kl = kl_step_cost(tilted_rule, model.R)
-    state_cost = zeta * np.where(np.arange(model.space.d) // d_N == target, 0.0, 1.0) + kl
-    rule_cdf = np.cumsum(tilted_rule.entries, axis=1)
-    wind_cdf = np.cumsum(Qw, axis=1)
-
-    costs = np.zeros(trials)
-    censored = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        l, n = divmod(start, d_N)
-        total = 0.0
-        steps = 0
-        while l != target:
-            if steps >= horizon_cap:
-                censored += 1
-                break
-            x = l * d_N + n
-            total += state_cost[x]
-            u = rng.random(2)
-            l = min(int(np.searchsorted(rule_cdf[x], u[0], side="right")), scenario.d_L - 1)
-            n = min(int(np.searchsorted(wind_cdf[n], u[1], side="right")), d_N - 1)
-            steps += 1
-        costs[t] = total
-
-    mean = float(costs.mean())
-    half_width = float(1.96 * costs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return RolloutResult(mean=mean, half_width_95=half_width, censored=censored, trials=trials)

@@ -768,18 +768,33 @@ class TestValidate:
         assert any(l.startswith(f"PASS  pf twisted matrix vs ode @ zeta={checkpoint:g} ") for l in lines)
         assert any(l.startswith(f"PASS  eta vs log pf eigenvalue @ zeta={checkpoint:g} ") for l in lines)
 
-    @pytest.mark.parametrize("case", ["missing-config", "target-past-the-grid", "unknown-solver-key"])
-    def test_config_error_is_one_error_line(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("case", [
+        "missing-config", "target-past-the-grid", "unknown-solver-key",
+        "negative-horizon", "one-trial", "negative-trials", "zero-horizon-cap", "negative-horizon-cap",
+    ])
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, case):
         # as in solve-ar, solve-fh and gen-scenario: nothing on stdout, where
-        # the rows of failed checks go, one error line on stderr and exit 1
+        # the rows of failed checks go, one error line on stderr and exit 1,
+        # before any solve; so are arguments that no oracle can use
         uav, explicit = small_uav_config(), explicit_config(max_move=0.05)
         uav["model"]["target"] = [5, 4]
-        cfg_path, message = {
+        valid = write_config(tmp_path, small_uav_config(), "valid.json")
+        cfg_path, message, *extra = {
             "missing-config": (str(tmp_path / "missing.json"), "No such file or directory"),
             "target-past-the-grid": (write_config(tmp_path, uav, "uav.json"), "target (5, 4) outside the 4 x 4 grid"),
             "unknown-solver-key": (write_config(tmp_path, explicit, "explicit.json"), "unknown solver key(s) 'max_move'"),
+            "negative-horizon": (valid, "horizon must be >= 0", "--horizon", "-1"),
+            "one-trial": (valid, "trials must be 0 (no rollout) or >= 2, got 1", "--trials", "1"),
+            "negative-trials": (valid, "trials must be 0 (no rollout) or >= 2, got -1", "--trials", "-1"),
+            "zero-horizon-cap": (valid, "horizon cap must be >= 1, got 0", "--horizon-cap", "0"),
+            "negative-horizon-cap": (valid, "horizon cap must be >= 1, got -1", "--horizon-cap", "-1"),
         }[case]
-        assert main(["validate", "--config", cfg_path]) == 1
+
+        def solve(*args, **kwargs):
+            raise AssertionError("validate solved before it rejected its input")
+
+        monkeypatch.setattr(klmdp.cli, "solve_average_reward", solve)
+        assert main(["validate", "--config", cfg_path, *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err and captured.err.count("\n") == 1

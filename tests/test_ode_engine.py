@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,11 +22,12 @@ from klmdp import (
     aroe_fixed_point_oracle,
     fh_block_ode_oracle,
     generate_wind_field,
+    perron_frobenius_baseline,
     solve_average_reward,
     solve_finite_horizon,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import kl_step_cost, tilted_rule
+from klmdp.kl_calculus import tilted_rule
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
     PREDICTOR_MAX_NODES,
@@ -32,6 +36,7 @@ from klmdp.ode_engine import (
     _extrapolation_weights,
     _zeta_grid,
 )
+from klmdp.oracles import kl_step_cost
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
 from conftest import (
@@ -484,9 +489,13 @@ class TestAroeFixedPointOracle:
     @pytest.mark.parametrize("basepoint", [6, -1])
     def test_basepoint_outside_the_states_rejected(self, rng, basepoint):
         kernel = random_factored_model(rng, 3, 2)
-        with pytest.raises(ValueError, match=rf"^basepoint {basepoint} outside \[0, 6\)$"):
-            # no sweep is allowed: the basepoint is checked before the first
-            aroe_fixed_point_oracle(kernel, random_utility(rng, 6), 0.5, basepoint=basepoint, max_iter=0)
+        U = random_utility(rng, 6)
+        message = rf"^basepoint {basepoint} outside \[0, 6\)$"
+        # no sweep or power iteration is allowed: the basepoint is checked before the first
+        with pytest.raises(ValueError, match=message):
+            aroe_fixed_point_oracle(kernel, U, 0.5, basepoint=basepoint, max_iter=0)
+        with pytest.raises(ValueError, match=message):
+            perron_frobenius_baseline(induced_transition(kernel), U, 0.5, x0=basepoint, max_iter=0)
 
 
 @pytest.mark.parametrize("model", ["random", "uav-8x8x3"])
@@ -734,21 +743,40 @@ class TestBlockOdeOracle:
         assert peak < 1.5 * rule_bytes
 
 
-def test_oracles_do_not_call_the_solvers_tilt(monkeypatch):
-    import klmdp.ode_engine as ode_engine
+def test_oracles_are_one_module_independent_by_import():
+    from klmdp import chain_solvers, kl_calculus, ode_engine, oracles, uav_benchmark
 
-    scenario, kernel, U = uav8_model()
-    W = fh_block_ode_oracle(kernel, U, 4, 0.5, 0.05)
-    h, eta = aroe_fixed_point_oracle(kernel, U, 1.0, scenario.basepoint)
+    # klmdp.oracles imports numpy, the standard library (but not the modules
+    # that import by name) and only these names of the package.  A
+    # whole-module import (`from . import x`, `import klmdp.x`) would reach
+    # the solvers' tilt or LU through an attribute.
+    shared = {
+        "errors": None,  # any of its names
+        "state_space": {"FactoredKernel", "StochasticMatrix"},
+        "ode_engine": {"OdeConfig", "_zeta_grid"},  # the weight grid
+        "uav_benchmark": {"UavScenario", "build_wind_chain"},
+    }
+    outside = (sys.stdlib_module_names - {"importlib", "sys"}) | {"numpy"}
 
-    def tilt(*args, **kwargs):
-        raise AssertionError("an oracle called the solvers' tilt")
+    def forbidden(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names if a.name.split(".")[0] not in outside]
+        if node.level == 0:
+            return [] if node.module.split(".")[0] in outside else [node.module]
+        names = shared.get(node.module, set()) if node.level == 1 else set()
+        return [f"{'.' * node.level}{node.module or ''} import {a.name}" for a in node.names
+                if names is not None and a.name not in names]
 
-    monkeypatch.setattr(ode_engine, "_tilt_values", tilt)
-    np.testing.assert_array_equal(fh_block_ode_oracle(kernel, U, 4, 0.5, 0.05), W)
-    h_again, eta_again = aroe_fixed_point_oracle(kernel, U, 1.0, scenario.basepoint)
-    np.testing.assert_array_equal(h_again, h)
-    assert eta_again == eta
+    tree = ast.parse(inspect.getsource(oracles))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    assert [bad for node in imports for bad in forbidden(node)] == []
+    # and no production module defines or re-exports an oracle
+    names = ("_ClassBlocks", "aroe_fixed_point_oracle", "fh_block_ode_oracle", "perron_frobenius_baseline",
+             "RolloutResult", "rollout_oracle", "kl_step_cost")
+    assert all(callable(getattr(oracles, name)) for name in names)
+    assert [(m.__name__, n) for m in (ode_engine, chain_solvers, uav_benchmark, kl_calculus)
+            for n in names if hasattr(m, n)] == []
 
 
 @st.composite
