@@ -83,30 +83,36 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 class BorderedLU:
     """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
-    For a tilt ``R`` of the kernel's rule, ``P(x, (x_u', x_n')) = R(x, x_u')
-    Q0(x, x_n')`` is ``S C`` (:meth:`FactoredKernel.lumped`), and ``x0``
-    represents its own group.  So ``H = w[group] + delta``, with ``delta(y) =
-    rhs(y) - rhs(rep(y))``, and ``(w, eta)`` solves ``(I - C S) w + eta 1 =
-    rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``: column ``g(x0)``
-    is replaced by ones, so slot ``g(x0)`` carries ``eta``.  LAPACK factors
-    ``C S`` in place, and only ``C[:, others]`` is kept beside it; with ``r =
-    d`` this is the full system.  Entries below ``FLUSH_BELOW`` are zeroed
-    first: subnormals slow the LU many times over, and the flushed LU still
-    solves the exact system to rounding.  The first solve is certified on
-    the full ``H``: its residual ``sup |P H - H + rhs - eta|``, from ``P y =
-    sum_u R(x, u) sum_n Q0(x, n) y(u, n)``, must be within ``POISSON_TOL``,
-    so a bad LU, or an ``R`` unequal within a group, fails.  ``R`` is then
-    dropped, and later solves reuse the LU unchecked.
+    The chain is that of a tilt of the kernel's rule, given by its class
+    exponent ``e`` and row sums ``s`` (``kl_calculus._tilt_values``): ``R(x,
+    u) = R0(x, u) e(c(x), u) / s(x)`` and ``P(x, (x_u', x_n')) = R(x, x_u')
+    Q0(x, x_n')``.  That is ``S C`` (:meth:`FactoredKernel.lumped`), with the
+    rows ``C`` at the group representatives formed a block of columns at a
+    time, and ``x0`` represents its own group.  So ``H = w[group] + delta``,
+    with ``delta(y) = rhs(y) - rhs(rep(y))``, and ``(w, eta)`` solves ``(I -
+    C S) w + eta 1 = rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``:
+    column ``g(x0)`` is replaced by ones, so slot ``g(x0)`` carries ``eta``.
+    LAPACK factors ``C S`` in place, and only ``C[:, others]`` is kept beside
+    it; with ``r = d`` this is the full system.  Entries below
+    ``FLUSH_BELOW`` are zeroed first: subnormals slow the LU many times over,
+    and the flushed LU still solves the exact system to rounding.  The first
+    solve is certified on the full ``H``: its residual ``sup |P H - H + rhs -
+    eta|``, from ``P y = row_products(e * z) / s`` with ``z = class_Q0 @
+    Y^T`` (:meth:`FactoredKernel.row_products`), must be within
+    ``POISSON_TOL``, so a bad LU, or a tilt unequal within a group, fails.
+    The tilt is then dropped, and later solves reuse the LU unchecked.
     """
 
-    def __init__(self, kernel: FactoredKernel, R: np.ndarray, x0: int):
+    def __init__(self, kernel: FactoredKernel, e: np.ndarray, s: np.ndarray, x0: int):
         import scipy.linalg
 
         group, reps, _ = kernel.lumping
-        reps = reps.copy()
-        reps[group[x0]] = x0
-        others = np.setdiff1d(np.arange(group.size), reps)
-        M, self._block = kernel.lumped(R, others)
+        R0, at_reps, s_reps = kernel.R.entries, kernel.row_class[reps], s[reps, None]
+        pinned = reps.copy()
+        pinned[group[x0]] = x0
+        others = np.setdiff1d(np.arange(group.size), pinned)
+        # the tilt's columns cols at the representatives, a block at a time
+        M, self._block = kernel.lumped(lambda cols: R0[reps, cols] * e[at_reps, cols] / s_reps, others)
         r = reps.size
         # negate and flush in place, by column blocks of about 2^16 entries: no r x r temporary
         width = max(1, 2**16 // r)
@@ -123,8 +129,8 @@ class BorderedLU:
             except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
                 # not unichain with x0 recurrent, e.g. after an underflowed tilt
                 raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
-        self._lumping = (group, reps, others, reps[group[others]], group[x0])
-        self._factors = (R, kernel.Q0.entries)  # for the certificate of the first solve
+        self._lumping = (group, pinned, others, pinned[group[others]], group[x0])
+        self._tilt = (kernel, e, s)  # for the certificate of the first solve
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
@@ -140,11 +146,12 @@ class BorderedLU:
         w[g0] = 0.0
         y = w[group]
         y[others] += delta
-        if self._factors is not None:
-            R, Q0 = self._factors
-            Py = np.einsum("xu,xu->x", R, Q0 @ y.reshape(R.shape[1], Q0.shape[1]).T)
+        if self._tilt is not None:
+            kernel, e, s = self._tilt
+            z = kernel.class_Q0 @ y.reshape(kernel.space.d_u, kernel.space.d_n).T
+            Py = kernel.row_products(e * z) / s
             residual = np.max(np.abs(Py - y + rhs - eta))
             if not residual <= POISSON_TOL:
                 raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")
-            self._factors = None
+            self._tilt = None
         return y, eta

@@ -8,10 +8,11 @@ log-normalizer.  That tilted rule is exactly the maximizer of the one-step
 reward plus continuation value (Gibbs form), and the log-normalizer is the
 achieved maximum up to the utility term.
 
-The tilt is formed once per row class of the kernel (see
-:class:`FactoredKernel`) and returns the unnormalized weights with the
-log-normalizer, all that a Newton step or a backward recursion needs;
-:func:`tilted_rule` gives the normalized, validated rule of a policy.
+The tilt's exponent is formed once per row class of the kernel (see
+:class:`FactoredKernel`).  From it, :func:`_tilt_values` gives the row sums
+of ``R0`` against it and the log-normalizer, by one product per stack of
+classes, all that a Newton step, a factorization or a backward recursion
+needs; :func:`tilted_rule` gives the normalized, validated rule of a policy.
 """
 
 from __future__ import annotations
@@ -37,37 +38,44 @@ def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -
     return kernel.class_Q0 @ values.reshape(space.d_u, space.d_n).T
 
 
-def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentially tilt the nominal rule by the value vector ``h = values``.
+def _class_exponent(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The tilt's class exponent ``e = exp(g - m)`` by ``h = values``, and ``m``.
 
-    Returns the unnormalized weights ``R0(x, x_u') exp(g(x, x_u') - max g(x))``,
-    where ``g(x, x_u') = h(x_u'|x)`` is the conditional expectation of ``h``
-    and ``max g(x)`` its maximum over the support of ``R0(x, .)``, and the
-    log-normalizer ``Lambda_h`` of the rule ``R_h = R0 exp(g - Lambda_h)``.
-    Zeros of ``R0`` stay ``+0.0``.
-
-    The conditional expectation, its maximum over the support and the
-    exponential are formed on the row classes, which share one support, and
-    gathered to the states; the weighting by ``R0`` and the row sums are per
-    state.  :func:`_normalize_rule` turns the weights into the rule.
+    ``g(c, x_u') = h(x_u'|c)`` is the conditional expectation of ``h`` and
+    ``m(c)`` its maximum over the support of class ``c``; ``e`` has shape
+    ``(K, d_u)`` and is ``+0.0`` off the support.  The tilt of ``R0`` by
+    ``h`` is ``R0(x, u) e(c(x), u)``, up to its row sum.
     """
     g = conditional_expectation_values(values, kernel)
     support = kernel.class_support
     m = np.max(g, axis=1, where=support, initial=-np.inf)
     g -= m[:, None]
     # off the support the weight is +0.0: R0 is +0.0 there, and so is this
-    e = np.exp(g, out=np.zeros_like(g), where=support)
-    t = e[kernel.row_class]
-    t *= kernel.R.entries
-    lam = np.log(t.sum(axis=1)) + m[kernel.row_class]
-    return t, lam
+    return np.exp(g, out=np.zeros_like(g), where=support), m
 
 
-def _normalize_rule(weights: np.ndarray) -> np.ndarray:
-    """The decision rule of unnormalized tilt weights: each row over its sum, in place."""
-    return np.divide(weights, weights.sum(axis=1)[:, None], out=weights)
+def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tilt the nominal rule by ``h = values``: ``(e, s, Lambda_h)``.
+
+    ``e`` is the class exponent (:func:`_class_exponent`), ``s(x) = sum_u
+    R0(x, u) e(c(x), u)`` the row sums of the unnormalized tilt, and
+    ``Lambda_h = log s + m(c(x))`` the log-normalizer of the rule ``R_h(x, u)
+    = R0(x, u) e(c(x), u) / s(x)``.  The row sums are one BLAS product per
+    stack of classes of one size (:meth:`FactoredKernel.row_products`), so no
+    ``(d, d_u)`` array is formed; they match ``tilted_rule``'s row sums to
+    rounding, not bit for bit.
+    """
+    e, m = _class_exponent(values, kernel)
+    s = kernel.row_products(e)
+    return e, s, np.log(s) + m[kernel.row_class]
 
 
 def tilted_rule(values: np.ndarray, kernel: FactoredKernel) -> StochasticMatrix:
-    """The optimal rule for continuation values ``values``: the nominal rule tilted by them (Gibbs form)."""
-    return StochasticMatrix(_normalize_rule(_tilt_values(values, kernel)[0]))
+    """The optimal rule for continuation values ``values``: the nominal rule tilted by them (Gibbs form).
+
+    The class exponent gathered to the states and weighted by ``R0``, each
+    row over its own sum.
+    """
+    t = _class_exponent(values, kernel)[0][kernel.row_class]
+    t *= kernel.R.entries
+    return StochasticMatrix(np.divide(t, t.sum(axis=1)[:, None], out=t))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
-from .kl_calculus import _normalize_rule, _tilt_values, tilted_rule
+from .kl_calculus import _tilt_values, tilted_rule
 from .state_space import FactoredKernel, StochasticMatrix
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
@@ -249,14 +249,17 @@ def solve_average_reward(
     lumped on the kernel's groups, across steps and nodes (chord method).
     Chord steps are Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones
     on the same LU, a history cleared at each node, refactorization and undo.
-    Each iterate is tilted once, on the row classes; a step needs only
-    ``Lambda_h``, so ``R_h`` is normalized only for a factorization, and each
-    correction is one triangular solve.  Each LU certifies its first solve;
-    a singular LU, a failed certificate or a non-finite residual raises
-    :class:`ConvergenceError` naming its grid node.  Where a correction does
-    not cut the residual by ``CHORD_RHO``, the matrix is refactored at the
-    current iterate (Shamanskii); a chord step that does not lower it at all
-    is undone, and the full Newton step is taken from where it started.  A
+    Each iterate is tilted once, to its class exponent ``e`` and the row sums
+    ``s`` of ``R0`` against it, one product per stack of classes, which give
+    ``Lambda_h``; a factorization forms ``R_h`` only at its group
+    representatives from ``e`` and ``s``, so no ``(d, d_u)`` array is formed,
+    and each correction is one triangular solve.  Each LU certifies its
+    first solve; a singular LU, a failed certificate or a non-finite residual
+    raises :class:`ConvergenceError` naming its grid node.  Where a
+    correction does not cut the residual by ``CHORD_RHO``, the matrix is
+    refactored at the current iterate (Shamanskii); a chord step that does
+    not lower it at all is undone, and the full Newton step is taken from
+    where it started.  A
     stale LU changes only the iteration path: the residual ``sup_x |zeta U +
     Lambda_h - h - eta|`` comes from the exact tilt, and is recorded and
     enforced at every grid node.  A checkpoint keeps a read-only copy of
@@ -272,6 +275,9 @@ def solve_average_reward(
     members = recurrent_class(model)
     if basepoint not in members:
         raise ValueError(f"basepoint {basepoint} is transient; it must be in the recurrent class")
+    # held, not read: the kernel holds its class rows weakly, and every tilt
+    # and certificate of this solve shares this one copy of R0 in class order
+    class_rows = model.class_rows
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
@@ -303,7 +309,7 @@ def solve_average_reward(
         try:
             for it in range(NEWTON_MAX_ITER + 1):
                 h, eta = x[:d], float(x[d])
-                weights, lam = _tilt_values(h, model)
+                e, s, lam = _tilt_values(h, model)
                 defect = zeta * U + lam - h - eta
                 res = float(np.max(np.abs(defect)))
                 if not np.isfinite(res):
@@ -314,14 +320,13 @@ def solve_average_reward(
                     break
                 refactor = lu is None or res > CHORD_RHO * start_res
                 if refactor and res >= start_res and not start_factored:
-                    (x, weights, defect), res = start, start_res  # undo a chord step that did not help
+                    (x, e, s, defect), res = start, start_res  # undo a chord step that did not help
                 if refactor:
                     lu = None  # at most one factorization alive
-                    # in place: an undo never returns to an iterate that was factored
-                    lu = BorderedLU(model, _normalize_rule(weights), basepoint)
+                    lu = BorderedLU(model, e, s, basepoint)
                     factorizations[i] += 1
                     mixing.clear()
-                start, start_res, start_factored = (x, weights, defect), res, refactor
+                start, start_res, start_factored = (x, e, s, defect), res, refactor
                 x = _anderson_step(mixing, x, np.append(*lu.solve(defect)))
                 newton_steps[i] += 1
         except ConvergenceError as exc:  # a singular LU, a failed certificate or a non-finite residual
@@ -363,9 +368,11 @@ def solve_finite_horizon(
     Checkpoints snap to the weight grid; at each, ``W[0] = zeta U`` and
     ``W[k] = zeta U + Lambda(W[k-1])``.  The recursion needs only the
     log-normalizer ``Lambda`` of each tilt, so a checkpoint costs ``T``
-    tilts, never normalized, whatever the grid, and none at ``zeta = 0``, where
-    ``W = 0`` exactly.  A checkpoint keeps only ``W``, frozen; its stage
-    policies are the normalized tilts of the same rows, derived by
+    tilts, whatever the grid, each a class exponent and one product per stack
+    of the kernel's class rows (:meth:`FactoredKernel.row_products`), with no
+    ``(d, d_u)`` array, and none at ``zeta = 0``, where ``W = 0`` exactly.  A
+    checkpoint keeps only ``W``, frozen; its stage policies are the
+    normalized tilts of the same rows, derived by
     :meth:`FhCheckpoint.policy`.  The values are the recursion itself, so
     recomputing its residual would only read rounding error; instead a
     non-finite ``W[k]`` raises :class:`ConvergenceError` at the stage where
@@ -377,6 +384,7 @@ def solve_finite_horizon(
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
+    class_rows = model.class_rows  # held for every stage's tilt, as in solve_average_reward
     checkpoints: list[FhCheckpoint] = []
     for zeta in sorted(cp_nodes.values()):
         W = np.zeros((T + 1, model.space.d))
@@ -386,7 +394,7 @@ def solve_finite_horizon(
                 raise ConvergenceError(f"non-finite finite-horizon value W[{k}] at zeta={zeta:g}")
             # at zeta = 0, W = 0 exactly, where Lambda(0), the log of R0's row sums, reads ±1e-16
             if k < T and zeta > 0:
-                W[k + 1] = zeta * U + _tilt_values(W[k], model)[1]
+                W[k + 1] = zeta * U + _tilt_values(W[k], model)[2]
         W.setflags(write=False)  # a stage policy comes only from the values written
         checkpoints.append(FhCheckpoint(zeta=zeta, W=W, kernel=model))
 

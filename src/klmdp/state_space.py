@@ -8,11 +8,15 @@ is the product ``P(x, (x_u', x_n')) = R(x, x_u') * Q0(x, x_n')``.
 States are enumerated row-major over ``(x_u, x_n)``, so the exogenous
 coordinate is the fast axis.  The kernel groups states into row classes that
 share their ``Q0`` row and the support of their ``R`` row; the tilt forms its
-conditional expectation and exponent once per class.
+conditional expectation and exponent once per class, and sums ``R`` against
+them by one product per stack of classes of one size
+(:meth:`FactoredKernel.row_products`).
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -154,15 +158,50 @@ class FactoredKernel:
             a.setflags(write=False)
         return group, reps, layers
 
-    def lumped(self, rule: np.ndarray, keep: np.ndarray = np.empty(0, dtype=np.intp)) -> tuple[np.ndarray, np.ndarray]:
-        """The lumped chain ``M = C S`` of a tilt ``rule`` of ``R``, and the columns ``keep`` of ``C``.
+    @property
+    def class_rows(self) -> ClassRows:
+        """The :class:`ClassRows` of this kernel, made where first needed and held weakly.
 
-        ``C`` holds the rows ``P(x, (u, n)) = rule(x, u) Q0(x, n)`` at the
-        ``reps`` of :attr:`lumping` and ``S`` is the ``d x r`` 0/1 group map,
-        so column ``g`` of ``M`` sums group ``g``'s columns of ``C`` by
-        increasing state.  Both are Fortran-ordered, so LAPACK works on ``M``
-        in place.  ``C`` is formed from at least 4 columns of ``rule`` at a
-        time (32 bytes of each row per gather), with no ``r x d`` array.
+        A solve holds them for its duration, so its tilts and its
+        factorizations' certificates share one copy of ``R``; they are freed
+        with their last holder, so the workers forked after a solve do not
+        inherit them, and a kernel is pickled without them.
+        """
+        rows = self.__dict__.get("_class_rows", lambda: None)()
+        if rows is None:
+            rows = ClassRows(self)
+            self.__dict__["_class_rows"] = weakref.ref(rows)
+        return rows
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_class_rows"}
+
+    def row_products(self, w: np.ndarray) -> np.ndarray:
+        """``out[x] = sum_u R(x, u) w(row_class[x], u)`` for a ``(K, d_u)`` array ``w`` of class rows.
+
+        One batched BLAS product per stack of :attr:`class_rows`, so no
+        ``(d, d_u)`` array is formed.  The sum runs in BLAS order, not in
+        numpy's pairwise order of ``(R * w[row_class]).sum(axis=1)``.
+        """
+        rows = self.class_rows
+        out = np.empty(self.space.d)
+        for classes, states, blocks in rows.stacks:
+            np.matmul(blocks, w[classes, :, None], out=out[states].reshape(*blocks.shape[:2], 1))
+        return out[rows.inverse]
+
+    def lumped(
+        self, rule: Callable[[slice], np.ndarray], keep: np.ndarray = np.empty(0, dtype=np.intp)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The lumped chain ``M = C S`` of a tilt of ``R``, and the columns ``keep`` of ``C``.
+
+        ``rule(cols)`` returns the tilt's columns ``cols`` at the ``reps`` of
+        :attr:`lumping`, an ``(r, len(cols))`` array.  ``C`` holds the rows
+        ``P(x, (u, n)) = rule(x, u) Q0(x, n)`` at the ``reps`` and ``S`` is
+        the ``d x r`` 0/1 group map, so column ``g`` of ``M`` sums group
+        ``g``'s columns of ``C`` by increasing state.  Both are
+        Fortran-ordered, so LAPACK works on ``M`` in place.  ``C`` is formed
+        from at least 4 columns of the rule at a time, with no ``r x d`` or
+        ``r x d_u`` array.
         """
         _, reps, layers = self.lumping
         (r,), (d_u, d_n) = reps.shape, (self.space.d_u, self.space.d_n)
@@ -172,7 +211,7 @@ class FactoredKernel:
         step = max(4, 2**14 // (d_n * r))
         for u in range(0, d_u, step):
             y0, y1 = u * d_n, min(u + step, d_u) * d_n
-            Ct = (rule[reps, u : u + step].T[:, None, :] * Q0t).reshape(-1, r)  # columns y0 ... y1 of C
+            Ct = (rule(slice(u, u + step)).T[:, None, :] * Q0t).reshape(-1, r)  # columns y0 ... y1 of C
             a, b = np.searchsorted(reps, (y0, y1))
             M.T[a:b] = Ct[reps[a:b] - y0]
             for states, groups in layers:
@@ -181,3 +220,31 @@ class FactoredKernel:
             a, b = np.searchsorted(keep, (y0, y1))
             kept.T[a:b] = Ct[keep[a:b] - y0]
         return M, kept
+
+
+class ClassRows:
+    """The rows of a kernel's ``R`` in row-class order, stacked by class size.
+
+    States are ordered by the size of their class, then by class, so each
+    size's classes hold one contiguous run of states.  ``stacks`` holds, per
+    size ``n``, its ``G`` classes, the slice of their states in that order,
+    and a ``(G, n, d_u)`` view of one read-only copy of ``R`` in that order;
+    ``inverse[x]`` is state ``x``'s place in it.  Sorted in Python: numpy's
+    sort kernels would page in library code that a finite-horizon run
+    touches nowhere else.
+    """
+
+    def __init__(self, kernel: FactoredKernel):
+        c, size = kernel.row_class.tolist(), np.bincount(kernel.row_class).tolist()
+        order = np.array(sorted(range(len(c)), key=lambda x: (size[c[x]], c[x])), dtype=np.intp)
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = np.arange(order.size)
+        rows = kernel.R.entries[order]
+        rows.setflags(write=False)  # before its views are taken, which inherit the flag
+        self.stacks: list[tuple[np.ndarray, slice, np.ndarray]] = []
+        x0 = 0
+        for n in sorted(set(size)):
+            classes = np.array([k for k, m in enumerate(size) if m == n], dtype=np.intp)
+            x1 = x0 + classes.size * n
+            self.stacks.append((classes, slice(x0, x1), rows[x0:x1].reshape(classes.size, n, -1)))
+            x0 = x1

@@ -179,6 +179,6 @@ def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
     _, reps, layers = kernel.lumping
     if not all(np.array_equal(rule[states], rule[reps[groups]]) for states, groups in layers):
         raise ValueError("the rule's rows differ within a group of equal nominal rows: not a tilt of the kernel's rule")
-    lumped = scipy.linalg.eigvals(kernel.lumped(rule)[0], overwrite_a=True, check_finite=False)
+    lumped = scipy.linalg.eigvals(kernel.lumped(lambda cols: rule[reps, cols])[0], overwrite_a=True, check_finite=False)
     eig = np.concatenate([lumped, np.zeros(kernel.space.d - reps.size, dtype=lumped.dtype)])
     return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]

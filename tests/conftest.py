@@ -3,6 +3,7 @@ import pytest
 
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 from klmdp.chain_solvers import BorderedLU
+from klmdp.kl_calculus import _tilt_values
 
 
 def random_factored_model(rng, d_u, d_n, min_mass=0.05):
@@ -46,9 +47,16 @@ def dense_chain_kernel(P):
     return FactoredKernel(ProductStateSpace(d, 1), StochasticMatrix(P), StochasticMatrix(np.ones((d, 1))))
 
 
+def bordered_lu(kernel, h, x0):
+    """The bordered LU of the chain of ``R0`` tilted by ``h``, from the tilt's class exponent and row sums."""
+    e, s, _ = _tilt_values(h, kernel)
+    return BorderedLU(kernel, e, s, x0)
+
+
 def dense_bordered_lu(P, x0):
-    """The bordered LU of a dense chain, which certifies its first solve from ``P`` itself."""
-    return BorderedLU(dense_chain_kernel(P), P, x0)
+    """The bordered LU of a dense chain: ``P`` tilted by zero, ``P`` over its row sums, from whose rows
+    the first solve is certified."""
+    return bordered_lu(dense_chain_kernel(P), np.zeros(P.shape[0]), x0)
 
 
 def controlled_chain(cp):

@@ -17,12 +17,13 @@ from klmdp import (
     recurrent_class,
 )
 
-from klmdp.chain_solvers import FLUSH_BELOW, BorderedLU
-from klmdp.kl_calculus import tilted_rule
+from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU
+from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import (
     balance_pmf,
+    bordered_lu,
     dense_bordered_lu,
     dense_chain_kernel,
     induced_transition,
@@ -210,7 +211,7 @@ class TestBorderedLU:
             d = P.shape[0]
             x0 = int(rng.integers(d))
             U = random_utility(rng, d)
-            H, eta = BorderedLU(kernel, kernel.R.entries, x0).solve(U)
+            H, eta = bordered_lu(kernel, np.zeros(d), x0).solve(U)
             M = np.eye(d) - P
             M[:, x0] = 1.0
             y = scipy.linalg.solve(M, U)
@@ -230,7 +231,7 @@ class TestBorderedLU:
         Pd = induced_transition(kernel).entries
         assert 0 < np.min(Pd[Pd > 0]) < FLUSH_BELOW
         U = random_utility(rng, 12)
-        H, eta = BorderedLU(kernel, R, 5).solve(U)
+        H, eta = bordered_lu(kernel, np.zeros(12), 5).solve(U)
         M = np.eye(12) - Pd
         M[:, 5] = 1.0
         y = scipy.linalg.solve(M, U)
@@ -349,7 +350,7 @@ class TestLumpedBorderedLU:
         rule = tilted_rule(h, kernel).entries
         d = kernel.space.d
         assert (kernel.lumping[1].size < d) == repeated
-        H, eta = BorderedLU(kernel, rule, x0).solve(rhs)
+        H, eta = bordered_lu(kernel, h, x0).solve(rhs)
         M = np.eye(d) - np.einsum("xu,xn->xun", rule, kernel.Q0.entries).reshape(d, d)
         M[:, x0] = 1.0
         y = np.linalg.solve(M, rhs)
@@ -369,12 +370,20 @@ class TestLumpedBorderedLU:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_a_rule_that_splits_a_group_fails_the_certificate(self, data):
+        # the factorization reads the tilt only at the group representatives;
+        # a row sum changed at one other state leaves it as it was, and the
+        # certificate, on the full H, sees the changed row
         kernel, h, rhs, x0 = data.draw(lumped_cases(repeated=True))
         group, reps, layers = kernel.lumping
-        rule = tilted_rule(h, kernel).entries.copy()
+        e, s, _ = _tilt_values(h, kernel)
         y = int(layers[0][0][-1])  # a state that is not its group's first: its row is not factored
-        rule[y] = np.roll(rule[y], 1)
-        lu = BorderedLU(kernel, rule, x0)
+        split = s.copy()
+        split[y] *= 2.0
+        clean, lu = BorderedLU(kernel, e, s, x0), BorderedLU(kernel, e, split, x0)
+        for a, b in zip((*clean._lu, clean._block), (*lu._lu, lu._block)):
+            np.testing.assert_array_equal(a, b)  # the same factorization
+        H, eta = clean.solve(rhs)
+        assert abs(H[y] - rhs[y] + eta) > 2 * POISSON_TOL  # P H(y), which the split row halves
         with pytest.raises(ConvergenceError, match="Poisson residual"):
             lu.solve(rhs)
 

@@ -8,7 +8,7 @@ from klmdp import (
     StochasticMatrix,
     kl_step_cost,
 )
-from klmdp.kl_calculus import _normalize_rule, _tilt_values, conditional_expectation_values, tilted_rule
+from klmdp.kl_calculus import _class_exponent, _tilt_values, conditional_expectation_values, tilted_rule
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import induced_transition, random_factored_model, random_utility
@@ -120,27 +120,27 @@ class TestLogNormalizer:
 
     def test_zero(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        _, lam = _tilt_values(np.zeros(2), kernel)
+        lam = _tilt_values(np.zeros(2), kernel)[2]
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_rows(self, rng):
         kernel = random_factored_model(rng, 4, 1)
-        _, lam = _tilt_values(np.full(4, -3.7), kernel)
+        lam = _tilt_values(np.full(4, -3.7), kernel)[2]
         np.testing.assert_allclose(lam, -3.7, atol=1e-13)
 
     def test_hand_value(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        _, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
+        lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)[2]
         np.testing.assert_allclose(lam, np.log(2.0))
 
     def test_overflow_safe(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        _, lam = _tilt_values(np.array([1000.0, 2000.0]), kernel)
+        lam = _tilt_values(np.array([1000.0, 2000.0]), kernel)[2]
         np.testing.assert_allclose(lam, 2000.0 + np.log(0.5))
 
     def test_zero_support_ignored(self):
         kernel = unconstrained_kernel([[1.0, 0.0]])
-        _, lam = _tilt_values(np.array([2.0, 1e9]), kernel)
+        lam = _tilt_values(np.array([2.0, 1e9]), kernel)[2]
         np.testing.assert_allclose(lam, 2.0)
 
 
@@ -148,7 +148,7 @@ class TestTilt:
     def test_identity_at_zero(self):
         kernel = simple_kernel()
         rule = tilted_rule(np.zeros(4), kernel).entries
-        _, lam = _tilt_values(np.zeros(4), kernel)
+        lam = _tilt_values(np.zeros(4), kernel)[2]
         np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-15)
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
@@ -163,7 +163,7 @@ class TestTilt:
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
         rule = tilted_rule(np.array([0.0, np.log(3.0)]), kernel).entries
-        _, lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)
+        lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)[2]
         np.testing.assert_allclose(rule[0], [0.25, 0.75])
         np.testing.assert_allclose(lam[0], np.log(2.0))
 
@@ -171,9 +171,9 @@ class TestTilt:
         kernel = random_factored_model(rng, 4, 3)
         h = random_utility(rng, 12)
         rule_a = tilted_rule(h, kernel).entries
-        lam_a = _tilt_values(h, kernel)[1]
+        lam_a = _tilt_values(h, kernel)[2]
         rule_b = tilted_rule(h + 17.3, kernel).entries
-        lam_b = _tilt_values(h + 17.3, kernel)[1]
+        lam_b = _tilt_values(h + 17.3, kernel)[2]
         np.testing.assert_allclose(rule_a, rule_b, atol=1e-14)
         np.testing.assert_allclose(lam_b - lam_a, 17.3, atol=1e-12)
 
@@ -191,7 +191,7 @@ class TestTilt:
             kernel = random_factored_model(rng, 4, 3)
             h = 3.0 * random_utility(rng, 12)
             rule = tilted_rule(h, kernel)
-            lam = _tilt_values(h, kernel)[1]
+            lam = _tilt_values(h, kernel)[2]
             g = direct_conditional_expectation(h, kernel)
             kl = kl_step_cost(rule, kernel.R)
             expected = (rule.entries * g).sum(axis=1) - lam
@@ -216,16 +216,21 @@ def reference_tilt(values, kernel):
 
 
 class TestTiltInPlace:
-    """The production tilt works once per row class, in place on the class
-    supports cached on the kernel, and matches the reference bit for bit."""
+    """The production tilt works once per row class, on the class supports
+    cached on the kernel.  Its rule matches the reference bit for bit; its
+    log-normalizer, whose row sums are BLAS products over stacks of classes
+    rather than numpy's pairwise row sums, matches within ``2 d_u eps (1 +
+    |Lambda_h|)``: each sum of ``d_u`` nonnegative terms is within ``d_u eps``
+    of the exact one, relatively, in either order."""
 
     def check(self, values, kernel):
         rule = tilted_rule(values, kernel).entries
-        lam = _tilt_values(values, kernel)[1]
+        lam = _tilt_values(values, kernel)[2]
         ref_rule, ref_lam = reference_tilt(values, kernel)
         np.testing.assert_array_equal(rule, ref_rule)
-        np.testing.assert_array_equal(lam, ref_lam)
         assert not np.any(np.signbit(rule))  # +0.0 off the support, never -0.0
+        bound = 2 * kernel.space.d_u * np.finfo(float).eps * (1 + np.abs(ref_lam))
+        assert np.all(np.abs(lam - ref_lam) <= bound)
 
     def test_random_models_with_zeros(self):
         rng = np.random.default_rng(7)
@@ -242,12 +247,28 @@ class TestTiltInPlace:
             )
             self.check(rng.choice([1.0, 30.0, 300.0]) * rng.standard_normal(d), kernel)
 
-    def test_uav_model(self):
-        scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
+    def test_dirichlet_q0_one_class_per_state(self):
+        # one stack of d classes of one state each
+        rng = np.random.default_rng(13)
+        for d_u, d_n in ((7, 3), (20, 2), (3, 9)):
+            kernel = random_factored_model(rng, d_u, d_n)
+            assert kernel.class_Q0.shape[0] == kernel.space.d
+            (stack,) = kernel.class_rows.stacks
+            assert stack[2].shape == (kernel.space.d, 1, d_u)
+            for scale in (1.0, 30.0, 300.0):
+                self.check(scale * rng.standard_normal(kernel.space.d), kernel)
+
+    @pytest.mark.parametrize("d_a, d_N, classes, stacks", [(8, 3, 6, 2), (25, 5, 673, 17)], ids=["8x8x3", "25x25x5"])
+    def test_uav_model(self, d_a, d_N, classes, stacks):
+        # 25x25x5: the truncated Gaussian rows split the states into 673 classes of 17 sizes
+        scenario = UavScenario(d_a=d_a, d_o=d_a, d_N=d_N, wind=generate_wind_field(d_a, d_a, d_N, seed=0))
         kernel, U = build_scenario_model(scenario)
         assert not np.all(kernel.R.entries > 0)  # the absorbing target row
+        assert kernel.class_Q0.shape[0] == classes and len(kernel.class_rows.stacks) == stacks
         for scale in (0.0, 1.0, 40.0):
             self.check(scale * U + np.linspace(-1.0, 1.0, kernel.space.d), kernel)
+        # the values above peak at the target, where each class's exponent is then 1; these do not
+        self.check(10.0 * np.random.default_rng(d_a).standard_normal(kernel.space.d), kernel)
 
     def test_tiled_q0_rows_with_zeros_in_r0(self):
         # rows of one Q0 row but different supports fall in different classes
@@ -262,16 +283,20 @@ class TestTiltInPlace:
             self.check(rng.choice([1.0, 30.0, 300.0]) * rng.standard_normal(kernel.space.d), kernel)
         assert shared > 100 and split > 100
 
-    def test_unnormalized_weights_normalize_to_the_rule(self):
+    def test_row_sums_are_those_of_the_rule_before_normalizing(self):
+        # the rule is R0 e over its own numpy row sums; Lambda_h takes BLAS row
+        # sums of the same products, in class order, gathered back to the states
         rng = np.random.default_rng(5)
         for _ in range(50):
             kernel = tiled_kernel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), 2)
             values = 30.0 * rng.standard_normal(kernel.space.d)
-            weights, lam = _tilt_values(values, kernel)
-            ref_rule, ref_lam = reference_tilt(values, kernel)
-            np.testing.assert_array_equal(lam, ref_lam)
-            np.testing.assert_array_equal(tilted_rule(values, kernel).entries, ref_rule)
-            np.testing.assert_array_equal(_normalize_rule(weights), ref_rule)
+            e, s, lam = _tilt_values(values, kernel)
+            exponent, m = _class_exponent(values, kernel)
+            np.testing.assert_array_equal(e, exponent)
+            t = e[kernel.row_class] * kernel.R.entries
+            np.testing.assert_array_equal(tilted_rule(values, kernel).entries, t / t.sum(axis=1)[:, None])
+            assert np.all(np.abs(s - t.sum(axis=1)) <= 2 * kernel.space.d_u * np.finfo(float).eps * s)
+            np.testing.assert_array_equal(lam, np.log(s) + m[kernel.row_class])
 
 
 class TestOptimalRule:
@@ -295,7 +320,7 @@ class TestOptimalRule:
         W = 2.0 * random_utility(rng, 6)
         g = direct_conditional_expectation(W, kernel)
         best = tilted_rule(W, kernel)
-        lam = _tilt_values(W, kernel)[1]
+        lam = _tilt_values(W, kernel)[2]
         best_value = (best.entries * g).sum(axis=1) - kl_step_cost(best, kernel.R)
         np.testing.assert_allclose(best_value, lam, atol=1e-12)
         for _ in range(100):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -26,7 +27,6 @@ from klmdp import (
     solve_average_reward,
     solve_finite_horizon,
 )
-from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import tilted_rule
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
@@ -40,6 +40,7 @@ from klmdp.oracles import kl_step_cost
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
 from conftest import (
+    bordered_lu,
     controlled_chain,
     dense_bordered_lu,
     induced_transition,
@@ -55,8 +56,7 @@ def ar_vector_field(h, model, utility, basepoint):
     The Poisson solution of the chain tilted by ``h``, pinned at the
     basepoint, and that chain's mean utility, from one dense Poisson solve.
     """
-    rule = tilted_rule(h, model)
-    return BorderedLU(model, rule.entries, basepoint).solve(utility)
+    return bordered_lu(model, h, basepoint).solve(utility)
 
 
 def unconstrained_two_state():
@@ -133,12 +133,16 @@ class TestSolveAverageReward:
 
     def test_residual_failure_advises_smaller_step(self):
         # every grid node is certified, not only the checkpoints: the first
-        # node past the exact start fails a tolerance below rounding level
+        # node past the exact start fails a tolerance between its residual and
+        # node 0's, the log of R0's row sums, read from a clean run
         scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
         kernel, U = build_scenario_model(scenario)
-        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,), residual_tol=1e-20)
+        cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.5,))
+        node0, node1 = solve_average_reward(kernel, U, cfg, scenario.basepoint).residual_trace[:2]
+        assert node0 < node1
+        tight = dataclasses.replace(cfg, residual_tol=float(np.sqrt(max(node0, 1e-300) * node1)))
         with pytest.raises(ResidualToleranceError, match=r"zeta=0\.01 .*step"):
-            solve_average_reward(kernel, U, cfg, scenario.basepoint)
+            solve_average_reward(kernel, U, tight, scenario.basepoint)
 
     def test_single_step_matches_fixed_point_oracle(self):
         rng = np.random.default_rng(2024)
@@ -240,7 +244,7 @@ class TestSolveAverageReward:
                 if failure == "singular":
                     raise scipy.linalg.LinAlgWarning("exactly singular")
                 if failure == "non-finite":
-                    out = out[0], out[1] + np.nan
+                    out = (*out[:-1], out[-1] + np.nan)  # the log-normalizer
             return out
 
         monkeypatch.setattr(module, name, failing)
@@ -291,8 +295,9 @@ class TestSolveAverageReward:
         assert str(info.value).count("zeta=") == 1
 
     def test_rules_normalized_only_where_used(self, monkeypatch):
-        # Newton steps need only the log-normalizer: the rule is normalized for
-        # each factorization, and a checkpoint keeps only h
+        # Newton steps and factorizations need only the class exponent and the
+        # row sums: the solve forms no rule, and each checkpoint's policy
+        # derives one from h when it is asked for
         import klmdp.kl_calculus as kl_calculus
         import klmdp.ode_engine as ode_engine
 
@@ -300,22 +305,23 @@ class TestSolveAverageReward:
         rng = np.random.default_rng(4)
         cases = [(*build_scenario_model(scenario), scenario.basepoint),
                  (random_factored_model(rng, 4, 3), random_utility(rng, 12), 0)]
-        normalizations = [0]
-        normalize_rule = ode_engine._normalize_rule
+        rules = [0]
 
-        def counted_normalize(weights):
-            normalizations[0] += 1
-            return normalize_rule(weights)
+        def counted(values, kernel):
+            rules[0] += 1
+            return tilted_rule(values, kernel)
 
-        # also where the tilt helper normalizes, so a rule derived in the solve is counted
+        # in both modules, so a rule derived in the solve or in a checkpoint is counted
         for module in (ode_engine, kl_calculus):
-            monkeypatch.setattr(module, "_normalize_rule", counted_normalize)
+            monkeypatch.setattr(module, "tilted_rule", counted)
         cfg = OdeConfig(zeta_max=0.5, step=0.01, checkpoints=(0.0, 0.25, 0.5))
         for kernel, U, basepoint in cases:
-            normalizations[0] = 0
+            rules[0] = 0
             path = solve_average_reward(kernel, U, cfg, basepoint)
-            assert normalizations[0] == path.factorizations.sum()
-            assert normalizations[0] < path.newton_steps.sum() / 4
+            assert rules[0] == 0 and path.factorizations.sum() > 0
+            for cp in path.checkpoints:
+                cp.policy()
+            assert rules[0] == len(path.checkpoints)
 
     def test_checkpoints_hold_values_not_rules(self):
         # the 15x15x5 stiff start (d = 1125, d_u = 225) with 3 checkpoints:
@@ -771,6 +777,15 @@ def test_oracles_are_one_module_independent_by_import():
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     assert [bad for node in imports for bad in forbidden(node)] == []
+    # the kernel that the oracles may import carries the solvers' class products:
+    # no attribute, name or string of oracles.py may reach them
+    production = {"class_rows", "row_products"}
+    used = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in production)
+            or (isinstance(node, ast.Name) and node.id in production)
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(re.search(rf"\b{name}\b", node.value) for name in production))]
+    assert used == []
     # and no production module defines or re-exports an oracle
     names = ("_ClassBlocks", "aroe_fixed_point_oracle", "fh_block_ode_oracle", "perron_frobenius_baseline",
              "RolloutResult", "rollout_oracle", "kl_step_cost")

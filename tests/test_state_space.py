@@ -99,3 +99,41 @@ def test_lumping_layers_hold_each_non_first_state_once(rng, pairs):
             np.testing.assert_array_equal(group[s], g)
             assert all(np.count_nonzero(group[:x] == group[x]) == k + 1 for x in s)
         assert (reps.size < kernel.space.d) == (pairs is not None)
+
+
+def test_class_rows_stack_the_rows_of_r_by_class_size(rng):
+    # 12 states in 5 classes of sizes 1, 2, 3, 4 and 2: four stacks, by increasing size
+    d_u, d_n = 4, 3
+    Q0 = rng.dirichlet(np.ones(d_n), size=5)[[0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4]]
+    perm = rng.permutation(12)
+    kernel = FactoredKernel(ProductStateSpace(d_u, d_n), StochasticMatrix(rng.dirichlet(np.ones(d_u), size=12)),
+                            StochasticMatrix(Q0[perm]))
+    rows = kernel.class_rows
+    sizes = np.bincount(kernel.row_class)
+    assert [blocks.shape[:2] for _, _, blocks in rows.stacks] == [(1, 1), (2, 2), (1, 3), (1, 4)]
+    in_order = np.empty(kernel.space.d, dtype=np.intp)
+    in_order[rows.inverse] = np.arange(kernel.space.d)  # the state at each place
+    for classes, states, blocks in rows.stacks:
+        assert np.all(sizes[classes] == blocks.shape[1]) and not blocks.flags.writeable
+        np.testing.assert_array_equal(kernel.row_class[in_order[states]], np.repeat(classes, blocks.shape[1]))
+        np.testing.assert_array_equal(blocks.reshape(-1, d_u), kernel.R.entries[in_order[states]])
+
+
+def test_class_rows_held_weakly_and_left_out_of_a_pickle(rng):
+    # one copy while a holder keeps it, freed with the last holder: the workers
+    # forked after a solve do not inherit it, and a pickled kernel carries none
+    import pickle
+    import weakref
+
+    kernel = random_factored_model(rng, 3, 2)
+    rows = kernel.class_rows
+    assert kernel.class_rows is rows
+    dead = weakref.ref(rows)
+    del rows
+    assert dead() is None
+    w = rng.standard_normal((kernel.class_Q0.shape[0], 3))
+    copy = pickle.loads(pickle.dumps(kernel))
+    assert "_class_rows" in kernel.__dict__ and "_class_rows" not in copy.__dict__
+    expected = (kernel.R.entries * w[kernel.row_class]).sum(axis=1)
+    for k in (kernel, copy):
+        np.testing.assert_allclose(k.row_products(w), expected, rtol=1e-15, atol=1e-15)

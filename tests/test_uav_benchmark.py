@@ -20,10 +20,11 @@ from klmdp import (
     recurrent_class,
     rollout_oracle,
     solve_average_reward,
+    solve_finite_horizon,
     velocity_field,
 )
 from klmdp.chain_solvers import BorderedLU
-from klmdp.kl_calculus import tilted_rule
+from klmdp.kl_calculus import _tilt_values, tilted_rule
 
 from conftest import controlled_chain, dense_chain_kernel, induced_transition
 
@@ -339,30 +340,45 @@ class TestNoDenseChain:
     """A dense d x d float array is 8 d^2 bytes.  At the gen-scenario default
     15x15x5 (d = 1125, r = 928 groups), the spectrum peaks below one, the
     structure check below one (d, d_u) rule (8 d d_u bytes, 2.0 MB), and the
-    bordered LU holds its lumped r x r matrix and the r x (d - r) block it
-    keeps, 8 r d bytes, with no dense chain and no d x d matrix beside them."""
+    bordered LU, with its certified first solve, holds its lumped r x r matrix
+    and the r x (d - r) block it keeps, 8 r d bytes, with no dense chain and
+    no d x d matrix or rule beside them.  Once the kernel's class rows exist,
+    a finite-horizon solve holds its values and less than one rule beside."""
 
     @pytest.fixture(scope="class")
     def uav15(self):
         sc = small_scenario(d_a=15, d_o=15, d_N=5)
-        return sc, build_scenario_model(sc)[0]
+        model, U = build_scenario_model(sc)
+        # the kernel holds its copy of R0 in class order weakly: held here
+        # while the tests run, it exists before each measurement, as in a solve
+        class_rows = model.class_rows
+        yield sc, model, U
 
     def test_structure_check(self, uav15):
-        _, model = uav15
+        _, model, _ = uav15
         d = model.space.d
         assert peak_bytes(lambda: recurrent_class(model)) < 8 * d * model.space.d_u
 
     def test_spectrum(self, uav15):
-        _, model = uav15
+        _, model, _ = uav15
         d = model.space.d
         assert peak_bytes(lambda: controlled_spectrum(model, model.R.entries)) < 8 * d**2
 
     def test_bordered_lu(self, uav15):
-        sc, model = uav15
+        sc, model, U = uav15
         d, r = model.space.d, model.lumping[1].size
         assert r == 928
-        peak = peak_bytes(lambda: BorderedLU(model, model.R.entries, sc.basepoint))
-        assert 8 * r**2 <= peak < 8 * r * d + 2**20  # 1 MiB of scratch; 8 d^2 is 10.1 MB
+        e, s, _ = _tilt_values(U, model)
+        peak = peak_bytes(lambda: BorderedLU(model, e, s, sc.basepoint).solve(U))
+        # 1 MiB of scratch, the certified first solve included; one rule is 2.0 MB
+        assert 8 * r**2 <= peak < 8 * r * d + 2**20
+
+    def test_finite_horizon(self, uav15):
+        _, model, U = uav15
+        d, T = model.space.d, 6
+        cfg = OdeConfig(zeta_max=2.0, checkpoints=(0.0, 1.0, 2.0))
+        peak = peak_bytes(lambda: solve_finite_horizon(model, U, T, cfg))
+        assert peak < 3 * 8 * (T + 1) * d + 8 * d * model.space.d_u  # the three W, and less than one rule
 
 
 @pytest.fixture(scope="module")
