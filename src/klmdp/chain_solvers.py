@@ -21,7 +21,8 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceError, NotAperiodicError, NotUnichainError
-from .state_space import FactoredKernel
+from .kl_calculus import conditional_expectation_values
+from .state_space import ClassRows, FactoredKernel
 
 POISSON_TOL = 1e-8
 
@@ -83,8 +84,8 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 class BorderedLU:
     """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
-    The chain is that of a tilt of the kernel's rule, given by its class
-    exponent ``e`` and row sums ``s`` (``kl_calculus._tilt_values``): ``R(x,
+    The chain is that of a tilt of the rule of ``rows.kernel``, given by its
+    class exponent ``e`` and row sums ``s`` (``kl_calculus._tilt_values``): ``R(x,
     u) = R0(x, u) e(c(x), u) / s(x)`` and ``P(x, (x_u', x_n')) = R(x, x_u')
     Q0(x, x_n')``.  That is ``S C`` (:meth:`FactoredKernel.lumped`), with the
     rows ``C`` at the group representatives formed a block of columns at a
@@ -97,15 +98,16 @@ class BorderedLU:
     ``FLUSH_BELOW`` are zeroed first: subnormals slow the LU many times over,
     and the flushed LU still solves the exact system to rounding.  The first
     solve is certified on the full ``H``: its residual ``sup |P H - H + rhs -
-    eta|``, from ``P y = row_products(e * z) / s`` with ``z = class_Q0 @
-    Y^T`` (:meth:`FactoredKernel.row_products`), must be within
-    ``POISSON_TOL``, so a bad LU, or a tilt unequal within a group, fails.
+    eta|``, from ``P y = rows.products(e * z) / s`` with ``z`` the
+    conditional expectation of ``y`` (:meth:`ClassRows.products`), must be
+    within ``POISSON_TOL``, so a bad LU, or a tilt unequal within a group, fails.
     The tilt is then dropped, and later solves reuse the LU unchecked.
     """
 
-    def __init__(self, kernel: FactoredKernel, e: np.ndarray, s: np.ndarray, x0: int):
+    def __init__(self, rows: ClassRows, e: np.ndarray, s: np.ndarray, x0: int):
         import scipy.linalg
 
+        kernel = rows.kernel
         group, reps, _ = kernel.lumping
         R0, at_reps, s_reps = kernel.R.entries, kernel.row_class[reps], s[reps, None]
         pinned = reps.copy()
@@ -119,7 +121,7 @@ class BorderedLU:
         for j in range(0, r, width):
             block = M[:, j : j + width]
             np.negative(block, out=block)
-            block[np.abs(block) < FLUSH_BELOW] = 0.0
+            block[block > -FLUSH_BELOW] = 0.0  # C S >= 0, so this is |block| < FLUSH_BELOW
         M.flat[:: r + 1] += 1.0
         M[:, group[x0]] = 1.0
         with warnings.catch_warnings():
@@ -130,7 +132,7 @@ class BorderedLU:
                 # not unichain with x0 recurrent, e.g. after an underflowed tilt
                 raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
         self._lumping = (group, pinned, others, pinned[group[others]], group[x0])
-        self._tilt = (kernel, e, s)  # for the certificate of the first solve
+        self._tilt = (rows, e, s)  # for the certificate of the first solve
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """``(H, eta)`` with ``(I - P) H + eta 1 = rhs`` and ``H(x0) = 0``."""
@@ -147,9 +149,8 @@ class BorderedLU:
         y = w[group]
         y[others] += delta
         if self._tilt is not None:
-            kernel, e, s = self._tilt
-            z = kernel.class_Q0 @ y.reshape(kernel.space.d_u, kernel.space.d_n).T
-            Py = kernel.row_products(e * z) / s
+            rows, e, s = self._tilt
+            Py = rows.products(e * conditional_expectation_values(y, rows.kernel)) / s
             residual = np.max(np.abs(Py - y + rhs - eta))
             if not residual <= POISSON_TOL:
                 raise ConvergenceError(f"Poisson residual {residual:.3e} exceeds {POISSON_TOL}")

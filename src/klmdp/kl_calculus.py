@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state_space import FactoredKernel, StochasticMatrix
+from .state_space import ClassRows, FactoredKernel, StochasticMatrix
 
 
 def conditional_expectation_values(values: np.ndarray, kernel: FactoredKernel) -> np.ndarray:
@@ -54,20 +54,20 @@ def _class_exponent(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndar
     return np.exp(g, out=np.zeros_like(g), where=support), m
 
 
-def _tilt_values(values: np.ndarray, kernel: FactoredKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tilt the nominal rule by ``h = values``: ``(e, s, Lambda_h)``.
+def _tilt_values(values: np.ndarray, rows: ClassRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tilt the nominal rule of ``rows.kernel`` by ``h = values``: ``(e, s, Lambda_h)``.
 
     ``e`` is the class exponent (:func:`_class_exponent`), ``s(x) = sum_u
     R0(x, u) e(c(x), u)`` the row sums of the unnormalized tilt, and
     ``Lambda_h = log s + m(c(x))`` the log-normalizer of the rule ``R_h(x, u)
     = R0(x, u) e(c(x), u) / s(x)``.  The row sums are one BLAS product per
-    stack of classes of one size (:meth:`FactoredKernel.row_products`), so no
+    stack of classes of one size (:meth:`ClassRows.products`), so no
     ``(d, d_u)`` array is formed; they match ``tilted_rule``'s row sums to
     rounding, not bit for bit.
     """
-    e, m = _class_exponent(values, kernel)
-    s = kernel.row_products(e)
-    return e, s, np.log(s) + m[kernel.row_class]
+    e, m = _class_exponent(values, rows.kernel)
+    s = rows.products(e)
+    return e, s, np.log(s) + m[rows.kernel.row_class]
 
 
 def tilted_rule(values: np.ndarray, kernel: FactoredKernel) -> StochasticMatrix:

@@ -24,7 +24,7 @@ import numpy as np
 from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
 from .kl_calculus import _tilt_values, tilted_rule
-from .state_space import FactoredKernel, StochasticMatrix
+from .state_space import ClassRows, FactoredKernel, StochasticMatrix
 
 # Newton stops once the optimality-equation residual, the right-hand side of the
 # next correction, is at rounding level relative to ``1 + |h| + |zeta U|``; the
@@ -231,6 +231,68 @@ def _checked_utility(utility: np.ndarray, model: FactoredKernel) -> np.ndarray:
     return U
 
 
+class _Corrector:
+    """Newton on ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), owning one solve's workspace.
+
+    The bordered matrix ``[I - P_h | 1]`` is factored at the first correction
+    and kept as one :class:`BorderedLU`, lumped on the kernel's groups, across
+    steps and calls (chord method).  Chord steps are Anderson-mixed with up to
+    ``ANDERSON_DEPTH`` earlier ones on the same LU, a history cleared at each
+    call, refactorization and undo.  Each iterate is tilted once, on the
+    corrector's :class:`ClassRows` (:func:`_tilt_values`), and its class
+    exponent ``e`` and row sums ``s`` are all a factorization needs, so no
+    ``(d, d_u)`` array is formed; each correction is one triangular
+    solve.  Each LU certifies its first solve; a singular LU, a failed
+    certificate or a non-finite residual raises
+    :class:`ConvergenceError`.  Where a correction does not cut the residual by
+    ``CHORD_RHO``, the matrix is refactored at the current iterate
+    (Shamanskii); a chord step that does not lower it at all is undone, and
+    the full Newton step is taken from where it started.  A stale LU changes
+    only the iteration path: the residual ``sup_x |zeta U + Lambda_h - h -
+    eta|`` comes from the exact tilt.
+    """
+
+    def __init__(self, model: FactoredKernel, U: np.ndarray, basepoint: int):
+        self.U, self.basepoint, self.u_max = U, basepoint, float(np.max(np.abs(U)))
+        self.rows = ClassRows(model)
+        self.lu: BorderedLU | None = None
+
+    def solve(self, x: np.ndarray, zeta: float, max_iter: int) -> tuple[np.ndarray, float, float, int, int]:
+        """Correct ``x = (h, eta)`` at ``zeta``: ``(x, residual, first residual, steps, factorizations)``.
+
+        At most ``max_iter`` corrections, whose last iterate is only measured: ``max_iter = 0`` measures ``x``.
+        """
+        d = self.U.size
+        # the iterate the latest correction started from, with its residual
+        # and whether the LU was factored there
+        start, start_res, start_factored = None, np.inf, True
+        mixing: list[tuple[np.ndarray, np.ndarray]] = []
+        steps = factorizations = 0
+        for it in range(max_iter + 1):
+            h, eta = x[:d], float(x[d])
+            e, s, lam = _tilt_values(h, self.rows)
+            defect = zeta * self.U + lam - h - eta
+            res = float(np.max(np.abs(defect)))
+            if not np.isfinite(res):
+                raise ConvergenceError("non-finite optimality-equation residual")
+            if it == 0:
+                first_res = res
+            if it == max_iter or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * self.u_max):
+                break
+            refactor = self.lu is None or res > CHORD_RHO * start_res
+            if refactor and res >= start_res and not start_factored:
+                (x, e, s, defect), res = start, start_res  # undo a chord step that did not help
+            if refactor:
+                self.lu = None  # at most one factorization alive
+                self.lu = BorderedLU(self.rows, e, s, self.basepoint)
+                factorizations += 1
+                mixing.clear()
+            start, start_res, start_factored = (x, e, s, defect), res, refactor
+            x = _anderson_step(mixing, x, np.append(*self.lu.solve(defect)))
+            steps += 1
+        return x, res, first_res, steps, factorizations
+
+
 def solve_average_reward(
     model: FactoredKernel,
     utility: np.ndarray,
@@ -243,27 +305,10 @@ def solve_average_reward(
     extrapolates through up to ``PREDICTOR_MAX_NODES`` of the last converged
     nodes, as many as best predicted the node converged last
     (:func:`_extrapolate`); the first node past ``zeta = 0`` starts from the
-    exact solution there.  The corrector is Newton on ``zeta U + Lambda_h - h
-    - eta = 0`` (policy iteration), with the bordered matrix ``[I - P_h | 1]``
-    factored at the first correction and kept as one :class:`BorderedLU`,
-    lumped on the kernel's groups, across steps and nodes (chord method).
-    Chord steps are Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones
-    on the same LU, a history cleared at each node, refactorization and undo.
-    Each iterate is tilted once, to its class exponent ``e`` and the row sums
-    ``s`` of ``R0`` against it, one product per stack of classes, which give
-    ``Lambda_h``; a factorization forms ``R_h`` only at its group
-    representatives from ``e`` and ``s``, so no ``(d, d_u)`` array is formed,
-    and each correction is one triangular solve.  Each LU certifies its
-    first solve; a singular LU, a failed certificate or a non-finite residual
-    raises :class:`ConvergenceError` naming its grid node.  Where a
-    correction does not cut the residual by ``CHORD_RHO``, the matrix is
-    refactored at the current iterate (Shamanskii); a chord step that does
-    not lower it at all is undone, and the full Newton step is taken from
-    where it started.  A
-    stale LU changes only the iteration path: the residual ``sup_x |zeta U +
-    Lambda_h - h - eta|`` comes from the exact tilt, and is recorded and
-    enforced at every grid node.  A checkpoint keeps a read-only copy of
-    ``h`` and derives its rule from it (:meth:`PathCheckpoint.policy`).
+    exact solution there.  One :class:`_Corrector`, its LU kept across nodes,
+    corrects them all; a failure in it raises :class:`ConvergenceError`
+    naming its grid node, and its residual is recorded and enforced at every
+    node.  A checkpoint keeps a read-only copy of ``h`` (:class:`PathCheckpoint`).
     """
     U = _checked_utility(utility, model)
     d = model.space.d
@@ -275,60 +320,28 @@ def solve_average_reward(
     members = recurrent_class(model)
     if basepoint not in members:
         raise ValueError(f"basepoint {basepoint} is transient; it must be in the recurrent class")
-    # held, not read: the kernel holds its class rows weakly, and every tilt
-    # and certificate of this solve shares this one copy of R0 in class order
-    class_rows = model.class_rows
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
 
     x = np.zeros(d + 1)  # the iterate (h, eta)
-    eta_trace = np.zeros(grid.size)
-    residual_trace = np.zeros(grid.size)
-    newton_steps = np.zeros(grid.size, dtype=int)
-    factorizations = np.zeros(grid.size, dtype=int)
-    predictor_residual = np.zeros(grid.size)
-    predictor_nodes = np.zeros(grid.size, dtype=int)
+    eta_trace, residual_trace, predictor_residual = (np.zeros(grid.size) for _ in range(3))
+    newton_steps, factorizations, predictor_nodes = (np.zeros(grid.size, dtype=int) for _ in range(3))
     checkpoints: list[PathCheckpoint] = []
-    u_max = float(np.max(np.abs(U)))
     # the last nodes' (zeta, x): one more than the predictor uses, to score its top order
     converged: list[tuple[float, np.ndarray]] = []
-    lu = None
+    corrector = _Corrector(model, U, basepoint)
 
     for i, zeta in enumerate(grid.tolist()):
         if i > 0:
             x, predictor_nodes[i] = _extrapolate(
                 np.array([z for z, _ in converged]), np.array([xj for _, xj in converged]), zeta
             )
-        # The start h = 0, eta = 0 is exact, so there no correction runs, and
-        # the last iterate allowed is only measured.  ``start`` is the iterate
-        # the latest correction started from, with its residual and whether
-        # the LU was factored there.
-        start, start_res, start_factored = None, np.inf, True
-        mixing: list[tuple[np.ndarray, np.ndarray]] = []
         try:
-            for it in range(NEWTON_MAX_ITER + 1):
-                h, eta = x[:d], float(x[d])
-                e, s, lam = _tilt_values(h, model)
-                defect = zeta * U + lam - h - eta
-                res = float(np.max(np.abs(defect)))
-                if not np.isfinite(res):
-                    raise ConvergenceError("non-finite optimality-equation residual")
-                if it == 0:
-                    predictor_residual[i] = res
-                if i == 0 or it == NEWTON_MAX_ITER or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * u_max):
-                    break
-                refactor = lu is None or res > CHORD_RHO * start_res
-                if refactor and res >= start_res and not start_factored:
-                    (x, e, s, defect), res = start, start_res  # undo a chord step that did not help
-                if refactor:
-                    lu = None  # at most one factorization alive
-                    lu = BorderedLU(model, e, s, basepoint)
-                    factorizations[i] += 1
-                    mixing.clear()
-                start, start_res, start_factored = (x, e, s, defect), res, refactor
-                x = _anderson_step(mixing, x, np.append(*lu.solve(defect)))
-                newton_steps[i] += 1
+            # the start h = 0, eta = 0 is exact, so there no correction runs
+            x, res, predictor_residual[i], newton_steps[i], factorizations[i] = corrector.solve(
+                x, zeta, NEWTON_MAX_ITER if i else 0
+            )
         except ConvergenceError as exc:  # a singular LU, a failed certificate or a non-finite residual
             raise ConvergenceError(f"{exc} at zeta={zeta:g}") from exc
         if not res <= cfg.residual_tol:
@@ -336,6 +349,7 @@ def solve_average_reward(
                 f"optimality-equation residual {res:.3e} at zeta={zeta:g} exceeds "
                 f"{cfg.residual_tol:g}; reduce --step: a closer node gives the predictor a closer start"
             )
+        h, eta = x[:d], float(x[d])
         eta_trace[i] = eta
         residual_trace[i] = res
         converged = [*converged[-PREDICTOR_MAX_NODES:], (zeta, x)]
@@ -369,7 +383,7 @@ def solve_finite_horizon(
     ``W[k] = zeta U + Lambda(W[k-1])``.  The recursion needs only the
     log-normalizer ``Lambda`` of each tilt, so a checkpoint costs ``T``
     tilts, whatever the grid, each a class exponent and one product per stack
-    of the kernel's class rows (:meth:`FactoredKernel.row_products`), with no
+    of the solve's :class:`ClassRows`, with no
     ``(d, d_u)`` array, and none at ``zeta = 0``, where ``W = 0`` exactly.  A
     checkpoint keeps only ``W``, frozen; its stage policies are the
     normalized tilts of the same rows, derived by
@@ -384,7 +398,7 @@ def solve_finite_horizon(
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
-    class_rows = model.class_rows  # held for every stage's tilt, as in solve_average_reward
+    rows = ClassRows(model)
     checkpoints: list[FhCheckpoint] = []
     for zeta in sorted(cp_nodes.values()):
         W = np.zeros((T + 1, model.space.d))
@@ -394,7 +408,7 @@ def solve_finite_horizon(
                 raise ConvergenceError(f"non-finite finite-horizon value W[{k}] at zeta={zeta:g}")
             # at zeta = 0, W = 0 exactly, where Lambda(0), the log of R0's row sums, reads ±1e-16
             if k < T and zeta > 0:
-                W[k + 1] = zeta * U + _tilt_values(W[k], model)[2]
+                W[k + 1] = zeta * U + _tilt_values(W[k], rows)[2]
         W.setflags(write=False)  # a stage policy comes only from the values written
         checkpoints.append(FhCheckpoint(zeta=zeta, W=W, kernel=model))
 

@@ -10,12 +10,11 @@ coordinate is the fast axis.  The kernel groups states into row classes that
 share their ``Q0`` row and the support of their ``R`` row; the tilt forms its
 conditional expectation and exponent once per class, and sums ``R`` against
 them by one product per stack of classes of one size
-(:meth:`FactoredKernel.row_products`).
+(:meth:`ClassRows.products`).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -158,37 +157,6 @@ class FactoredKernel:
             a.setflags(write=False)
         return group, reps, layers
 
-    @property
-    def class_rows(self) -> ClassRows:
-        """The :class:`ClassRows` of this kernel, made where first needed and held weakly.
-
-        A solve holds them for its duration, so its tilts and its
-        factorizations' certificates share one copy of ``R``; they are freed
-        with their last holder, so the workers forked after a solve do not
-        inherit them, and a kernel is pickled without them.
-        """
-        rows = self.__dict__.get("_class_rows", lambda: None)()
-        if rows is None:
-            rows = ClassRows(self)
-            self.__dict__["_class_rows"] = weakref.ref(rows)
-        return rows
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_class_rows"}
-
-    def row_products(self, w: np.ndarray) -> np.ndarray:
-        """``out[x] = sum_u R(x, u) w(row_class[x], u)`` for a ``(K, d_u)`` array ``w`` of class rows.
-
-        One batched BLAS product per stack of :attr:`class_rows`, so no
-        ``(d, d_u)`` array is formed.  The sum runs in BLAS order, not in
-        numpy's pairwise order of ``(R * w[row_class]).sum(axis=1)``.
-        """
-        rows = self.class_rows
-        out = np.empty(self.space.d)
-        for classes, states, blocks in rows.stacks:
-            np.matmul(blocks, w[classes, :, None], out=out[states].reshape(*blocks.shape[:2], 1))
-        return out[rows.inverse]
-
     def lumped(
         self, rule: Callable[[slice], np.ndarray], keep: np.ndarray = np.empty(0, dtype=np.intp)
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +200,14 @@ class ClassRows:
     ``inverse[x]`` is state ``x``'s place in it.  Sorted in Python: numpy's
     sort kernels would page in library code that a finite-horizon run
     touches nowhere else.
+
+    Each solve makes its own, which its tilts and its factorizations'
+    certificates share, and drops it on return: the kernel stays model data,
+    and the workers forked after a solve do not inherit the copy.
     """
 
     def __init__(self, kernel: FactoredKernel):
+        self.kernel = kernel
         c, size = kernel.row_class.tolist(), np.bincount(kernel.row_class).tolist()
         order = np.array(sorted(range(len(c)), key=lambda x: (size[c[x]], c[x])), dtype=np.intp)
         self.inverse = np.empty_like(order)
@@ -248,3 +221,15 @@ class ClassRows:
             x1 = x0 + classes.size * n
             self.stacks.append((classes, slice(x0, x1), rows[x0:x1].reshape(classes.size, n, -1)))
             x0 = x1
+
+    def products(self, w: np.ndarray) -> np.ndarray:
+        """``out[x] = sum_u R(x, u) w(row_class[x], u)`` for a ``(K, d_u)`` array ``w`` of class rows.
+
+        One batched BLAS product per stack, so no ``(d, d_u)`` array is
+        formed.  The sum runs in BLAS order, not in numpy's pairwise order of
+        ``(R * w[row_class]).sum(axis=1)``.
+        """
+        out = np.empty(self.inverse.size)
+        for classes, states, blocks in self.stacks:
+            np.matmul(blocks, w[classes, :, None], out=out[states].reshape(*blocks.shape[:2], 1))
+        return out[self.inverse]

@@ -4,6 +4,7 @@ import pytest
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import _tilt_values
+from klmdp.state_space import ClassRows
 
 
 def random_factored_model(rng, d_u, d_n, min_mass=0.05):
@@ -49,8 +50,9 @@ def dense_chain_kernel(P):
 
 def bordered_lu(kernel, h, x0):
     """The bordered LU of the chain of ``R0`` tilted by ``h``, from the tilt's class exponent and row sums."""
-    e, s, _ = _tilt_values(h, kernel)
-    return BorderedLU(kernel, e, s, x0)
+    rows = ClassRows(kernel)
+    e, s, _ = _tilt_values(h, rows)
+    return BorderedLU(rows, e, s, x0)
 
 
 def dense_bordered_lu(P, x0):

@@ -19,6 +19,7 @@ from klmdp import (
 
 from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU
 from klmdp.kl_calculus import _tilt_values, tilted_rule
+from klmdp.state_space import ClassRows
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import (
@@ -375,11 +376,12 @@ class TestLumpedBorderedLU:
         # certificate, on the full H, sees the changed row
         kernel, h, rhs, x0 = data.draw(lumped_cases(repeated=True))
         group, reps, layers = kernel.lumping
-        e, s, _ = _tilt_values(h, kernel)
+        rows = ClassRows(kernel)
+        e, s, _ = _tilt_values(h, rows)
         y = int(layers[0][0][-1])  # a state that is not its group's first: its row is not factored
         split = s.copy()
         split[y] *= 2.0
-        clean, lu = BorderedLU(kernel, e, s, x0), BorderedLU(kernel, e, split, x0)
+        clean, lu = BorderedLU(rows, e, s, x0), BorderedLU(rows, e, split, x0)
         for a, b in zip((*clean._lu, clean._block), (*lu._lu, lu._block)):
             np.testing.assert_array_equal(a, b)  # the same factorization
         H, eta = clean.solve(rhs)

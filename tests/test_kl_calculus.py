@@ -9,6 +9,7 @@ from klmdp import (
     kl_step_cost,
 )
 from klmdp.kl_calculus import _class_exponent, _tilt_values, conditional_expectation_values, tilted_rule
+from klmdp.state_space import ClassRows
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
 
 from conftest import induced_transition, random_factored_model, random_utility
@@ -120,27 +121,27 @@ class TestLogNormalizer:
 
     def test_zero(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = _tilt_values(np.zeros(2), kernel)[2]
+        lam = _tilt_values(np.zeros(2), ClassRows(kernel))[2]
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
     def test_constant_rows(self, rng):
         kernel = random_factored_model(rng, 4, 1)
-        lam = _tilt_values(np.full(4, -3.7), kernel)[2]
+        lam = _tilt_values(np.full(4, -3.7), ClassRows(kernel))[2]
         np.testing.assert_allclose(lam, -3.7, atol=1e-13)
 
     def test_hand_value(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)[2]
+        lam = _tilt_values(np.array([0.0, np.log(3.0)]), ClassRows(kernel))[2]
         np.testing.assert_allclose(lam, np.log(2.0))
 
     def test_overflow_safe(self):
         kernel = unconstrained_kernel([[0.5, 0.5]])
-        lam = _tilt_values(np.array([1000.0, 2000.0]), kernel)[2]
+        lam = _tilt_values(np.array([1000.0, 2000.0]), ClassRows(kernel))[2]
         np.testing.assert_allclose(lam, 2000.0 + np.log(0.5))
 
     def test_zero_support_ignored(self):
         kernel = unconstrained_kernel([[1.0, 0.0]])
-        lam = _tilt_values(np.array([2.0, 1e9]), kernel)[2]
+        lam = _tilt_values(np.array([2.0, 1e9]), ClassRows(kernel))[2]
         np.testing.assert_allclose(lam, 2.0)
 
 
@@ -148,7 +149,7 @@ class TestTilt:
     def test_identity_at_zero(self):
         kernel = simple_kernel()
         rule = tilted_rule(np.zeros(4), kernel).entries
-        lam = _tilt_values(np.zeros(4), kernel)[2]
+        lam = _tilt_values(np.zeros(4), ClassRows(kernel))[2]
         np.testing.assert_allclose(rule, kernel.R.entries, atol=1e-15)
         np.testing.assert_allclose(lam, 0.0, atol=1e-15)
 
@@ -163,7 +164,7 @@ class TestTilt:
         Q0 = StochasticMatrix(np.ones((2, 1)))
         kernel = FactoredKernel(sp, R0, Q0)
         rule = tilted_rule(np.array([0.0, np.log(3.0)]), kernel).entries
-        lam = _tilt_values(np.array([0.0, np.log(3.0)]), kernel)[2]
+        lam = _tilt_values(np.array([0.0, np.log(3.0)]), ClassRows(kernel))[2]
         np.testing.assert_allclose(rule[0], [0.25, 0.75])
         np.testing.assert_allclose(lam[0], np.log(2.0))
 
@@ -171,9 +172,9 @@ class TestTilt:
         kernel = random_factored_model(rng, 4, 3)
         h = random_utility(rng, 12)
         rule_a = tilted_rule(h, kernel).entries
-        lam_a = _tilt_values(h, kernel)[2]
+        lam_a = _tilt_values(h, ClassRows(kernel))[2]
         rule_b = tilted_rule(h + 17.3, kernel).entries
-        lam_b = _tilt_values(h + 17.3, kernel)[2]
+        lam_b = _tilt_values(h + 17.3, ClassRows(kernel))[2]
         np.testing.assert_allclose(rule_a, rule_b, atol=1e-14)
         np.testing.assert_allclose(lam_b - lam_a, 17.3, atol=1e-12)
 
@@ -191,7 +192,7 @@ class TestTilt:
             kernel = random_factored_model(rng, 4, 3)
             h = 3.0 * random_utility(rng, 12)
             rule = tilted_rule(h, kernel)
-            lam = _tilt_values(h, kernel)[2]
+            lam = _tilt_values(h, ClassRows(kernel))[2]
             g = direct_conditional_expectation(h, kernel)
             kl = kl_step_cost(rule, kernel.R)
             expected = (rule.entries * g).sum(axis=1) - lam
@@ -225,7 +226,7 @@ class TestTiltInPlace:
 
     def check(self, values, kernel):
         rule = tilted_rule(values, kernel).entries
-        lam = _tilt_values(values, kernel)[2]
+        lam = _tilt_values(values, ClassRows(kernel))[2]
         ref_rule, ref_lam = reference_tilt(values, kernel)
         np.testing.assert_array_equal(rule, ref_rule)
         assert not np.any(np.signbit(rule))  # +0.0 off the support, never -0.0
@@ -253,7 +254,7 @@ class TestTiltInPlace:
         for d_u, d_n in ((7, 3), (20, 2), (3, 9)):
             kernel = random_factored_model(rng, d_u, d_n)
             assert kernel.class_Q0.shape[0] == kernel.space.d
-            (stack,) = kernel.class_rows.stacks
+            (stack,) = ClassRows(kernel).stacks
             assert stack[2].shape == (kernel.space.d, 1, d_u)
             for scale in (1.0, 30.0, 300.0):
                 self.check(scale * rng.standard_normal(kernel.space.d), kernel)
@@ -264,7 +265,7 @@ class TestTiltInPlace:
         scenario = UavScenario(d_a=d_a, d_o=d_a, d_N=d_N, wind=generate_wind_field(d_a, d_a, d_N, seed=0))
         kernel, U = build_scenario_model(scenario)
         assert not np.all(kernel.R.entries > 0)  # the absorbing target row
-        assert kernel.class_Q0.shape[0] == classes and len(kernel.class_rows.stacks) == stacks
+        assert kernel.class_Q0.shape[0] == classes and len(ClassRows(kernel).stacks) == stacks
         for scale in (0.0, 1.0, 40.0):
             self.check(scale * U + np.linspace(-1.0, 1.0, kernel.space.d), kernel)
         # the values above peak at the target, where each class's exponent is then 1; these do not
@@ -290,7 +291,7 @@ class TestTiltInPlace:
         for _ in range(50):
             kernel = tiled_kernel(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), 2)
             values = 30.0 * rng.standard_normal(kernel.space.d)
-            e, s, lam = _tilt_values(values, kernel)
+            e, s, lam = _tilt_values(values, ClassRows(kernel))
             exponent, m = _class_exponent(values, kernel)
             np.testing.assert_array_equal(e, exponent)
             t = e[kernel.row_class] * kernel.R.entries
@@ -320,7 +321,7 @@ class TestOptimalRule:
         W = 2.0 * random_utility(rng, 6)
         g = direct_conditional_expectation(W, kernel)
         best = tilted_rule(W, kernel)
-        lam = _tilt_values(W, kernel)[2]
+        lam = _tilt_values(W, ClassRows(kernel))[2]
         best_value = (best.entries * g).sum(axis=1) - kl_step_cost(best, kernel.R)
         np.testing.assert_allclose(best_value, lam, atol=1e-12)
         for _ in range(100):

@@ -2,9 +2,11 @@ import ast
 import dataclasses
 import inspect
 import math
+import pickle
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,16 +29,20 @@ from klmdp import (
     solve_average_reward,
     solve_finite_horizon,
 )
-from klmdp.kl_calculus import tilted_rule
+from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.ode_engine import (
     ANDERSON_DEPTH,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     PREDICTOR_MAX_NODES,
     _anderson_step,
+    _Corrector,
     _extrapolate,
     _extrapolation_weights,
     _zeta_grid,
 )
 from klmdp.oracles import kl_step_cost
+from klmdp.state_space import ClassRows
 from klmdp.uav_benchmark import UavScenario, build_scenario_model
 
 from conftest import (
@@ -46,6 +52,7 @@ from conftest import (
     induced_transition,
     random_factored_model,
     random_utility,
+    repeated_rows_model,
 )
 
 
@@ -343,8 +350,9 @@ class TestSolveAverageReward:
             assert rule.shape == (kernel.space.d, kernel.space.d_u)
 
     def test_chord_safeguard_matches_fixed_point_oracle(self):
-        # chord steps on the LU of zeta = 0 diverge at zeta = 0.01 here unless a
-        # step that does not lower the residual is undone for a full Newton step
+        # the stiff start: the chord steps stall on the first nodes, which take
+        # 6 and 3 LUs, refactored where a step does not cut the residual by
+        # CHORD_RHO; no step is undone here (TestCorrector forces the undo)
         scenario = UavScenario(d_a=8, d_o=8, d_N=3, wind=generate_wind_field(8, 8, 3, seed=0))
         kernel, U = build_scenario_model(scenario)
         cfg = OdeConfig(zeta_max=0.05, step=0.01, checkpoints=(0.01, 0.02, 0.03, 0.04, 0.05))
@@ -468,6 +476,117 @@ class TestAndersonStep:
         x, f = np.array([1.0, 2.0]), np.array([0.5, -0.5])
         history = [(x, f), (x, f)]  # every difference is zero
         np.testing.assert_array_equal(_anderson_step(history, x, f), x + f)
+
+
+class TestCorrector:
+    """The corrector alone: Newton on the optimality equation with a kept LU,
+    Anderson-mixed chord steps and the undo of a chord step that does not help."""
+
+    @staticmethod
+    def uav4():
+        scenario = UavScenario(d_a=4, d_o=4, d_N=2, wind=generate_wind_field(4, 4, 2, seed=0))
+        return (*build_scenario_model(scenario), scenario.basepoint)
+
+    @pytest.mark.parametrize("pairs", [None, 4], ids=["random", "repeated-rows"])
+    def test_converges_from_a_perturbed_converged_solution(self, pairs):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            kernel = random_factored_model(rng, 4, 3) if pairs is None else repeated_rows_model(rng, 4, 3, pairs)
+            d, zeta = kernel.space.d, 1.0
+            U = random_utility(rng, d)
+            cp = solve_average_reward(kernel, U, OdeConfig(zeta_max=zeta, step=0.25)).checkpoints[-1]
+            x = np.append(cp.h, cp.eta) + 0.1 * rng.standard_normal(d + 1)
+            x[0] = 0.0  # the basepoint: a correction leaves h there as it is
+            corrector = _Corrector(kernel, U, 0)
+            y, res, first, steps, lus = corrector.solve(x, zeta, NEWTON_MAX_ITER)
+            assert first > 1e-3 and 1 <= lus <= steps < NEWTON_MAX_ITER
+            assert res <= NEWTON_TOL * (1 + np.max(np.abs(y[:d])) + zeta * np.max(np.abs(U)))
+            assert np.max(np.abs(y[:d] - cp.h)) <= 1e-12 and abs(y[d] - cp.eta) <= 1e-12
+            assert corrector.solve(y, zeta, NEWTON_MAX_ITER)[3:] == (0, 0)  # converged: only measured
+
+    def test_a_chord_step_that_does_not_help_is_undone(self, monkeypatch):
+        # the first chord step, one on a kept LU with an Anderson history, is
+        # corrupted: the corrector returns to where it started, refactors
+        # there and takes the full Newton step from it
+        import klmdp.ode_engine as ode_engine
+
+        kernel, U, x0 = self.uav4()
+        d, zeta = kernel.space.d, 0.5
+        clean = _Corrector(kernel, U, x0).solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
+        anderson, factor = ode_engine._anderson_step, ode_engine.BorderedLU
+        steps, factored, corrupted = [], [], []  # (start, history length) per step; s per LU
+
+        def corrupting(history, x, f):
+            step = anderson(history, x, f)
+            steps.append((x, len(history)))
+            if len(history) > 1 and not corrupted:  # the history was not cleared: a chord step
+                corrupted.append((len(steps), len(factored)))
+                step = step + 10.0
+            return step
+
+        def recording(rows, e, s, basepoint):
+            factored.append(s)
+            return factor(rows, e, s, basepoint)
+
+        monkeypatch.setattr(ode_engine, "_anderson_step", corrupting)
+        monkeypatch.setattr(ode_engine, "BorderedLU", recording)
+        x, res, _, _, _ = _Corrector(kernel, U, x0).solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
+        [(k, n)] = corrupted
+        start = steps[k - 1][0]
+        assert steps[k][0] is start and steps[k][1] == 1  # the next step: from the same start, on a new LU
+        assert len(factored) > n
+        np.testing.assert_array_equal(factored[n], _tilt_values(start[:d], ClassRows(kernel))[1])
+        assert res <= NEWTON_TOL * (1 + np.max(np.abs(x[:d])) + zeta * np.max(np.abs(U)))
+        assert np.max(np.abs(x - clean[0])) <= 1e-12
+
+    @pytest.mark.parametrize("solve", ["average-reward", "finite-horizon", "failed"])
+    def test_no_class_rows_outlive_their_solve(self, monkeypatch, solve):
+        # each solve makes one ClassRows and holds it only while it runs
+        import klmdp.ode_engine as ode_engine
+
+        kernel, U, x0 = self.uav4()
+        cfg = OdeConfig(zeta_max=0.1, step=0.01, checkpoints=(0.05, 0.1))
+        made = []
+
+        class Recorded(ClassRows):
+            def __init__(self, kernel):
+                super().__init__(kernel)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ode_engine, "ClassRows", Recorded)
+        if solve == "finite-horizon":
+            assert len(solve_finite_horizon(kernel, U, 3, cfg).checkpoints) == 2
+        elif solve == "average-reward":
+            assert len(solve_average_reward(kernel, U, cfg, x0).checkpoints) == 2
+        else:
+            lu_factor = scipy.linalg.lu_factor
+            calls = [0]
+
+            def failing(*args, **kwargs):  # the second LU is singular
+                calls[0] += 1
+                if calls[0] == 2:
+                    raise scipy.linalg.LinAlgWarning("exactly singular")
+                return lu_factor(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, "lu_factor", failing)
+            try:
+                solve_average_reward(kernel, U, cfg, x0)
+            except ConvergenceError:
+                pass
+            else:
+                pytest.fail("the singular LU did not fail the solve")
+        assert len(made) == 1 and made[0]() is None
+
+    def test_a_kernel_pickles_to_the_same_bytes_before_and_after_a_solve(self):
+        # the solves leave nothing on the kernel: it is the model and its
+        # lumping, which the first bordered LU would otherwise make
+        kernel, U, x0 = self.uav4()
+        kernel.lumping
+        before = pickle.dumps(kernel)
+        cfg = OdeConfig(zeta_max=0.1, step=0.01)
+        solve_average_reward(kernel, U, cfg, x0)
+        solve_finite_horizon(kernel, U, 3, cfg)
+        assert pickle.dumps(kernel) == before
 
 
 class TestAroeFixedPointOracle:
@@ -777,14 +896,13 @@ def test_oracles_are_one_module_independent_by_import():
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     assert [bad for node in imports for bad in forbidden(node)] == []
-    # the kernel that the oracles may import carries the solvers' class products:
-    # no attribute, name or string of oracles.py may reach them
-    production = {"class_rows", "row_products"}
+    # the kernel that the oracles may import feeds the solvers' class products:
+    # no name, attribute or string of oracles.py may reach them
     used = [node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr in production)
-            or (isinstance(node, ast.Name) and node.id in production)
+            if (isinstance(node, ast.Name) and node.id == "ClassRows")
+            or (isinstance(node, ast.Attribute) and node.attr == "products")
             or (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and any(re.search(rf"\b{name}\b", node.value) for name in production))]
+                and re.search(r"\bClassRows\b|\.products\b", node.value))]
     assert used == []
     # and no production module defines or re-exports an oracle
     names = ("_ClassBlocks", "aroe_fixed_point_oracle", "fh_block_ode_oracle", "perron_frobenius_baseline",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
+from klmdp.state_space import ClassRows
 
 from conftest import induced_transition, random_factored_model, repeated_rows_model
 
@@ -108,7 +109,8 @@ def test_class_rows_stack_the_rows_of_r_by_class_size(rng):
     perm = rng.permutation(12)
     kernel = FactoredKernel(ProductStateSpace(d_u, d_n), StochasticMatrix(rng.dirichlet(np.ones(d_u), size=12)),
                             StochasticMatrix(Q0[perm]))
-    rows = kernel.class_rows
+    rows = ClassRows(kernel)
+    assert rows.kernel is kernel
     sizes = np.bincount(kernel.row_class)
     assert [blocks.shape[:2] for _, _, blocks in rows.stacks] == [(1, 1), (2, 2), (1, 3), (1, 4)]
     in_order = np.empty(kernel.space.d, dtype=np.intp)
@@ -119,21 +121,10 @@ def test_class_rows_stack_the_rows_of_r_by_class_size(rng):
         np.testing.assert_array_equal(blocks.reshape(-1, d_u), kernel.R.entries[in_order[states]])
 
 
-def test_class_rows_held_weakly_and_left_out_of_a_pickle(rng):
-    # one copy while a holder keeps it, freed with the last holder: the workers
-    # forked after a solve do not inherit it, and a pickled kernel carries none
-    import pickle
-    import weakref
-
-    kernel = random_factored_model(rng, 3, 2)
-    rows = kernel.class_rows
-    assert kernel.class_rows is rows
-    dead = weakref.ref(rows)
-    del rows
-    assert dead() is None
+@pytest.mark.parametrize("pairs", [None, 3], ids=["dirichlet", "repeated-rows"])
+def test_class_row_products_are_the_row_sums_against_the_class_rows(rng, pairs):
+    # one BLAS product per stack, in BLAS order: equal to numpy's row sums to rounding
+    kernel = random_factored_model(rng, 3, 2) if pairs is None else repeated_rows_model(rng, 3, 2, pairs)
     w = rng.standard_normal((kernel.class_Q0.shape[0], 3))
-    copy = pickle.loads(pickle.dumps(kernel))
-    assert "_class_rows" in kernel.__dict__ and "_class_rows" not in copy.__dict__
     expected = (kernel.R.entries * w[kernel.row_class]).sum(axis=1)
-    for k in (kernel, copy):
-        np.testing.assert_allclose(k.row_products(w), expected, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(ClassRows(kernel).products(w), expected, rtol=1e-15, atol=1e-15)

@@ -25,6 +25,7 @@ from klmdp import (
 )
 from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import _tilt_values, tilted_rule
+from klmdp.state_space import ClassRows
 
 from conftest import controlled_chain, dense_chain_kernel, induced_transition
 
@@ -342,17 +343,14 @@ class TestNoDenseChain:
     structure check below one (d, d_u) rule (8 d d_u bytes, 2.0 MB), and the
     bordered LU, with its certified first solve, holds its lumped r x r matrix
     and the r x (d - r) block it keeps, 8 r d bytes, with no dense chain and
-    no d x d matrix or rule beside them.  Once the kernel's class rows exist,
-    a finite-horizon solve holds its values and less than one rule beside."""
+    no d x d matrix or rule beside them.  A finite-horizon solve holds its
+    values, its own copy of R0 in class order, and less than one rule beside."""
 
     @pytest.fixture(scope="class")
     def uav15(self):
         sc = small_scenario(d_a=15, d_o=15, d_N=5)
         model, U = build_scenario_model(sc)
-        # the kernel holds its copy of R0 in class order weakly: held here
-        # while the tests run, it exists before each measurement, as in a solve
-        class_rows = model.class_rows
-        yield sc, model, U
+        return sc, model, U
 
     def test_structure_check(self, uav15):
         _, model, _ = uav15
@@ -368,8 +366,9 @@ class TestNoDenseChain:
         sc, model, U = uav15
         d, r = model.space.d, model.lumping[1].size
         assert r == 928
-        e, s, _ = _tilt_values(U, model)
-        peak = peak_bytes(lambda: BorderedLU(model, e, s, sc.basepoint).solve(U))
+        rows = ClassRows(model)  # the corrector's copy of R0 in class order, made before its first LU
+        e, s, _ = _tilt_values(U, rows)
+        peak = peak_bytes(lambda: BorderedLU(rows, e, s, sc.basepoint).solve(U))
         # 1 MiB of scratch, the certified first solve included; one rule is 2.0 MB
         assert 8 * r**2 <= peak < 8 * r * d + 2**20
 
@@ -378,7 +377,8 @@ class TestNoDenseChain:
         d, T = model.space.d, 6
         cfg = OdeConfig(zeta_max=2.0, checkpoints=(0.0, 1.0, 2.0))
         peak = peak_bytes(lambda: solve_finite_horizon(model, U, T, cfg))
-        assert peak < 3 * 8 * (T + 1) * d + 8 * d * model.space.d_u  # the three W, and less than one rule
+        rule = 8 * d * model.space.d_u
+        assert peak < 3 * 8 * (T + 1) * d + 2 * rule  # the three W, the class-ordered R0, and less than one rule
 
 
 @pytest.fixture(scope="module")
