@@ -17,6 +17,8 @@ recursion, which solves no linear system, never loads ``scipy.linalg`` (with
 from __future__ import annotations
 
 import warnings
+import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +83,36 @@ def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
+class BorderedWorkspace:
+    """What every :class:`BorderedLU` of one solve shares: they depend only on the kernel and ``x0``.
+
+    ``rows`` is the solve's :class:`ClassRows`; ``columns`` the contiguous
+    ``d_u x r`` copy ``R0[reps].T`` of the rule at the group
+    representatives, from which each LU reads the tilt's columns; ``border``
+    the groups, the representatives with ``x0`` in place of its group's
+    first state (``pinned``), the ``others``, their representatives and
+    ``x0``'s group.  ``buffer`` is the ``r x r`` Fortran-ordered matrix that
+    each LU is assembled and factored in, made at the first; an LU made
+    while the last one is alive would overwrite its factors, so it raises
+    ``RuntimeError``.
+    """
+
+    def __init__(self, rows: ClassRows, x0: int):
+        kernel = rows.kernel
+        group, reps, _ = kernel.lumping
+        pinned = reps.copy()
+        pinned[group[x0]] = x0
+        others = np.setdiff1d(np.arange(group.size), pinned)
+        self.rows, self.reps, self.at_reps = rows, reps, kernel.row_class[reps]
+        self.columns = np.take(kernel.R.entries.T, reps, axis=1)  # C-ordered: one copy, with no (r, d_u) one
+        self.border = (group, pinned, others, pinned[group[others]], group[x0])
+        self.owner = None  # a weak reference to the LU factored in the buffer
+
+    @cached_property
+    def buffer(self) -> np.ndarray:
+        return np.empty((self.reps.size,) * 2, order="F")
+
+
 class BorderedLU:
     """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
@@ -89,14 +121,17 @@ class BorderedLU:
     u) = R0(x, u) e(c(x), u) / s(x)`` and ``P(x, (x_u', x_n')) = R(x, x_u')
     Q0(x, x_n')``.  That is ``S C`` (:meth:`FactoredKernel.lumped`), with the
     rows ``C`` at the group representatives formed a block of columns at a
-    time, and ``x0`` represents its own group.  So ``H = w[group] + delta``,
+    time, each read from the workspace's ``columns``, and ``x0`` represents
+    its own group.  So ``H = w[group] + delta``,
     with ``delta(y) = rhs(y) - rhs(rep(y))``, and ``(w, eta)`` solves ``(I -
     C S) w + eta 1 = rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``:
     column ``g(x0)`` is replaced by ones, so slot ``g(x0)`` carries ``eta``.
-    LAPACK factors ``C S`` in place, and only ``C[:, others]`` is kept beside
-    it; with ``r = d`` this is the full system.  Entries below
-    ``FLUSH_BELOW`` are zeroed first: subnormals slow the LU many times over,
-    and the flushed LU still solves the exact system to rounding.  The first
+    ``-C S`` is assembled in the workspace's ``buffer`` and LAPACK factors it
+    there, and only ``C[:, others]`` is kept beside it; with ``r = d`` this
+    is the full system.  One pass then zeroes the entries below
+    ``FLUSH_BELOW`` (subnormals slow the LU many times over, and the flushed
+    LU still solves the exact system to rounding) and writes the unit
+    diagonal and the border.  The first
     solve is certified on the full ``H``: its residual ``sup |P H - H + rhs -
     eta|``, from ``P y = rows.products(e * z) / s`` with ``z`` the
     conditional expectation of ``y`` (:meth:`ClassRows.products`), must be
@@ -104,26 +139,32 @@ class BorderedLU:
     The tilt is then dropped, and later solves reuse the LU unchecked.
     """
 
-    def __init__(self, rows: ClassRows, e: np.ndarray, s: np.ndarray, x0: int):
+    def __init__(self, workspace: BorderedWorkspace, e: np.ndarray, s: np.ndarray):
         import scipy.linalg
 
-        kernel = rows.kernel
-        group, reps, _ = kernel.lumping
-        R0, at_reps, s_reps = kernel.R.entries, kernel.row_class[reps], s[reps, None]
-        pinned = reps.copy()
-        pinned[group[x0]] = x0
-        others = np.setdiff1d(np.arange(group.size), pinned)
-        # the tilt's columns cols at the representatives, a block at a time
-        M, self._block = kernel.lumped(lambda cols: R0[reps, cols] * e[at_reps, cols] / s_reps, others)
-        r = reps.size
-        # negate and flush in place, by column blocks of about 2^16 entries: no r x r temporary
+        if workspace.owner is not None and workspace.owner() is not None:
+            raise RuntimeError("the workspace's buffer still holds a live LU")
+        rows, columns, at_reps, M = workspace.rows, workspace.columns, workspace.at_reps, workspace.buffer
+        _, _, others, _, g0 = self._lumping = workspace.border
+        s_reps = s[workspace.reps]
+        workspace.owner = weakref.ref(self)
+
+        def rule(cols: slice) -> np.ndarray:  # the tilt's columns cols at the representatives, transposed
+            t = e.T[cols, at_reps]
+            np.multiply(columns[cols], t, out=t)
+            return np.divide(t, s_reps, out=t)
+
+        self._block = rows.kernel.lumped(rule, M, others)
+        r = M.shape[0]
+        # flush in place, by column blocks of about 2^16 entries: no r x r temporary.  -C S <= 0, so
+        # |block| < FLUSH_BELOW is block > -FLUSH_BELOW; times 0 that is -0.0, and -0.0 + 0.0 is +0.0
         width = max(1, 2**16 // r)
         for j in range(0, r, width):
             block = M[:, j : j + width]
-            np.negative(block, out=block)
-            block[block > -FLUSH_BELOW] = 0.0  # C S >= 0, so this is |block| < FLUSH_BELOW
+            np.multiply(block, block <= -FLUSH_BELOW, out=block)
+            block += 0.0
         M.flat[:: r + 1] += 1.0
-        M[:, group[x0]] = 1.0
+        M[:, g0] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             try:
@@ -131,7 +172,6 @@ class BorderedLU:
             except scipy.linalg.LinAlgWarning as exc:  # an exactly zero pivot
                 # not unichain with x0 recurrent, e.g. after an underflowed tilt
                 raise ConvergenceError(f"bordered Poisson matrix is singular ({exc})") from exc
-        self._lumping = (group, pinned, others, pinned[group[others]], group[x0])
         self._tilt = (rows, e, s)  # for the certificate of the first solve
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:

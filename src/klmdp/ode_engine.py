@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_solvers import BorderedLU, recurrent_class
+from .chain_solvers import BorderedLU, BorderedWorkspace, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
 from .kl_calculus import _tilt_values, tilted_rule
 from .state_space import ClassRows, FactoredKernel, StochasticMatrix
@@ -242,9 +242,13 @@ class _Corrector:
     corrector's :class:`ClassRows` (:func:`_tilt_values`), and its class
     exponent ``e`` and row sums ``s`` are all a factorization needs, so no
     ``(d, d_u)`` array is formed; each correction is one triangular
-    solve.  Each LU certifies its first solve; a singular LU, a failed
-    certificate or a non-finite residual raises
-    :class:`ConvergenceError`.  Where a correction does not cut the residual by
+    solve.  What the factorizations share is made once, with the corrector,
+    in its :class:`BorderedWorkspace`: the ``d_u x r`` copy ``R0[reps].T``
+    from which each reads the tilt's columns, the border's indices, and one
+    ``r x r`` buffer, made at the first factorization, in which each is
+    assembled once the last one is dropped.  Each LU certifies its first
+    solve; a singular LU, a failed certificate or a non-finite residual
+    raises :class:`ConvergenceError`.  Where a correction does not cut the residual by
     ``CHORD_RHO``, the matrix is refactored at the current iterate
     (Shamanskii); a chord step that does not lower it at all is undone, and
     the full Newton step is taken from where it started.  A stale LU changes
@@ -253,8 +257,9 @@ class _Corrector:
     """
 
     def __init__(self, model: FactoredKernel, U: np.ndarray, basepoint: int):
-        self.U, self.basepoint, self.u_max = U, basepoint, float(np.max(np.abs(U)))
+        self.U, self.u_max = U, float(np.max(np.abs(U)))
         self.rows = ClassRows(model)
+        self.workspace = BorderedWorkspace(self.rows, basepoint)
         self.lu: BorderedLU | None = None
 
     def solve(self, x: np.ndarray, zeta: float, max_iter: int) -> tuple[np.ndarray, float, float, int, int]:
@@ -283,8 +288,8 @@ class _Corrector:
             if refactor and res >= start_res and not start_factored:
                 (x, e, s, defect), res = start, start_res  # undo a chord step that did not help
             if refactor:
-                self.lu = None  # at most one factorization alive
-                self.lu = BorderedLU(self.rows, e, s, self.basepoint)
+                self.lu = None  # at most one factorization alive: the next is assembled in its buffer
+                self.lu = BorderedLU(self.workspace, e, s)
                 factorizations += 1
                 mixing.clear()
             start, start_res, start_factored = (x, e, s, defect), res, refactor
@@ -384,7 +389,8 @@ def solve_finite_horizon(
     log-normalizer ``Lambda`` of each tilt, so a checkpoint costs ``T``
     tilts, whatever the grid, each a class exponent and one product per stack
     of the solve's :class:`ClassRows`, with no
-    ``(d, d_u)`` array, and none at ``zeta = 0``, where ``W = 0`` exactly.  A
+    ``(d, d_u)`` array, and none at ``zeta = 0``, where ``W = 0`` exactly: a
+    solve with no other checkpoint makes no :class:`ClassRows`.  A
     checkpoint keeps only ``W``, frozen; its stage policies are the
     normalized tilts of the same rows, derived by
     :meth:`FhCheckpoint.policy`.  The values are the recursion itself, so
@@ -398,7 +404,7 @@ def solve_finite_horizon(
 
     grid = _zeta_grid(cfg)
     cp_nodes, snapped = _snap_checkpoints(cfg, grid)
-    rows = ClassRows(model)
+    rows = ClassRows(model) if any(cp_nodes.values()) else None  # zeta = 0 tilts nothing
     checkpoints: list[FhCheckpoint] = []
     for zeta in sorted(cp_nodes.values()):
         W = np.zeros((T + 1, model.space.d))

@@ -133,61 +133,82 @@ class FactoredKernel:
 
         ``group`` numbers the groups by first appearance, ``reps`` holds each
         group's first state, and ``layers[k]`` the states ``k + 2``-th in their
-        group, ascending, with their groups.  Rows are keyed by hash (a dict
-        keyed by their bytes would copy them) and compared in full, so a hash
-        collision cannot merge two groups.  Computed where first needed; read-only.
+        group, ascending, with their groups.  Rows are sorted by row class and
+        a 64-bit key of their bits (:func:`_row_keys`), and each state is
+        compared bit for bit with the first state of its run, so a key
+        collision cannot merge two groups: a run whose rows differ is split
+        by its rows.  Computed where first needed; read-only.
         """
-        R, d = self.R.entries, self.space.d
-        by_key: dict[tuple[int, int], list[int]] = {}  # (row class, hash of the R row) -> its groups
-        reps: list[int] = []
-        sizes: list[int] = []
-        group, rank = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)  # rank: earlier states of the group
-        for x, (c, r) in enumerate(zip(self.row_class.tolist(), R)):
-            groups = by_key.setdefault((c, hash(r.tobytes())), [])
-            g = next((g for g in groups if np.array_equal(r, R[reps[g]])), len(reps))
-            if g == len(reps):
-                groups.append(g)
-                reps.append(x)
-                sizes.append(0)
-            group[x], rank[x] = g, sizes[g]
-            sizes[g] += 1
-        layers = tuple((s, group[s]) for s in map(np.flatnonzero, (rank == k for k in range(1, max(sizes)))))
-        reps = np.array(reps, dtype=np.intp)
+        bits, d = self.R.entries.view(np.uint64), self.space.d
+        keys = _row_keys(bits)
+        order = np.lexsort((keys, self.row_class))  # stable: by state within a run of one class and key
+        c, k = self.row_class[order], keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], (c[1:] != c[:-1]) | (k[1:] != k[:-1])]))
+        first = np.empty(d, dtype=np.intp)  # each state's group, as its first state
+        first[order] = np.repeat(order[starts], np.diff(np.append(starts, d)))
+        later = np.flatnonzero(first != np.arange(d))
+        for run in np.unique(first[later[np.any(bits[later] != bits[first[later]], axis=1)]]):
+            states = np.flatnonzero(first == run)  # a key collision: regroup the run by its rows
+            for x in states:
+                first[x] = next(y for y in states if np.array_equal(bits[y], bits[x]))
+        reps = np.flatnonzero(first == np.arange(d))
+        group = np.searchsorted(reps, first)
+        sizes = np.bincount(group)
+        rank = np.empty(d, dtype=np.intp)  # earlier states of the group
+        rank[np.argsort(group, kind="stable")] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        layers = tuple((s, group[s]) for s in map(np.flatnonzero, (rank == k for k in range(1, sizes.max()))))
         for a in (group, reps, *(a for layer in layers for a in layer)):
             a.setflags(write=False)
         return group, reps, layers
 
     def lumped(
-        self, rule: Callable[[slice], np.ndarray], keep: np.ndarray = np.empty(0, dtype=np.intp)
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The lumped chain ``M = C S`` of a tilt of ``R``, and the columns ``keep`` of ``C``.
+        self, rule: Callable[[slice], np.ndarray], out: np.ndarray, keep: np.ndarray = np.empty(0, dtype=np.intp)
+    ) -> np.ndarray:
+        """Write ``-M = -C S`` for a tilt of ``R`` into ``out``; return the columns ``keep`` of ``C``.
 
         ``rule(cols)`` returns the tilt's columns ``cols`` at the ``reps`` of
-        :attr:`lumping`, an ``(r, len(cols))`` array.  ``C`` holds the rows
-        ``P(x, (u, n)) = rule(x, u) Q0(x, n)`` at the ``reps`` and ``S`` is
-        the ``d x r`` 0/1 group map, so column ``g`` of ``M`` sums group
-        ``g``'s columns of ``C`` by increasing state.  Both are
-        Fortran-ordered, so LAPACK works on ``M`` in place.  ``C`` is formed
-        from at least 4 columns of the rule at a time, with no ``r x d`` or
-        ``r x d_u`` array.
+        :attr:`lumping`, transposed: a ``(len(cols), r)`` array.  Both callers
+        read it from a contiguous ``d_u x r`` copy of a rule at the ``reps``:
+        the average-reward corrector holds ``R0[reps].T`` for the length of
+        its solve (1.7 MB at 15x15x5; :class:`~klmdp.chain_solvers.BorderedWorkspace`),
+        and the spectrum copies its rule for the length of its call.  ``C``
+        holds the rows ``P(x, (u, n)) = rule(x, u) Q0(x, n)`` at the ``reps``
+        and ``S`` is the ``d x r`` 0/1 group map, so column ``g`` of ``M``
+        sums group ``g``'s columns of ``C`` by increasing state.  ``out`` is
+        an ``r x r`` Fortran-ordered buffer, so LAPACK works on it in place.
+        It receives ``-M``: the first column of each group negated and the
+        later ones subtracted, since ``(-a) - b`` is ``-(a + b)`` bit for
+        bit.  ``C`` is formed about ``2^16`` entries at a time, from whole
+        columns of the rule, with no ``r x d`` array.
         """
         _, reps, layers = self.lumping
         (r,), (d_u, d_n) = reps.shape, (self.space.d_u, self.space.d_n)
-        M = np.empty((r, r), order="F")
         kept = np.empty((r, keep.size), order="F")
         Q0t = np.ascontiguousarray(self.Q0.entries[reps].T)
-        step = max(4, 2**14 // (d_n * r))
+        step = max(1, 2**16 // (d_n * r))
+        block = np.empty((step, d_n, r))
         for u in range(0, d_u, step):
             y0, y1 = u * d_n, min(u + step, d_u) * d_n
-            Ct = (rule(slice(u, u + step)).T[:, None, :] * Q0t).reshape(-1, r)  # columns y0 ... y1 of C
+            t = rule(slice(u, u + step))
+            Ct = np.multiply(t[:, None, :], Q0t, out=block[: len(t)]).reshape(-1, r)  # columns y0 ... y1 of C
             a, b = np.searchsorted(reps, (y0, y1))
-            M.T[a:b] = Ct[reps[a:b] - y0]
+            np.take(Ct, reps[a:b] - y0, axis=0, out=out.T[a:b], mode="clip")  # clip: unbuffered, indices in range
+            np.negative(out.T[a:b], out=out.T[a:b])
             for states, groups in layers:
                 a, b = np.searchsorted(states, (y0, y1))
-                M.T[groups[a:b]] += Ct[states[a:b] - y0]
+                out.T[groups[a:b]] -= Ct[states[a:b] - y0]
             a, b = np.searchsorted(keep, (y0, y1))
-            kept.T[a:b] = Ct[keep[a:b] - y0]
-        return M, kept
+            np.take(Ct, keep[a:b] - y0, axis=0, out=kept.T[a:b], mode="clip")
+        return kept
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each row of the ``uint64`` array ``bits``: equal rows have equal keys.
+
+    A sum of the row's words times fixed odd weights, modulo ``2^64``.
+    """
+    weights = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+    return bits @ weights
 
 
 class ClassRows:

@@ -179,6 +179,8 @@ def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
     _, reps, layers = kernel.lumping
     if not all(np.array_equal(rule[states], rule[reps[groups]]) for states, groups in layers):
         raise ValueError("the rule's rows differ within a group of equal nominal rows: not a tilt of the kernel's rule")
-    lumped = scipy.linalg.eigvals(kernel.lumped(lambda cols: rule[reps, cols])[0], overwrite_a=True, check_finite=False)
+    columns, M = np.take(rule.T, reps, axis=1), np.empty((reps.size,) * 2, order="F")  # rule[reps].T, C-ordered
+    kernel.lumped(lambda cols: columns[cols], M)
+    lumped = scipy.linalg.eigvals(np.negative(M, out=M), overwrite_a=True, check_finite=False)  # -(-M) is M exactly
     eig = np.concatenate([lumped, np.zeros(kernel.space.d - reps.size, dtype=lumped.dtype)])
     return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
-from klmdp.chain_solvers import BorderedLU
+from klmdp.chain_solvers import BorderedLU, BorderedWorkspace
 from klmdp.kl_calculus import _tilt_values
 from klmdp.state_space import ClassRows
 
@@ -52,7 +52,7 @@ def bordered_lu(kernel, h, x0):
     """The bordered LU of the chain of ``R0`` tilted by ``h``, from the tilt's class exponent and row sums."""
     rows = ClassRows(kernel)
     e, s, _ = _tilt_values(h, rows)
-    return BorderedLU(rows, e, s, x0)
+    return BorderedLU(BorderedWorkspace(rows, x0), e, s)
 
 
 def dense_bordered_lu(P, x0):

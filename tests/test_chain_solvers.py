@@ -17,7 +17,7 @@ from klmdp import (
     recurrent_class,
 )
 
-from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU
+from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU, BorderedWorkspace
 from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.state_space import ClassRows
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
@@ -381,13 +381,111 @@ class TestLumpedBorderedLU:
         y = int(layers[0][0][-1])  # a state that is not its group's first: its row is not factored
         split = s.copy()
         split[y] *= 2.0
-        clean, lu = BorderedLU(rows, e, s, x0), BorderedLU(rows, e, split, x0)
+        # one workspace each: an LU is factored in its workspace's buffer
+        clean, lu = (BorderedLU(BorderedWorkspace(rows, x0), e, t) for t in (s, split))
         for a, b in zip((*clean._lu, clean._block), (*lu._lu, lu._block)):
             np.testing.assert_array_equal(a, b)  # the same factorization
         H, eta = clean.solve(rhs)
         assert abs(H[y] - rhs[y] + eta) > 2 * POISSON_TOL  # P H(y), which the split row halves
         with pytest.raises(ConvergenceError, match="Poisson residual"):
             lu.solve(rhs)
+
+
+def per_call_bordered_factors(kernel, e, s, x0):
+    """``(lu, piv, kept)`` of the bordered LU as it was built in a fresh matrix per call: ``C S`` summed
+    from ``R0[reps, cols]`` four rule columns at a time, then negated and flushed in a second pass,
+    the unit diagonal and the border written last."""
+    group, reps, layers = kernel.lumping
+    (r,), (d_u, d_n) = reps.shape, (kernel.space.d_u, kernel.space.d_n)
+    R0, at_reps, s_reps = kernel.R.entries, kernel.row_class[reps], s[reps, None]
+    pinned = reps.copy()
+    pinned[group[x0]] = x0
+    others = np.setdiff1d(np.arange(group.size), pinned)
+    M, kept = np.empty((r, r), order="F"), np.empty((r, others.size), order="F")
+    Q0t = np.ascontiguousarray(kernel.Q0.entries[reps].T)
+    step = max(4, 2**14 // (d_n * r))
+    for u in range(0, d_u, step):
+        y0, y1 = u * d_n, min(u + step, d_u) * d_n
+        rule = R0[reps, u : u + step] * e[at_reps, u : u + step] / s_reps
+        Ct = (rule.T[:, None, :] * Q0t).reshape(-1, r)
+        a, b = np.searchsorted(reps, (y0, y1))
+        M.T[a:b] = Ct[reps[a:b] - y0]
+        for states, groups in layers:
+            a, b = np.searchsorted(states, (y0, y1))
+            M.T[groups[a:b]] += Ct[states[a:b] - y0]
+        a, b = np.searchsorted(others, (y0, y1))
+        kept.T[a:b] = Ct[others[a:b] - y0]
+    width = max(1, 2**16 // r)
+    for j in range(0, r, width):
+        block = M[:, j : j + width]
+        np.negative(block, out=block)
+        block[block > -FLUSH_BELOW] = 0.0
+    M.flat[:: r + 1] += 1.0
+    M[:, group[x0]] = 1.0
+    lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+    return lu, piv, kept
+
+
+def assert_same_factors(lu, expected):
+    """The LU, pivots and kept block of a ``BorderedLU`` equal ``expected`` bit for bit."""
+    (factors, piv), block = lu._lu, lu._block
+    for a, b in ((factors, expected[0]), (block, expected[2])):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    np.testing.assert_array_equal(piv, expected[1])
+
+
+class TestBorderedAssembly:
+    """The LU assembles ``-C S`` in its workspace's buffer, from the workspace's
+    copy of the rule at the representatives, and flushes it in one pass: the
+    factors are those of the per-call assembly bit for bit."""
+
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "dirichlet"])
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_factors_are_the_per_call_factors_bit_for_bit(self, repeated, data):
+        kernel, h, _, x0 = data.draw(lumped_cases(repeated))
+        rows = ClassRows(kernel)
+        e, s, _ = _tilt_values(h, rows)
+        assert_same_factors(BorderedLU(BorderedWorkspace(rows, x0), e, s), per_call_bordered_factors(kernel, e, s, x0))
+
+    def test_uav_factors_are_the_per_call_factors_bit_for_bit(self):
+        # 15x15x5: r = 928 groups of 1,125 states, with entries below FLUSH_BELOW
+        scenario = UavScenario(d_a=15, d_o=15, d_N=5, wind=generate_wind_field(15, 15, 5, seed=0))
+        kernel, U = build_scenario_model(scenario)
+        rows = ClassRows(kernel)
+        workspace = BorderedWorkspace(rows, scenario.basepoint)
+        for zeta in (0.01, 1.0):
+            e, s, _ = _tilt_values(zeta * U, rows)
+            expected = per_call_bordered_factors(kernel, e, s, scenario.basepoint)
+            assert np.any((expected[2] > 0) & (expected[2] < FLUSH_BELOW))  # C has entries to flush
+            assert_same_factors(BorderedLU(workspace, e, s), expected)
+
+    def test_a_factorization_in_the_reused_buffer_equals_a_fresh_one(self, rng):
+        kernel = repeated_rows_model(rng, 4, 3, pairs=7)
+        rows = ClassRows(kernel)
+        workspace = BorderedWorkspace(rows, 0)
+        first = BorderedLU(workspace, *_tilt_values(rng.uniform(-3.0, 3.0, size=12), rows)[:2])
+        assert np.shares_memory(first._lu[0], workspace.buffer)
+        del first  # at most one LU per buffer
+        e, s, _ = _tilt_values(rng.uniform(-3.0, 3.0, size=12), rows)
+        again = BorderedLU(workspace, e, s)
+        assert np.shares_memory(again._lu[0], workspace.buffer)
+        fresh = BorderedLU(BorderedWorkspace(rows, 0), e, s)
+        assert not np.shares_memory(fresh._lu[0], workspace.buffer)
+        assert_same_factors(again, (*fresh._lu, fresh._block))
+
+    def test_a_second_live_lu_in_one_buffer_is_refused(self, rng):
+        kernel = random_factored_model(rng, 3, 2)
+        rows = ClassRows(kernel)
+        workspace = BorderedWorkspace(rows, 0)
+        e, s, _ = _tilt_values(np.zeros(6), rows)
+        lu = BorderedLU(workspace, e, s)
+        with pytest.raises(RuntimeError, match="still holds a live LU"):
+            BorderedLU(workspace, e, s)
+        lu.solve(np.arange(6.0))  # its factors are untouched: the certificate passes
+        del lu
+        BorderedLU(workspace, e, s)
 
 
 class TestPerronFrobeniusBaseline:

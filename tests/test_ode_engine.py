@@ -524,9 +524,9 @@ class TestCorrector:
                 step = step + 10.0
             return step
 
-        def recording(rows, e, s, basepoint):
+        def recording(workspace, e, s):
             factored.append(s)
-            return factor(rows, e, s, basepoint)
+            return factor(workspace, e, s)
 
         monkeypatch.setattr(ode_engine, "_anderson_step", corrupting)
         monkeypatch.setattr(ode_engine, "BorderedLU", recording)
@@ -538,6 +538,29 @@ class TestCorrector:
         np.testing.assert_array_equal(factored[n], _tilt_values(start[:d], ClassRows(kernel))[1])
         assert res <= NEWTON_TOL * (1 + np.max(np.abs(x[:d])) + zeta * np.max(np.abs(U)))
         assert np.max(np.abs(x - clean[0])) <= 1e-12
+
+    def test_factorizations_share_one_buffer_and_one_live_lu(self, monkeypatch):
+        # each LU is assembled in the corrector's one r x r buffer, and only
+        # once the last LU is dropped
+        import klmdp.ode_engine as ode_engine
+
+        kernel, U, x0 = self.uav4()
+        d, zeta = kernel.space.d, 0.5
+        corrector = _Corrector(kernel, U, x0)
+        factor, made = ode_engine.BorderedLU, []
+
+        def recording(workspace, e, s):
+            assert workspace is corrector.workspace and corrector.lu is None
+            assert all(lu() is None for lu in made)
+            lu = factor(workspace, e, s)
+            made.append(weakref.ref(lu))
+            assert np.shares_memory(lu._lu[0], workspace.buffer)
+            return lu
+
+        monkeypatch.setattr(ode_engine, "BorderedLU", recording)
+        _, res, _, _, lus = corrector.solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
+        assert lus == len(made) >= 2 and res <= 1e-12
+        assert corrector.workspace.buffer.shape == (kernel.lumping[1].size,) * 2
 
     @pytest.mark.parametrize("solve", ["average-reward", "finite-horizon", "failed"])
     def test_no_class_rows_outlive_their_solve(self, monkeypatch, solve):

@@ -6,6 +6,8 @@ import pytest
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
 from klmdp.state_space import ClassRows
 
+from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
+
 from conftest import induced_transition, random_factored_model, repeated_rows_model
 
 
@@ -100,6 +102,61 @@ def test_lumping_layers_hold_each_non_first_state_once(rng, pairs):
             np.testing.assert_array_equal(group[s], g)
             assert all(np.count_nonzero(group[:x] == group[x]) == k + 1 for x in s)
         assert (reps.size < kernel.space.d) == (pairs is not None)
+        assert_same_lumping(kernel.lumping, per_state_lumping(kernel))
+
+
+def per_state_lumping(kernel):
+    """``kernel.lumping`` as a per-state loop found it: each ``R`` row keyed by its row class and the hash of
+    its bytes, and compared in full with the first row of each group under that key."""
+    R, d = kernel.R.entries, kernel.space.d
+    by_key, reps, sizes = {}, [], []
+    group, rank = np.empty(d, dtype=np.intp), np.empty(d, dtype=np.intp)
+    for x, (c, r) in enumerate(zip(kernel.row_class.tolist(), R)):
+        groups = by_key.setdefault((c, hash(r.tobytes())), [])
+        g = next((g for g in groups if np.array_equal(r, R[reps[g]])), len(reps))
+        if g == len(reps):
+            groups.append(g)
+            reps.append(x)
+            sizes.append(0)
+        group[x], rank[x] = g, sizes[g]
+        sizes[g] += 1
+    layers = tuple((s, group[s]) for s in map(np.flatnonzero, (rank == k for k in range(1, max(sizes)))))
+    return group, np.array(reps, dtype=np.intp), layers
+
+
+def assert_same_lumping(a, b):
+    (group, reps, layers), (group_b, reps_b, layers_b) = a, b
+    np.testing.assert_array_equal(group, group_b)
+    np.testing.assert_array_equal(reps, reps_b)
+    assert len(layers) == len(layers_b)
+    for (s, g), (s_b, g_b) in zip(layers, layers_b):
+        np.testing.assert_array_equal(s, s_b)
+        np.testing.assert_array_equal(g, g_b)
+
+
+@pytest.mark.parametrize("grid", [(8, 8, 3), (15, 15, 5)])
+def test_uav_lumping_is_the_per_state_lumping(grid):
+    # the sorted keys group the states as the per-state loop over hashed rows did
+    kernel, _ = build_scenario_model(UavScenario(*grid, wind=generate_wind_field(*grid, seed=0)))
+    assert_same_lumping(kernel.lumping, per_state_lumping(kernel))
+
+
+def test_a_key_collision_does_not_merge_groups(rng, monkeypatch):
+    # with every row keyed 0, each row class is one run: its unequal rows are
+    # told apart by their bits, and the groups are the per-state loop's
+    import klmdp.state_space as state_space
+
+    monkeypatch.setattr(state_space, "_row_keys", lambda bits: np.zeros(bits.shape[0], dtype=np.uint64))
+    a, b = [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]  # one row class: full support, Q0 = 1
+    kernel = FactoredKernel(ProductStateSpace(4, 1), StochasticMatrix(np.array([a, b, a, b])),
+                            StochasticMatrix(np.ones((4, 1))))
+    group, reps, layers = kernel.lumping
+    np.testing.assert_array_equal(group, [0, 1, 0, 1])
+    np.testing.assert_array_equal(reps, [0, 1])
+    assert [(s.tolist(), g.tolist()) for s, g in layers] == [([2, 3], [0, 1])]
+    for _ in range(10):
+        kernel = repeated_rows_model(rng, 3, 2, 3)
+        assert_same_lumping(kernel.lumping, per_state_lumping(kernel))
 
 
 def test_class_rows_stack_the_rows_of_r_by_class_size(rng):

@@ -23,7 +23,7 @@ from klmdp import (
     solve_finite_horizon,
     velocity_field,
 )
-from klmdp.chain_solvers import BorderedLU
+from klmdp.chain_solvers import BorderedLU, BorderedWorkspace
 from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.state_space import ClassRows
 
@@ -344,7 +344,8 @@ class TestNoDenseChain:
     bordered LU, with its certified first solve, holds its lumped r x r matrix
     and the r x (d - r) block it keeps, 8 r d bytes, with no dense chain and
     no d x d matrix or rule beside them.  A finite-horizon solve holds its
-    values, its own copy of R0 in class order, and less than one rule beside."""
+    values, its own copy of R0 in class order, and less than one rule beside;
+    with only zeta = 0 to solve it makes no copy."""
 
     @pytest.fixture(scope="class")
     def uav15(self):
@@ -366,9 +367,11 @@ class TestNoDenseChain:
         sc, model, U = uav15
         d, r = model.space.d, model.lumping[1].size
         assert r == 928
-        rows = ClassRows(model)  # the corrector's copy of R0 in class order, made before its first LU
+        # the corrector's copies of R0, in class order and at the representatives, made before its first LU
+        rows = ClassRows(model)
+        workspace = BorderedWorkspace(rows, sc.basepoint)
         e, s, _ = _tilt_values(U, rows)
-        peak = peak_bytes(lambda: BorderedLU(rows, e, s, sc.basepoint).solve(U))
+        peak = peak_bytes(lambda: BorderedLU(workspace, e, s).solve(U))
         # 1 MiB of scratch, the certified first solve included; one rule is 2.0 MB
         assert 8 * r**2 <= peak < 8 * r * d + 2**20
 
@@ -379,6 +382,13 @@ class TestNoDenseChain:
         peak = peak_bytes(lambda: solve_finite_horizon(model, U, T, cfg))
         rule = 8 * d * model.space.d_u
         assert peak < 3 * 8 * (T + 1) * d + 2 * rule  # the three W, the class-ordered R0, and less than one rule
+
+    def test_finite_horizon_at_zeta_zero(self, uav15):
+        # W = 0 exactly there, and no tilt runs: no class-ordered copy of R0 is made
+        _, model, U = uav15
+        cfg = OdeConfig(zeta_max=0.0, checkpoints=(0.0,))
+        peak = peak_bytes(lambda: solve_finite_horizon(model, U, 6, cfg))
+        assert peak < 8 * model.space.d * model.space.d_u / 2
 
 
 @pytest.fixture(scope="module")
