@@ -104,7 +104,7 @@ class BorderedWorkspace:
         pinned[group[x0]] = x0
         others = np.setdiff1d(np.arange(group.size), pinned)
         self.rows, self.reps, self.at_reps = rows, reps, kernel.row_class[reps]
-        self.columns = np.take(kernel.R.entries.T, reps, axis=1)  # C-ordered: one copy, with no (r, d_u) one
+        self.columns = np.take(kernel.R.entries.T, reps, axis=1)  # R0[reps].T, C-ordered, in one copy
         self.border = (group, pinned, others, pinned[group[others]], group[x0])
         self.owner = None  # a weak reference to the LU factored in the buffer
 
@@ -116,27 +116,28 @@ class BorderedWorkspace:
 class BorderedLU:
     """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
-    The chain is that of a tilt of the rule of ``rows.kernel``, given by its
-    class exponent ``e`` and row sums ``s`` (``kl_calculus._tilt_values``): ``R(x,
-    u) = R0(x, u) e(c(x), u) / s(x)`` and ``P(x, (x_u', x_n')) = R(x, x_u')
-    Q0(x, x_n')``.  That is ``S C`` (:meth:`FactoredKernel.lumped`), with the
-    rows ``C`` at the group representatives formed a block of columns at a
-    time, each read from the workspace's ``columns``, and ``x0`` represents
-    its own group.  So ``H = w[group] + delta``,
-    with ``delta(y) = rhs(y) - rhs(rep(y))``, and ``(w, eta)`` solves ``(I -
-    C S) w + eta 1 = rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``:
-    column ``g(x0)`` is replaced by ones, so slot ``g(x0)`` carries ``eta``.
-    ``-C S`` is assembled in the workspace's ``buffer`` and LAPACK factors it
-    there, and only ``C[:, others]`` is kept beside it; with ``r = d`` this
-    is the full system.  One pass then zeroes the entries below
-    ``FLUSH_BELOW`` (subnormals slow the LU many times over, and the flushed
-    LU still solves the exact system to rounding) and writes the unit
-    diagonal and the border.  The first
-    solve is certified on the full ``H``: its residual ``sup |P H - H + rhs -
-    eta|``, from ``P y = rows.products(e * z) / s`` with ``z`` the
-    conditional expectation of ``y`` (:meth:`ClassRows.products`), must be
-    within ``POISSON_TOL``, so a bad LU, or a tilt unequal within a group, fails.
-    The tilt is then dropped, and later solves reuse the LU unchecked.
+    The chain is that of a tilt of the rule of the workspace's kernel,
+    given by its class exponent ``e`` and row sums ``s``
+    (``kl_calculus._tilt_values``): ``R(x, u) = R0(x, u) e(c(x), u) / s(x)``
+    and ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``.  That is ``S C``
+    (:meth:`FactoredKernel.lumped`), with the rows ``C`` at the group
+    representatives formed a block of columns at a time, ``R0`` read from
+    the workspace's ``columns``, and the workspace's ``x0`` represents its
+    own group.  So ``H = w[group] + delta``, with ``delta(y) = rhs(y) -
+    rhs(rep(y))``, and ``(w, eta)`` solves ``(I - C S) w + eta 1 =
+    rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``: column ``g(x0)``
+    is replaced by ones, so slot ``g(x0)`` carries ``eta``.  ``-C S`` is
+    assembled in the workspace's ``buffer``; one pass then zeroes its
+    entries below ``FLUSH_BELOW`` (subnormals slow the LU many times over,
+    and the flushed LU still solves the exact system to rounding) and
+    writes the unit diagonal and the border, and LAPACK factors the result
+    there.  Only ``C[:, others]`` is kept beside it; with ``r = d`` this is
+    the full system.  The first solve is certified on the full ``H``: its
+    residual ``sup |P H - H + rhs - eta|``, from ``P y = rows.products(e *
+    z) / s`` with ``z`` the conditional expectation of ``y``
+    (:meth:`ClassRows.products`), must be within ``POISSON_TOL``, so a bad
+    LU, or a tilt unequal within a group, fails.  The tilt is then dropped,
+    and later solves reuse the LU unchecked.
     """
 
     def __init__(self, workspace: BorderedWorkspace, e: np.ndarray, s: np.ndarray):
