@@ -17,8 +17,6 @@ recursion, which solves no linear system, never loads ``scipy.linalg`` (with
 from __future__ import annotations
 
 import warnings
-import weakref
-from functools import cached_property
 
 import numpy as np
 
@@ -83,18 +81,37 @@ def recurrent_class(kernel: FactoredKernel) -> np.ndarray:
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
-class BorderedWorkspace:
-    """What every :class:`BorderedLU` of one solve shares: they depend only on the kernel and ``x0``.
+class BorderedLU:
+    """The kept LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
 
-    ``rows`` is the solve's :class:`ClassRows`; ``columns`` the contiguous
-    ``d_u x r`` copy ``R0[reps].T`` of the rule at the group
-    representatives, from which each LU reads the tilt's columns; ``border``
-    the groups, the representatives with ``x0`` in place of its group's
-    first state (``pinned``), the ``others``, their representatives and
-    ``x0``'s group.  ``buffer`` is the ``r x r`` Fortran-ordered matrix that
-    each LU is assembled and factored in, made at the first; an LU made
-    while the last one is alive would overwrite its factors, so it raises
-    ``RuntimeError``.
+    Made from a solve's :class:`ClassRows` ``rows`` and the basepoint
+    ``x0`` and kept for the solve, it holds what depends only on them: the
+    contiguous ``d_u x r`` copy ``R0[reps].T`` of the rule at the group
+    representatives, and the border's indices: the groups, the
+    representatives with ``x0`` in place of its group's first state, the
+    ``others``, their representatives and ``x0``'s group.  :meth:`factor`
+    factors the chain of a tilt of the rule, given by its class exponent
+    ``e`` and row sums ``s`` (``kl_calculus._tilt_values``): ``R(x, u) =
+    R0(x, u) e(c(x), u) / s(x)`` and ``P(x, (x_u', x_n')) = R(x, x_u')
+    Q0(x, x_n')``.  That is ``S C`` (:meth:`FactoredKernel.lumped`), with
+    the rows ``C`` at the representatives formed a block of columns at a
+    time, and ``x0`` represents its own group.  So ``H = w[group] +
+    delta``, with ``delta(y) = rhs(y) - rhs(rep(y))``, and ``(w, eta)``
+    solves ``(I - C S) w + eta 1 = rhs[reps] + C[:, others] delta`` with
+    ``w(g(x0)) = 0``: column ``g(x0)`` is replaced by ones, so slot
+    ``g(x0)`` carries ``eta``.  ``C S`` is assembled over the previous
+    factors, in the ``r x r`` Fortran-ordered buffer made at the first
+    factorization; one pass then zeroes its entries below ``FLUSH_BELOW``
+    (subnormals slow the LU many times over, and the flushed LU still
+    solves the exact system to rounding), negates it, and writes the unit
+    diagonal and the border, and LAPACK factors the result there.  Only
+    ``C[:, others]`` is kept beside it; with ``r = d`` this is the full
+    system.  The first solve after each factorization is certified on the
+    full ``H``: its residual ``sup |P H - H + rhs - eta|``, from ``P y =
+    rows.products(e * z) / s`` with ``z`` the conditional expectation of
+    ``y`` (:meth:`ClassRows.products`), must be within ``POISSON_TOL``, so
+    a bad LU, or a tilt unequal within a group, fails.  The tilt is then
+    dropped, and later solves reuse the LU unchecked.
     """
 
     def __init__(self, rows: ClassRows, x0: int):
@@ -105,50 +122,20 @@ class BorderedWorkspace:
         others = np.setdiff1d(np.arange(group.size), pinned)
         self.rows, self.reps, self.at_reps = rows, reps, kernel.row_class[reps]
         self.columns = np.take(kernel.R.entries.T, reps, axis=1)  # R0[reps].T, C-ordered, in one copy
-        self.border = (group, pinned, others, pinned[group[others]], group[x0])
-        self.owner = None  # a weak reference to the LU factored in the buffer
+        self._lumping = (group, pinned, others, pinned[group[others]], group[x0])
+        self._lu = self._tilt = None  # no factors yet: the buffer is made at the first factorization
 
-    @cached_property
-    def buffer(self) -> np.ndarray:
-        return np.empty((self.reps.size,) * 2, order="F")
-
-
-class BorderedLU:
-    """LU factorization of the bordered Poisson matrix ``[I - P | 1]``, lumped on the kernel's groups.
-
-    The chain is that of a tilt of the rule of the workspace's kernel,
-    given by its class exponent ``e`` and row sums ``s``
-    (``kl_calculus._tilt_values``): ``R(x, u) = R0(x, u) e(c(x), u) / s(x)``
-    and ``P(x, (x_u', x_n')) = R(x, x_u') Q0(x, x_n')``.  That is ``S C``
-    (:meth:`FactoredKernel.lumped`), with the rows ``C`` at the group
-    representatives formed a block of columns at a time, ``R0`` read from
-    the workspace's ``columns``, and the workspace's ``x0`` represents its
-    own group.  So ``H = w[group] + delta``, with ``delta(y) = rhs(y) -
-    rhs(rep(y))``, and ``(w, eta)`` solves ``(I - C S) w + eta 1 =
-    rhs[reps] + C[:, others] delta`` with ``w(g(x0)) = 0``: column ``g(x0)``
-    is replaced by ones, so slot ``g(x0)`` carries ``eta``.  ``-C S`` is
-    assembled in the workspace's ``buffer``; one pass then zeroes its
-    entries below ``FLUSH_BELOW`` (subnormals slow the LU many times over,
-    and the flushed LU still solves the exact system to rounding) and
-    writes the unit diagonal and the border, and LAPACK factors the result
-    there.  Only ``C[:, others]`` is kept beside it; with ``r = d`` this is
-    the full system.  The first solve is certified on the full ``H``: its
-    residual ``sup |P H - H + rhs - eta|``, from ``P y = rows.products(e *
-    z) / s`` with ``z`` the conditional expectation of ``y``
-    (:meth:`ClassRows.products`), must be within ``POISSON_TOL``, so a bad
-    LU, or a tilt unequal within a group, fails.  The tilt is then dropped,
-    and later solves reuse the LU unchecked.
-    """
-
-    def __init__(self, workspace: BorderedWorkspace, e: np.ndarray, s: np.ndarray):
+    def factor(self, e: np.ndarray, s: np.ndarray) -> None:
+        """Factor the chain of the tilt ``(e, s)`` over the previous factors."""
         import scipy.linalg
 
-        if workspace.owner is not None and workspace.owner() is not None:
-            raise RuntimeError("the workspace's buffer still holds a live LU")
-        rows, columns, at_reps, M = workspace.rows, workspace.columns, workspace.at_reps, workspace.buffer
-        _, _, others, _, g0 = self._lumping = workspace.border
-        s_reps = s[workspace.reps]
-        workspace.owner = weakref.ref(self)
+        rows, columns, at_reps, s_reps = self.rows, self.columns, self.at_reps, s[self.reps]
+        _, _, others, _, g0 = self._lumping
+        r = self.reps.size
+        M = np.empty((r, r), order="F") if self._lu is None else self._lu[0]
+        # drop the last factors and kept block first: a failed factorization
+        # leaves none to solve with, and no two blocks are alive at once
+        self._lu = self._block = None
 
         def rule(cols: slice) -> np.ndarray:  # the tilt's columns cols at the representatives, transposed
             t = e.T[cols, at_reps]
@@ -156,14 +143,13 @@ class BorderedLU:
             return np.divide(t, s_reps, out=t)
 
         self._block = rows.kernel.lumped(rule, M, others)
-        r = M.shape[0]
-        # flush in place, by column blocks of about 2^16 entries: no r x r temporary.  -C S <= 0, so
-        # |block| < FLUSH_BELOW is block > -FLUSH_BELOW; times 0 that is -0.0, and -0.0 + 0.0 is +0.0
+        # flush and negate in place, by column blocks of about 2^16 entries: no r x r temporary.
+        # C S >= 0, so times 0 an entry below FLUSH_BELOW is +0.0, and 0.0 - x is +0.0 there
         width = max(1, 2**16 // r)
         for j in range(0, r, width):
             block = M[:, j : j + width]
-            np.multiply(block, block <= -FLUSH_BELOW, out=block)
-            block += 0.0
+            np.multiply(block, block >= FLUSH_BELOW, out=block)
+            np.subtract(0.0, block, out=block)
         M.flat[:: r + 1] += 1.0
         M[:, g0] = 1.0
         with warnings.catch_warnings():

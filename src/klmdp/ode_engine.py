@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain_solvers import BorderedLU, BorderedWorkspace, recurrent_class
+from .chain_solvers import BorderedLU, recurrent_class
 from .errors import ConvergenceError, ResidualToleranceError
 from .kl_calculus import _tilt_values, tilted_rule
 from .state_space import ClassRows, FactoredKernel, StochasticMatrix
@@ -56,14 +56,17 @@ class OdeConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.zeta_max < 0:
-            raise ValueError("zeta_max must be >= 0")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
+        # NaN fails every comparison, so each test below rejects it
+        if not 0 <= self.zeta_max < np.inf:
+            raise ValueError(f"zeta_max must be finite and >= 0, got {self.zeta_max}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
         if self.checkpoints is not None:
             cps = tuple(sorted(float(c) for c in self.checkpoints))
             for c in cps:
-                if c < 0 or c > self.zeta_max + 1e-12:
+                if not 0 <= c <= self.zeta_max + 1e-12:
                     raise ValueError(f"checkpoint {c} outside [0, {self.zeta_max}]")
             object.__setattr__(self, "checkpoints", cps)
 
@@ -232,35 +235,34 @@ def _checked_utility(utility: np.ndarray, model: FactoredKernel) -> np.ndarray:
 
 
 class _Corrector:
-    """Newton on ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), owning one solve's workspace.
+    """Newton on ``zeta U + Lambda_h - h - eta = 0`` (policy iteration), owning one solve's kept LU.
 
-    The bordered matrix ``[I - P_h | 1]`` is factored at the first correction
-    and kept as one :class:`BorderedLU`, lumped on the kernel's groups, across
-    steps and calls (chord method).  Chord steps are Anderson-mixed with up to
-    ``ANDERSON_DEPTH`` earlier ones on the same LU, a history cleared at each
-    call, refactorization and undo.  Each iterate is tilted once, on the
-    corrector's :class:`ClassRows` (:func:`_tilt_values`), and its class
-    exponent ``e`` and row sums ``s`` are all a factorization needs, so no
-    ``(d, d_u)`` array is formed; each correction is one triangular
-    solve.  What the factorizations share is made once, with the corrector,
-    in its :class:`BorderedWorkspace`: the ``d_u x r`` copy ``R0[reps].T``
-    from which each reads the tilt's columns, the border's indices, and one
-    ``r x r`` buffer, made at the first factorization, in which each is
-    assembled once the last one is dropped.  Each LU certifies its first
-    solve; a singular LU, a failed certificate or a non-finite residual
-    raises :class:`ConvergenceError`.  Where a correction does not cut the residual by
-    ``CHORD_RHO``, the matrix is refactored at the current iterate
-    (Shamanskii); a chord step that does not lower it at all is undone, and
-    the full Newton step is taken from where it started.  A stale LU changes
-    only the iteration path: the residual ``sup_x |zeta U + Lambda_h - h -
-    eta|`` comes from the exact tilt.
+    The bordered matrix ``[I - P_h | 1]`` is kept as one :class:`BorderedLU`,
+    lumped on the kernel's groups and made with the corrector; it is factored
+    at the first correction and kept across steps and calls (chord method).
+    Chord steps are Anderson-mixed with up to ``ANDERSON_DEPTH`` earlier ones
+    on the same LU, a history cleared at each call, refactorization and undo.
+    Each iterate is tilted once, on the corrector's :class:`ClassRows`
+    (:func:`_tilt_values`), and its class exponent ``e`` and row sums ``s``
+    are all a factorization needs, so no ``(d, d_u)`` array is formed; each
+    correction is one triangular solve.  The LU holds what its
+    factorizations share: the ``d_u x r`` copy ``R0[reps].T`` from which
+    each reads the tilt's columns, the border's indices, and the ``r x r``
+    buffer, made at the first factorization, over which each later one is
+    assembled and factored.  The first solve after each factorization is
+    certified; a singular LU, a failed certificate or a non-finite residual
+    raises :class:`ConvergenceError`.  Where a correction does not cut the
+    residual by ``CHORD_RHO``, the matrix is refactored at the current
+    iterate (Shamanskii); a chord step that does not lower it at all is
+    undone, and the full Newton step is taken from where it started.  A
+    stale LU changes only the iteration path: the residual ``sup_x |zeta U +
+    Lambda_h - h - eta|`` comes from the exact tilt.
     """
 
     def __init__(self, model: FactoredKernel, U: np.ndarray, basepoint: int):
         self.U, self.u_max = U, float(np.max(np.abs(U)))
         self.rows = ClassRows(model)
-        self.workspace = BorderedWorkspace(self.rows, basepoint)
-        self.lu: BorderedLU | None = None
+        self.lu = BorderedLU(self.rows, basepoint)
 
     def solve(self, x: np.ndarray, zeta: float, max_iter: int) -> tuple[np.ndarray, float, float, int, int]:
         """Correct ``x = (h, eta)`` at ``zeta``: ``(x, residual, first residual, steps, factorizations)``.
@@ -284,12 +286,11 @@ class _Corrector:
                 first_res = res
             if it == max_iter or res <= NEWTON_TOL * (1 + np.max(np.abs(h)) + zeta * self.u_max):
                 break
-            refactor = self.lu is None or res > CHORD_RHO * start_res
+            refactor = self.lu._lu is None or res > CHORD_RHO * start_res  # no factors yet, or too slow
             if refactor and res >= start_res and not start_factored:
                 (x, e, s, defect), res = start, start_res  # undo a chord step that did not help
             if refactor:
-                self.lu = None  # at most one factorization alive: the next is assembled in its buffer
-                self.lu = BorderedLU(self.workspace, e, s)
+                self.lu.factor(e, s)
                 factorizations += 1
                 mixing.clear()
             start, start_res, start_factored = (x, e, s, defect), res, refactor

@@ -164,22 +164,21 @@ class FactoredKernel:
     def lumped(
         self, rule: Callable[[slice], np.ndarray], out: np.ndarray, keep: np.ndarray = np.empty(0, dtype=np.intp)
     ) -> np.ndarray:
-        """Write ``-M = -C S`` for a tilt of ``R`` into ``out``; return the columns ``keep`` of ``C``.
+        """Write ``M = C S`` for a tilt of ``R`` into ``out``; return the columns ``keep`` of ``C``.
 
         ``rule(cols)`` returns the tilt's columns ``cols`` at the ``reps`` of
         :attr:`lumping`, transposed: a ``(len(cols), r)`` array.  Both callers
         read it from a contiguous ``d_u x r`` copy of a rule at the ``reps``:
-        the average-reward corrector holds ``R0[reps].T`` for the length of
-        its solve (1.7 MB at 15x15x5; :class:`~klmdp.chain_solvers.BorderedWorkspace`),
+        the average-reward solve's :class:`~klmdp.chain_solvers.BorderedLU`
+        holds ``R0[reps].T`` for the length of the solve (1.7 MB at 15x15x5),
         and the spectrum copies its rule for the length of its call.  ``C``
         holds the rows ``P(x, (u, n)) = rule(x, u) Q0(x, n)`` at the ``reps``
         and ``S`` is the ``d x r`` 0/1 group map, so column ``g`` of ``M``
-        sums group ``g``'s columns of ``C`` by increasing state.  ``out`` is
-        an ``r x r`` Fortran-ordered buffer, so LAPACK works on it in place.
-        It receives ``-M``: the first column of each group negated and the
-        later ones subtracted, since ``(-a) - b`` is ``-(a + b)`` bit for
-        bit.  ``C`` is formed about ``2^16`` entries at a time, from whole
-        columns of the rule, with no ``r x d`` array.
+        sums group ``g``'s columns of ``C`` by increasing state: its first
+        column is copied and the later ones added.  ``out`` is an ``r x r``
+        Fortran-ordered buffer, so LAPACK works on it in place.  ``C`` is
+        formed about ``2^16`` entries at a time, from whole columns of the
+        rule, with no ``r x d`` array.
         """
         _, reps, layers = self.lumping
         (r,), (d_u, d_n) = reps.shape, (self.space.d_u, self.space.d_n)
@@ -193,10 +192,9 @@ class FactoredKernel:
             Ct = np.multiply(t[:, None, :], Q0t, out=block[: len(t)]).reshape(-1, r)  # columns y0 ... y1 of C
             a, b = np.searchsorted(reps, (y0, y1))
             np.take(Ct, reps[a:b] - y0, axis=0, out=out.T[a:b], mode="clip")  # clip: unbuffered, indices in range
-            np.negative(out.T[a:b], out=out.T[a:b])
             for states, groups in layers:
                 a, b = np.searchsorted(states, (y0, y1))
-                out.T[groups[a:b]] -= Ct[states[a:b] - y0]
+                out.T[groups[a:b]] += Ct[states[a:b] - y0]
             a, b = np.searchsorted(keep, (y0, y1))
             np.take(Ct, keep[a:b] - y0, axis=0, out=kept.T[a:b], mode="clip")
         return kept

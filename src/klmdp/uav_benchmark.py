@@ -167,12 +167,13 @@ def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
     C`` (:meth:`FactoredKernel.lumped`), and Sylvester's identity ``det(lam
     I_d - S C) = lam^(d-r) det(lam I_r - C S)`` makes the spectrum ``eig(C
     S)`` plus ``d - r`` exact zeros.  A rule unequal within a group raises
-    ``ValueError``.  LAPACK reduces ``C S`` itself, in place: its transpose
-    has the same eigenvalues, but LAPACK finds them less accurately on the
-    tilted UAV chain (leading ten off by 1.6e-11 against 6e-15 at 8x8x3,
-    zeta 1).  The finiteness check is skipped: :class:`StochasticMatrix`
-    rejects non-finite entries.  A chain held as a dense ``P`` is the kernel
-    ``R = P``, ``Q0 = ones((d, 1))``.
+    ``ValueError``.  LAPACK reduces ``C S`` itself, in the buffer that
+    ``lumped`` writes it to: its transpose has the same eigenvalues, but
+    LAPACK finds them less accurately on the tilted UAV chain (leading ten
+    off by 1.6e-11 against 6e-15 at 8x8x3, zeta 1).  The finiteness check
+    is skipped: :class:`StochasticMatrix` rejects non-finite entries.  A
+    chain held as a dense ``P`` is the kernel ``R = P``, ``Q0 = ones((d,
+    1))``.
     """
     import scipy.linalg
 
@@ -181,6 +182,6 @@ def controlled_spectrum(kernel: FactoredKernel, rule: np.ndarray) -> np.ndarray:
         raise ValueError("the rule's rows differ within a group of equal nominal rows: not a tilt of the kernel's rule")
     columns, M = np.take(rule.T, reps, axis=1), np.empty((reps.size,) * 2, order="F")  # rule[reps].T, C-ordered
     kernel.lumped(lambda cols: columns[cols], M)
-    lumped = scipy.linalg.eigvals(np.negative(M, out=M), overwrite_a=True, check_finite=False)  # -(-M) is M exactly
+    lumped = scipy.linalg.eigvals(M, overwrite_a=True, check_finite=False)
     eig = np.concatenate([lumped, np.zeros(kernel.space.d - reps.size, dtype=lumped.dtype)])
     return eig[np.lexsort((-eig.imag, -eig.real, -np.abs(eig)))]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klmdp import FactoredKernel, ProductStateSpace, StochasticMatrix
-from klmdp.chain_solvers import BorderedLU, BorderedWorkspace
+from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import _tilt_values
 from klmdp.state_space import ClassRows
 
@@ -48,11 +48,18 @@ def dense_chain_kernel(P):
     return FactoredKernel(ProductStateSpace(d, 1), StochasticMatrix(P), StochasticMatrix(np.ones((d, 1))))
 
 
+def factored_lu(rows, x0, e, s):
+    """A new bordered LU on ``rows`` and ``x0``, factored at the tilt of class exponent ``e`` and row sums ``s``."""
+    lu = BorderedLU(rows, x0)
+    lu.factor(e, s)
+    return lu
+
+
 def bordered_lu(kernel, h, x0):
     """The bordered LU of the chain of ``R0`` tilted by ``h``, from the tilt's class exponent and row sums."""
     rows = ClassRows(kernel)
     e, s, _ = _tilt_values(h, rows)
-    return BorderedLU(BorderedWorkspace(rows, x0), e, s)
+    return factored_lu(rows, x0, e, s)
 
 
 def dense_bordered_lu(P, x0):

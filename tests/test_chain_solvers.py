@@ -17,7 +17,7 @@ from klmdp import (
     recurrent_class,
 )
 
-from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU, BorderedWorkspace
+from klmdp.chain_solvers import FLUSH_BELOW, POISSON_TOL, BorderedLU
 from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.state_space import ClassRows
 from klmdp.uav_benchmark import UavScenario, build_scenario_model, generate_wind_field
@@ -27,6 +27,7 @@ from conftest import (
     bordered_lu,
     dense_bordered_lu,
     dense_chain_kernel,
+    factored_lu,
     induced_transition,
     random_factored_model,
     random_utility,
@@ -263,6 +264,25 @@ class TestBorderedLU:
         with pytest.raises(ConvergenceError, match="singular"):
             dense_bordered_lu(P, 0)
 
+    def test_a_failed_refactorization_leaves_no_factors(self, rng, monkeypatch):
+        # the failed matrix was assembled over the last factors, so none are
+        # left to solve with, and the next factorization starts afresh
+        kernel = random_factored_model(rng, 3, 2)
+        rows = ClassRows(kernel)
+        e, s, _ = _tilt_values(np.zeros(6), rows)
+        lu = factored_lu(rows, 0, e, s)
+
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgWarning("exactly singular")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+        with pytest.raises(ConvergenceError, match="singular"):
+            lu.factor(e, s)
+        assert lu._lu is None
+        monkeypatch.undo()
+        lu.factor(e, s)
+        lu.solve(np.arange(6.0))  # certified
+
     def test_kept_factorization_serves_later_right_hand_sides(self, rng):
         P = StochasticMatrix(rng.dirichlet(np.ones(6), size=6)).entries
         lu = dense_bordered_lu(P, 2)
@@ -381,8 +401,7 @@ class TestLumpedBorderedLU:
         y = int(layers[0][0][-1])  # a state that is not its group's first: its row is not factored
         split = s.copy()
         split[y] *= 2.0
-        # one workspace each: an LU is factored in its workspace's buffer
-        clean, lu = (BorderedLU(BorderedWorkspace(rows, x0), e, t) for t in (s, split))
+        clean, lu = (factored_lu(rows, x0, e, t) for t in (s, split))
         for a, b in zip((*clean._lu, clean._block), (*lu._lu, lu._block)):
             np.testing.assert_array_equal(a, b)  # the same factorization
         H, eta = clean.solve(rhs)
@@ -436,8 +455,8 @@ def assert_same_factors(lu, expected):
 
 
 class TestBorderedAssembly:
-    """The LU assembles ``-C S`` in its workspace's buffer, from the workspace's
-    copy of the rule at the representatives, and flushes it in one pass: the
+    """The LU assembles ``C S`` over its previous factors, from its copy of the
+    rule at the representatives, and flushes and negates it in one pass: the
     factors are those of the per-call assembly bit for bit."""
 
     @pytest.mark.parametrize("repeated", [True, False], ids=["repeated-rows", "dirichlet"])
@@ -447,45 +466,33 @@ class TestBorderedAssembly:
         kernel, h, _, x0 = data.draw(lumped_cases(repeated))
         rows = ClassRows(kernel)
         e, s, _ = _tilt_values(h, rows)
-        assert_same_factors(BorderedLU(BorderedWorkspace(rows, x0), e, s), per_call_bordered_factors(kernel, e, s, x0))
+        assert_same_factors(factored_lu(rows, x0, e, s), per_call_bordered_factors(kernel, e, s, x0))
 
     def test_uav_factors_are_the_per_call_factors_bit_for_bit(self):
         # 15x15x5: r = 928 groups of 1,125 states, with entries below FLUSH_BELOW
         scenario = UavScenario(d_a=15, d_o=15, d_N=5, wind=generate_wind_field(15, 15, 5, seed=0))
         kernel, U = build_scenario_model(scenario)
         rows = ClassRows(kernel)
-        workspace = BorderedWorkspace(rows, scenario.basepoint)
-        for zeta in (0.01, 1.0):
+        lu = BorderedLU(rows, scenario.basepoint)
+        for zeta in (0.01, 1.0):  # the second is factored over the first
             e, s, _ = _tilt_values(zeta * U, rows)
             expected = per_call_bordered_factors(kernel, e, s, scenario.basepoint)
             assert np.any((expected[2] > 0) & (expected[2] < FLUSH_BELOW))  # C has entries to flush
-            assert_same_factors(BorderedLU(workspace, e, s), expected)
+            lu.factor(e, s)
+            assert_same_factors(lu, expected)
 
     def test_a_factorization_in_the_reused_buffer_equals_a_fresh_one(self, rng):
         kernel = repeated_rows_model(rng, 4, 3, pairs=7)
         rows = ClassRows(kernel)
-        workspace = BorderedWorkspace(rows, 0)
-        first = BorderedLU(workspace, *_tilt_values(rng.uniform(-3.0, 3.0, size=12), rows)[:2])
-        assert np.shares_memory(first._lu[0], workspace.buffer)
-        del first  # at most one LU per buffer
+        lu = BorderedLU(rows, 0)
+        lu.factor(*_tilt_values(rng.uniform(-3.0, 3.0, size=12), rows)[:2])
+        first = lu._lu[0]
         e, s, _ = _tilt_values(rng.uniform(-3.0, 3.0, size=12), rows)
-        again = BorderedLU(workspace, e, s)
-        assert np.shares_memory(again._lu[0], workspace.buffer)
-        fresh = BorderedLU(BorderedWorkspace(rows, 0), e, s)
-        assert not np.shares_memory(fresh._lu[0], workspace.buffer)
-        assert_same_factors(again, (*fresh._lu, fresh._block))
-
-    def test_a_second_live_lu_in_one_buffer_is_refused(self, rng):
-        kernel = random_factored_model(rng, 3, 2)
-        rows = ClassRows(kernel)
-        workspace = BorderedWorkspace(rows, 0)
-        e, s, _ = _tilt_values(np.zeros(6), rows)
-        lu = BorderedLU(workspace, e, s)
-        with pytest.raises(RuntimeError, match="still holds a live LU"):
-            BorderedLU(workspace, e, s)
-        lu.solve(np.arange(6.0))  # its factors are untouched: the certificate passes
-        del lu
-        BorderedLU(workspace, e, s)
+        lu.factor(e, s)
+        assert np.shares_memory(lu._lu[0], first)
+        fresh = factored_lu(rows, 0, e, s)
+        assert not np.shares_memory(fresh._lu[0], first)
+        assert_same_factors(lu, (*fresh._lu, fresh._block))
 
 
 class TestPerronFrobeniusBaseline:

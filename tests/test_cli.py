@@ -158,6 +158,31 @@ class TestConfigErrors:
         assert f"error: {message}" in err and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())  # no files written
 
+    @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "2"]])
+    @pytest.mark.parametrize("solver, flags, message", [
+        ({}, ["--checkpoints", "nan"], "checkpoint nan outside [0, 0.5]"),
+        ({}, ["--zeta-max", "nan"], "zeta_max must be finite and >= 0, got nan"),
+        ({}, ["--zeta-max", "inf"], "zeta_max must be finite and >= 0, got inf"),
+        ({}, ["--step", "inf"], "step must be finite and > 0, got inf"),
+        ({}, ["--step", "nan"], "step must be finite and > 0, got nan"),
+        ({"residual_tol": -1}, [], "residual_tol must be finite and > 0, got -1.0"),
+        ({"residual_tol": 0}, [], "residual_tol must be finite and > 0, got 0.0"),
+        # Python's json reads NaN and Infinity
+        ({"residual_tol": float("nan")}, [], "residual_tol must be finite and > 0, got nan"),
+        ({"residual_tol": float("inf")}, [], "residual_tol must be finite and > 0, got inf"),
+    ], ids=[
+        "nan-checkpoint", "nan-zeta-max", "inf-zeta-max", "inf-step", "nan-step",
+        "negative-residual-tol", "zero-residual-tol", "nan-residual-tol", "inf-residual-tol",
+    ])
+    def test_invalid_solver_setting_is_a_clean_error(self, tmp_path, capsys, verb, solver, flags, message):
+        cfg = small_uav_config()
+        cfg["solver"].update(solver)
+        out = tmp_path / "run"
+        assert main(verb + ["--config", write_config(tmp_path, cfg), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", [["solve-ar"], ["solve-fh", "--horizon", "1"]])
     def test_colliding_checkpoint_tags_are_a_clean_error(self, tmp_path, capsys, verb):
         # both are grid nodes, and both would be written as zeta_12345.7

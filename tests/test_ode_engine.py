@@ -513,7 +513,7 @@ class TestCorrector:
         kernel, U, x0 = self.uav4()
         d, zeta = kernel.space.d, 0.5
         clean = _Corrector(kernel, U, x0).solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
-        anderson, factor = ode_engine._anderson_step, ode_engine.BorderedLU
+        anderson, factor = ode_engine._anderson_step, ode_engine.BorderedLU.factor
         steps, factored, corrupted = [], [], []  # (start, history length) per step; s per LU
 
         def corrupting(history, x, f):
@@ -524,12 +524,12 @@ class TestCorrector:
                 step = step + 10.0
             return step
 
-        def recording(workspace, e, s):
+        def recording(lu, e, s):
             factored.append(s)
-            return factor(workspace, e, s)
+            factor(lu, e, s)
 
         monkeypatch.setattr(ode_engine, "_anderson_step", corrupting)
-        monkeypatch.setattr(ode_engine, "BorderedLU", recording)
+        monkeypatch.setattr(ode_engine.BorderedLU, "factor", recording)
         x, res, _, _, _ = _Corrector(kernel, U, x0).solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
         [(k, n)] = corrupted
         start = steps[k - 1][0]
@@ -539,28 +539,46 @@ class TestCorrector:
         assert res <= NEWTON_TOL * (1 + np.max(np.abs(x[:d])) + zeta * np.max(np.abs(U)))
         assert np.max(np.abs(x - clean[0])) <= 1e-12
 
-    def test_factorizations_share_one_buffer_and_one_live_lu(self, monkeypatch):
-        # each LU is assembled in the corrector's one r x r buffer, and only
-        # once the last LU is dropped
+    @staticmethod
+    def recording_buffers(monkeypatch):
+        """Patch ``BorderedLU.factor`` to record each factorization's LU and the array holding its factors."""
         import klmdp.ode_engine as ode_engine
 
+        factor, made = ode_engine.BorderedLU.factor, []
+
+        def recording(lu, e, s):
+            factor(lu, e, s)
+            made.append((lu, lu._lu[0]))
+
+        monkeypatch.setattr(ode_engine.BorderedLU, "factor", recording)
+        return made
+
+    def test_factorizations_share_one_buffer_and_one_live_lu(self, monkeypatch):
+        # each factorization is assembled over the last, in the corrector's
+        # one LU and its one r x r buffer
         kernel, U, x0 = self.uav4()
         d, zeta = kernel.space.d, 0.5
         corrector = _Corrector(kernel, U, x0)
-        factor, made = ode_engine.BorderedLU, []
-
-        def recording(workspace, e, s):
-            assert workspace is corrector.workspace and corrector.lu is None
-            assert all(lu() is None for lu in made)
-            lu = factor(workspace, e, s)
-            made.append(weakref.ref(lu))
-            assert np.shares_memory(lu._lu[0], workspace.buffer)
-            return lu
-
-        monkeypatch.setattr(ode_engine, "BorderedLU", recording)
+        made = self.recording_buffers(monkeypatch)
         _, res, _, _, lus = corrector.solve(np.zeros(d + 1), zeta, NEWTON_MAX_ITER)
         assert lus == len(made) >= 2 and res <= 1e-12
-        assert corrector.workspace.buffer.shape == (kernel.lumping[1].size,) * 2
+        buffer = made[0][1]
+        assert buffer.shape == (kernel.lumping[1].size,) * 2
+        assert all(lu is corrector.lu and np.shares_memory(a, buffer) for lu, a in made)
+
+    def test_one_lu_is_kept_across_calls_that_each_refactor(self, monkeypatch):
+        # two corrections at different weights, each refactoring, share the
+        # LU and the buffer made at the first factorization
+        kernel, U, x0 = self.uav4()
+        d = kernel.space.d
+        corrector = _Corrector(kernel, U, x0)
+        lu = corrector.lu
+        made = self.recording_buffers(monkeypatch)
+        x, res, _, _, first = corrector.solve(np.zeros(d + 1), 0.5, NEWTON_MAX_ITER)
+        _, res_again, _, _, second = corrector.solve(x, 2.0, NEWTON_MAX_ITER)
+        assert first >= 1 and second >= 1 and len(made) == first + second
+        assert max(res, res_again) <= 1e-12
+        assert corrector.lu is lu and all(m is lu and np.shares_memory(a, made[0][1]) for m, a in made)
 
     @pytest.mark.parametrize("solve", ["average-reward", "finite-horizon", "failed"])
     def test_no_class_rows_outlive_their_solve(self, monkeypatch, solve):

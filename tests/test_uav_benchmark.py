@@ -23,7 +23,7 @@ from klmdp import (
     solve_finite_horizon,
     velocity_field,
 )
-from klmdp.chain_solvers import BorderedLU, BorderedWorkspace
+from klmdp.chain_solvers import BorderedLU
 from klmdp.kl_calculus import _tilt_values, tilted_rule
 from klmdp.state_space import ClassRows
 
@@ -296,13 +296,20 @@ class TestControlledSpectrum:
         eig = controlled_spectrum(cp.kernel, cp.policy().entries)
         np.testing.assert_allclose(eig[:10], dense[:10], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("zeta", [0.0, 1.0], ids=["nominal", "checkpoint-1"])
     @pytest.mark.parametrize("grid", [(8, 8, 3), (15, 15, 5)])
-    def test_kernel_groups_give_the_per_call_spectrum_bit_for_bit(self, grid):
+    def test_kernel_groups_give_the_per_call_spectrum_bit_for_bit(self, grid, zeta):
         # the kernel's groups of equal (R0, Q0) rows are the groups of equal
-        # rows of R0 and Q0, and M = C S is summed in the same order
-        model, _ = build_scenario_model(small_scenario(*grid))
-        eig = controlled_spectrum(model, model.R.entries)
-        expected = per_call_lumped_spectrum(model.R.entries, model.Q0.entries)
+        # rows of the rule and Q0, for the nominal rule and a tilt of it, and
+        # M = C S is summed in the same order
+        sc = small_scenario(*grid)
+        model, utility = build_scenario_model(sc)
+        rule = model.R.entries
+        if zeta:
+            cfg = OdeConfig(zeta_max=zeta, step=0.05, checkpoints=(zeta,))
+            rule = solve_average_reward(model, utility, cfg, sc.basepoint).checkpoints[-1].policy().entries
+        eig = controlled_spectrum(model, rule)
+        expected = per_call_lumped_spectrum(rule, model.Q0.entries)
         for part in ("real", "imag"):
             np.testing.assert_array_equal(getattr(eig, part).view(np.int64), getattr(expected, part).view(np.int64))
 
@@ -369,10 +376,16 @@ class TestNoDenseChain:
         assert r == 928
         # the corrector's copies of R0, in class order and at the representatives, made before its first LU
         rows = ClassRows(model)
-        workspace = BorderedWorkspace(rows, sc.basepoint)
-        e, s, _ = _tilt_values(U, rows)
-        peak = peak_bytes(lambda: BorderedLU(workspace, e, s).solve(U))
-        # 1 MiB of scratch, the certified first solve included; one rule is 2.0 MB
+        lu = BorderedLU(rows, sc.basepoint)
+        tilts = [_tilt_values(zeta * U, rows)[:2] for zeta in (1.0, 2.0)]
+
+        def factor_and_solve():
+            for e, s in tilts:  # the second is factored over the first, which it drops first
+                lu.factor(e, s)
+                lu.solve(U)
+
+        peak = peak_bytes(factor_and_solve)
+        # 1 MiB of scratch, the certified first solves included; one rule is 2.0 MB
         assert 8 * r**2 <= peak < 8 * r * d + 2**20
 
     def test_finite_horizon(self, uav15):
